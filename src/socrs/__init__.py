@@ -1,16 +1,14 @@
 """Stationary online contention resolution: witness construction,
 simulate-then-replace execution, and exact/statistical certification."""
 
-from .env import (Environment, Matroid, ActivationVector, is_feasible,
-                  enumerate_feasible, matroid_rank, check_membership,
+from .env import (Environment, Matroid, ActivationVector, check_membership,
                   matching_environment, bipartite_matching_environment,
                   hypergraph_matching_environment, k_uniform_environment,
                   matroid_environment)
 from .dist import (ExplicitDistribution, GibbsDistribution, StationaryReport,
                    conditional_without, verify_stationary_lp, addability_prob,
                    solve_stationary_lp_exact, symmetric_uniform_bound)
-from .counting import CountingOracle, BaseMeasure, partition, marginal_sum, \
-    constrained_count, thinned_mass
+from .counting import CountingOracle, BaseMeasure
 from .maxent import (solve_maxent, solve_kl_projection, dominating_base_point,
                      DualState, BoundaryDivergenceError)
 from .sampling import RngStream, sample_explicit, sample_sequential, thin, \

@@ -1,14 +1,20 @@
 """Weighted generating-polynomial oracles.
 
 A CountingOracle evaluates Z(w) = sum over the relevant set family of
-prod_{e in S} w_e, per-element marginal sums, constrained sums (pinned
-include/exclude blocks via forward-difference interpolation), and the
-coefficient extraction used for thinned base measures.
+mu0(S) prod_{e in S} w_e (mu0 = 1 on environment families), per-element
+marginal sums, constrained sums (pinned include/exclude blocks via
+forward-difference interpolation), and the coefficient extraction used for
+thinned base measures.
 
 Two precision modes:
   * "double": partition/marginal_sum return log-magnitudes (float, -inf
     for zero); constrained_count/thinned_mass return plain floats since the
-    interpolation sums are signed.
+    interpolation sums are signed.  On the enumeration backends every
+    double-mode value comes from one place: the cached incidence matrix
+    gives all per-set log-masses log mu0(S) + sum_{e in S} log w_e in one
+    matmul (-inf for sets holding a weight <= 0), and one logsumexp turns
+    them into log Z and the normalised set probabilities that partition,
+    marginal_sum, marginals and second_moments read.
   * "rational": everything returns exact rationals.
 """
 
@@ -89,6 +95,7 @@ class BaseMeasure:
         self.kind = kind
         self.matroid = matroid
         self.A = None
+        self._bases = None          # uniform-spanning-tree: base set, built once
         if kind == "explicit-table":
             total = sum(table.values())
             # normalization is exact when the masses are rationals
@@ -135,8 +142,9 @@ class BaseMeasure:
         if self.kind == "explicit-table":
             return self.table.get(B, 0)
         if self.kind == "uniform-spanning-tree":
-            bases = self.matroid.bases()
-            return R(1, len(bases)) if B in set(bases) else R(0)
+            if self._bases is None:
+                self._bases = frozenset(self.matroid.bases())
+            return R(1, len(self._bases)) if B in self._bases else R(0)
         # determinantal
         cols = sorted(B)
         sub = [[row[c] for c in cols] for row in self.A]
@@ -163,8 +171,10 @@ def _mat_mul_t(A, B):
 # the oracle
 # ---------------------------------------------------------------------------
 
+# backends that evaluate by summing over an enumerated (set, mu0) family
+ENUM_BACKENDS = ("enumeration", "tabulated-base-measure")
 _ENV_BACKENDS = {"enumeration", "matching-recursion", "ksym-dp"}
-_BASE_BACKENDS = {"enumeration", "matrix-tree", "cauchy-binet", "tabulated-base-measure"}
+_BASE_BACKENDS = {"matrix-tree", "cauchy-binet", *ENUM_BACKENDS}
 
 
 class CountingOracle:
@@ -192,7 +202,7 @@ class CountingOracle:
             raise ValueError("need an env or a base measure")
 
         self._sets = None           # enumeration cache: list of frozensets
-        self._masks = None          # and numpy masks/incidence for double mode
+        self._inc = None            # and its set x element incidence matrix
 
     # -- enumeration support ---------------------------------------------
 
@@ -210,19 +220,63 @@ class CountingOracle:
                 self._weights0 = [R(1)] * len(self._sets)
         return self._sets, self._weights0
 
+    def _enum_rational(self, w, e=None):
+        """Exact sum of mu0(S) w^S over the family, or over its sets holding e."""
+        sets, m0 = self._family()
+        total = R(0)
+        for S, mu in zip(sets, m0):
+            if e is None or e in S:
+                t = as_rational(mu)
+                for f in S:
+                    t *= w[f]
+                total += t
+        return total
+
+    def _log_masses(self, w):
+        """log mu0(S) + sum_{e in S} log w_e for every enumerated set S.
+
+        Sets holding a weight <= 0 get -inf.  The masking pass only runs
+        when some weight is <= 0: the dual solvers call this with positive
+        weights on every step.
+        """
+        if self._inc is None:
+            sets, m0 = self._family()
+            inc = np.zeros((len(sets), self.n))
+            for i, S in enumerate(sets):
+                inc[i, list(S)] = 1.0
+            self._inc = inc
+            self._logm0 = np.array([math.log(float(v)) if float(v) > 0 else -np.inf
+                                    for v in m0])
+        w = np.asarray(w, dtype=float)
+        pos = w > 0
+        if pos.all():
+            return self._inc @ np.log(w) + self._logm0
+        logmass = self._inc @ np.log(np.where(pos, w, 1.0)) + self._logm0
+        logmass[self._inc @ ~pos > 0] = -np.inf
+        return logmass
+
+    def _tilt(self, w):
+        """(log Z, per-set probabilities) of the w-tilted family; (-inf, None) for Z = 0."""
+        logmass = self._log_masses(w)
+        m = logmass.max()
+        if m == -math.inf:
+            return -math.inf, None
+        p = np.exp(logmass - m)
+        s = p.sum()
+        return float(m) + math.log(s), p / s
+
+    def _set_probs(self, w):
+        lz, p = self._tilt(w)
+        if p is None:
+            raise ZeroDivisionError("every set has zero mass under w")
+        return p
+
     # -- core evaluation: plain value in rational mode, log in double -----
 
     def _g_rational(self, w):
         w = [as_rational(v) for v in w]
-        if self.backend == "enumeration" or self.backend == "tabulated-base-measure":
-            sets, m0 = self._family()
-            total = R(0)
-            for S, mu in zip(sets, m0):
-                t = as_rational(mu)
-                for e in S:
-                    t *= w[e]
-                total += t
-            return total
+        if self.backend in ENUM_BACKENDS:
+            return self._enum_rational(w)
         if self.backend == "matching-recursion":
             return _matching_partition(self.env.meta["edges"], w, R(1), R(0))
         if self.backend == "ksym-dp":
@@ -236,51 +290,20 @@ class CountingOracle:
 
     def _g_log(self, w):
         """log of the generating value, -inf for zero (double mode)."""
-        w = np.asarray(w, dtype=float)
-        if self.backend in ("enumeration", "tabulated-base-measure"):
-            sets, m0 = self._family()
-            logs = []
-            for S, mu in zip(sets, m0):
-                mu = float(mu)
-                if mu == 0.0:
-                    continue
-                acc = math.log(mu)
-                ok = True
-                for e in S:
-                    if w[e] <= 0.0:
-                        ok = False
-                        break
-                    acc += math.log(w[e])
-                if ok:
-                    logs.append(acc)
-            if not logs:
-                return -math.inf
-            m = max(logs)
-            return m + math.log(sum(math.exp(v - m) for v in logs))
+        if self.backend in ENUM_BACKENDS:
+            return self._tilt(w)[0]
+        w = [float(v) for v in w]
         if self.backend == "matching-recursion":
-            val = _matching_partition(self.env.meta["edges"], list(map(float, w)), 1.0, 0.0)
-            return math.log(val) if val > 0 else -math.inf
-        if self.backend == "ksym-dp":
-            val = _esym_truncated_sum(list(map(float, w)), self.env.meta["k"], 1.0, 0.0)
-            return math.log(val) if val > 0 else -math.inf
-        if self.backend == "matrix-tree":
-            val = _matrix_tree_g(self.base, list(map(float, w)), exact=False)
-            return math.log(val) if val > 0 else -math.inf
-        if self.backend == "cauchy-binet":
-            val = _cauchy_binet_g(self.base, list(map(float, w)), exact=False)
-            return math.log(val) if val > 0 else -math.inf
-        raise AssertionError(self.backend)
-
-    def _g_plain(self, w):
-        """Plain (linear-scale) value in the current mode."""
-        if self.mode == "rational":
-            return self._g_rational(w)
-        lg = self._g_log(w)
-        if lg == -math.inf:
-            return 0.0
-        if lg > 700:
-            raise CountingOverflowError("partition value overflows double; use rational mode")
-        return math.exp(lg)
+            val = _matching_partition(self.env.meta["edges"], w, 1.0, 0.0)
+        elif self.backend == "ksym-dp":
+            val = _esym_truncated_sum(w, self.env.meta["k"], 1.0, 0.0)
+        elif self.backend == "matrix-tree":
+            val = _matrix_tree_g(self.base, w, exact=False)
+        elif self.backend == "cauchy-binet":
+            val = _cauchy_binet_g(self.base, w, exact=False)
+        else:
+            raise AssertionError(self.backend)
+        return math.log(val) if val > 0 else -math.inf
 
     # -- public operations -------------------------------------------------
 
@@ -312,35 +335,12 @@ class CountingOracle:
                 return as_rational(w[e]) * _esym_truncated_sum(rest, k - 1, R(1), R(0))
             val = _esym_truncated_sum(list(map(float, rest)), k - 1, 1.0, 0.0)
             return (math.log(float(w[e])) + math.log(val)) if val > 0 and w[e] > 0 else -math.inf
-        if self.backend in ("enumeration", "tabulated-base-measure"):
-            sets, m0 = self._family()
+        if self.backend in ENUM_BACKENDS:
             if self.mode == "rational":
-                w = [as_rational(v) for v in w]
-                total = R(0)
-                for S, mu in zip(sets, m0):
-                    if e in S:
-                        t = as_rational(mu)
-                        for f in S:
-                            t *= w[f]
-                        total += t
-                return total
-            logs = []
-            for S, mu in zip(sets, m0):
-                if e not in S or float(mu) == 0.0:
-                    continue
-                acc = math.log(float(mu))
-                ok = True
-                for f in S:
-                    if w[f] <= 0:
-                        ok = False
-                        break
-                    acc += math.log(float(w[f]))
-                if ok:
-                    logs.append(acc)
-            if not logs:
-                return -math.inf
-            m = max(logs)
-            return m + math.log(sum(math.exp(v - m) for v in logs))
+                return self._enum_rational([as_rational(v) for v in w], e)
+            lz, p = self._tilt(w)
+            pe = 0.0 if p is None else float(p @ self._inc[:, e])
+            return lz + math.log(pe) if pe > 0 else -math.inf
         # determinant backends: multi-affinity gives marginal = Z(w) - Z(w | w_e = 0)
         w0 = list(w)
         w0[e] = 0
@@ -364,39 +364,14 @@ class CountingOracle:
         return math.exp(num - self._g_log(w))
 
     def marginals(self, w):
-        if self.backend in ("enumeration", "tabulated-base-measure") and self.mode == "double":
-            # vectorized path used heavily by the dual solvers
-            self._ensure_numpy_family()
-            logw = np.where(np.asarray(w, float) > 0,
-                            np.log(np.maximum(np.asarray(w, float), 1e-320)), -np.inf)
-            logmass = self._inc @ logw + self._logm0
-            m = logmass.max()
-            p = np.exp(logmass - m)
-            p /= p.sum()
+        if self.backend in ENUM_BACKENDS and self.mode == "double":
+            p = self._set_probs(w)
             return self._inc.T @ p
         return np.array([float(self.marginal_probability(w, e)) for e in range(self.n)])
 
-    def _ensure_numpy_family(self):
-        if self._masks is None:
-            sets, m0 = self._family()
-            inc = np.zeros((len(sets), self.n))
-            for i, S in enumerate(sets):
-                for e in S:
-                    inc[i, e] = 1.0
-            self._inc = inc
-            self._logm0 = np.array([math.log(float(v)) if float(v) > 0 else -np.inf
-                                    for v in m0])
-            self._masks = [sum(1 << e for e in S) for S in sets]
-
     def second_moments(self, w):
         """Matrix M with M[e,f] = P[e in S and f in S]; enumeration backends only."""
-        self._ensure_numpy_family()
-        logw = np.where(np.asarray(w, float) > 0,
-                        np.log(np.maximum(np.asarray(w, float), 1e-320)), -np.inf)
-        logmass = self._inc @ logw + self._logm0
-        m = logmass.max()
-        p = np.exp(logmass - m)
-        p /= p.sum()
+        p = self._set_probs(w)
         return self._inc.T @ (self._inc * p[:, None])
 
     def constrained_count(self, w, I, J):
@@ -621,23 +596,3 @@ def _cauchy_binet_g(base, w, exact):
     if den == 0:
         raise SingularRepresentationError("A A^T is singular")
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# module-level wrappers
-# ---------------------------------------------------------------------------
-
-def partition(oracle, w):
-    return oracle.partition(w)
-
-
-def marginal_sum(oracle, w, e):
-    return oracle.marginal_sum(w, e)
-
-
-def constrained_count(oracle, w, I, J):
-    return oracle.constrained_count(w, I, J)
-
-
-def thinned_mass(oracle, w, tau, T):
-    return oracle.thinned_mass(w, tau, T)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._rat import R, as_rational, rat_str
-from .env import EnvironmentError_
+from .env import EnumerationBudgetError, EnvironmentError_
 from . import simplex
 
 
@@ -156,7 +156,7 @@ def verify_stationary_lp(dist, x, alpha, tol=1e-9):
     env = dist.env
     try:
         sets = env.enumerate_feasible()
-    except Exception as exc:
+    except EnumerationBudgetError as exc:
         raise NonEnumerableError(
             "environment not enumerable; use the Monte-Carlo harness") from exc
 

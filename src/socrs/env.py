@@ -177,11 +177,6 @@ def _float_rank(M, tol):
     return r
 
 
-def matroid_rank(m, T):
-    """Rank of T under matroid m (module-level convenience wrapper)."""
-    return m.rank(T)
-
-
 # ---------------------------------------------------------------------------
 # Environments
 # ---------------------------------------------------------------------------
@@ -226,14 +221,6 @@ class Environment:
         out.sort(key=lambda S: (len(S), tuple(sorted(S))))
         self._enum_cache = out
         return list(out)
-
-
-def is_feasible(env, S):
-    return env.is_feasible(S)
-
-
-def enumerate_feasible(env, cap=ENUMERATION_CAP):
-    return env.enumerate_feasible(cap)
 
 
 def _disjoint_edges(edge_vertices, S):

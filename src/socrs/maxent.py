@@ -11,10 +11,11 @@ to very tight tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import ENUM_BACKENDS
 from .dist import GibbsDistribution
 
 THETA_MAX = 60.0
@@ -39,7 +40,6 @@ class DualState:
     gradient: np.ndarray = None
     iterations: int = 0
     converged: bool = False
-    trace: list = field(default_factory=list)
 
 
 def dual_value(oracle, theta, p):
@@ -54,7 +54,7 @@ def dual_gradient(oracle, theta, p):
     return oracle.marginals(np.exp(theta)) - np.asarray(p, float)
 
 
-def _descend(oracle, p, tol, max_iters, theta_max, theta0, verbose=False):
+def _descend(oracle, p, tol, max_iters, theta_max, theta0):
     p = np.asarray(p, dtype=float)
     n = p.size
     theta = np.zeros(n) if theta0 is None else np.array(theta0, dtype=float)
@@ -65,10 +65,7 @@ def _descend(oracle, p, tol, max_iters, theta_max, theta0, verbose=False):
     g = dual_gradient(oracle, theta, p)
     for it in range(max_iters):
         state.iterations = it
-        gnorm = float(np.abs(g).max())
-        if verbose:
-            state.trace.append((it, gnorm, state.step))
-        if gnorm <= tol:
+        if float(np.abs(g).max()) <= tol:
             state.converged = True
             break
         direction = -g / precond
@@ -122,8 +119,28 @@ def _newton_polish(oracle, p, theta, tol, theta_max, max_steps=60):
     return theta, float(np.abs(dual_gradient(oracle, theta, p)).max()) <= tol
 
 
+def _solve_dual(oracle, target, tol, max_iters, theta_max, theta0):
+    """theta with |grad h(theta)| <= tol for the dual of marginal target `target`.
+
+    Descends to max(tol, 1e-6), then polishes with Newton where the exact
+    covariance exists (enumeration backends), and descends again to tol when
+    the polish fails or, on other backends, when tol is below the coarse one.
+    """
+    coarse = max(tol, 1e-6)
+    theta = _descend(oracle, target, coarse, max_iters, theta_max, theta0).theta
+    ok = coarse <= tol
+    if oracle.backend in ENUM_BACKENDS:
+        theta, ok = _newton_polish(oracle, target, theta, tol, theta_max)
+    if not ok:
+        theta = _descend(oracle, target, tol, max_iters, theta_max, theta).theta
+    gnorm = float(np.abs(dual_gradient(oracle, theta, target)).max())
+    if gnorm > tol:
+        raise RuntimeError(f"dual solver stalled: |grad| = {gnorm:.3e}")
+    return theta
+
+
 def solve_maxent(env, oracle, p, tol=1e-8, max_iters=20000, theta_max=THETA_MAX,
-                 theta0=None, verbose=False):
+                 theta0=None):
     """Weights w of the max-entropy Gibbs law with marginals p.
 
     Raises BoundaryDivergenceError when p is not an interior target.
@@ -131,22 +148,7 @@ def solve_maxent(env, oracle, p, tol=1e-8, max_iters=20000, theta_max=THETA_MAX,
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0) or np.any(p >= 1):
         raise ValueError("target marginals must lie in (0,1)")
-    coarse = max(tol, 1e-6)
-    state = _descend(oracle, p, coarse, max_iters, theta_max, theta0, verbose)
-    theta = state.theta
-    if hasattr(oracle, "second_moments") and oracle.backend in (
-            "enumeration", "tabulated-base-measure"):
-        theta, ok = _newton_polish(oracle, p, theta, tol, theta_max)
-        if not ok:
-            state = _descend(oracle, p, tol, max_iters, theta_max, theta, verbose)
-            theta = state.theta
-    elif coarse > tol:
-        state = _descend(oracle, p, tol, max_iters, theta_max, theta, verbose)
-        theta = state.theta
-    g = dual_gradient(oracle, theta, p)
-    if float(np.abs(g).max()) > tol:
-        raise RuntimeError(f"dual solver stalled: |grad| = {float(np.abs(g).max()):.3e}")
-    w = np.exp(theta)
+    w = np.exp(_solve_dual(oracle, p, tol, max_iters, theta_max, theta0))
     return GibbsDistribution(env, list(w), oracle=oracle)
 
 
@@ -182,7 +184,7 @@ def is_boundary_base_point(matroid, q, tol=1e-12, max_n=14):
 
 
 def solve_kl_projection(base, oracle, q, tol=1e-8, delta=1e-6, max_iters=20000,
-                        theta_max=THETA_MAX, verbose=False):
+                        theta_max=THETA_MAX):
     """Tilt weights w with P_{mu_w}[e in B] = q_e (after boundary shrinking).
 
     Boundary base points are pre-shrunk toward the barycentric base point:
@@ -194,21 +196,7 @@ def solve_kl_projection(base, oracle, q, tol=1e-8, delta=1e-6, max_iters=20000,
     target = q if boundary is False else (1 - delta) * q + delta * qbar
 
     def attempt(tgt):
-        state = _descend(oracle, tgt, max(tol, 1e-6), max_iters, theta_max, None, verbose)
-        theta = state.theta
-        if hasattr(oracle, "second_moments") and oracle.backend in (
-                "enumeration", "tabulated-base-measure"):
-            theta, ok = _newton_polish(oracle, tgt, theta, tol, theta_max)
-            if not ok:
-                state = _descend(oracle, tgt, tol, max_iters, theta_max, theta, verbose)
-                theta = state.theta
-        else:
-            state = _descend(oracle, tgt, tol, max_iters, theta_max, theta, verbose)
-            theta = state.theta
-        g = dual_gradient(oracle, theta, tgt)
-        if float(np.abs(g).max()) > tol:
-            raise RuntimeError("KL projection stalled")
-        return np.exp(theta)
+        return np.exp(_solve_dual(oracle, tgt, tol, max_iters, theta_max, None))
 
     try:
         w = attempt(target)
@@ -269,5 +257,6 @@ def dominating_base_point(matroid, x, enum_max_n=20):
         q[e] += inc
         qsum[sel] += inc
     r = matroid.rank_total
-    assert abs(q.sum() - r) < 1e-9, f"greedy fill ended at sum {q.sum()} != rank {r}"
+    if not abs(q.sum() - r) < 1e-9:
+        raise RuntimeError(f"greedy fill ended at sum {q.sum()} != rank {r}")
     return q

@@ -101,7 +101,7 @@ def policy_step(state, e, active):
         else:
             state.S_hat = T
     state.processed = state.processed | {e}
-    assert state.env.is_feasible(state.S_hat)
+    _check_feasible(state.env, state.S_hat)
     return accepted, state
 
 
@@ -159,9 +159,14 @@ def run_recurring(dist, x, trace, rng):
             accepted = True
         else:
             S_hat = T
-        assert env.is_feasible(S_hat)
+        _check_feasible(env, S_hat)
         log.append((e, ridx, bool(active), accepted))
     return log
+
+
+def _check_feasible(env, S):
+    if not env.is_feasible(S):
+        raise RuntimeError(f"policy reached the infeasible set {sorted(S)}")
 
 
 def _initial_sample(dist, rng):

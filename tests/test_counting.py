@@ -229,3 +229,53 @@ def test_base_measure_normalization_and_mass():
     some_base = next(iter(table))
     assert base.mass(some_base) == table[some_base]
     assert base.mass(frozenset({0, 1})) == 0      # 2 edges cannot span 4 vertices
+
+
+def test_spanning_tree_mass_enumerates_bases_once(monkeypatch):
+    m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    base = BaseMeasure.uniform_on_bases(m)
+    expect = {B: Fraction(1, 8) for B in m.bases()}
+    calls = []
+    bases = Matroid.bases
+    monkeypatch.setattr(Matroid, "bases", lambda self: calls.append(1) or bases(self))
+    assert base.to_table() == expect
+    assert base.mass(frozenset({0, 1})) == 0
+    assert len(calls) == 2        # once for enumerate_bases, once for the mass cache
+
+
+@pytest.mark.parametrize("family", ["k-uniform", "matching", "spanning-trees"])
+def test_double_mode_matches_rational_mode(family):
+    if family == "spanning-trees":
+        m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        kw = {"base": BaseMeasure.uniform_on_bases(m)}
+        backends = ["enumeration", "tabulated-base-measure"]
+    else:
+        env = (k_uniform_environment(5, 2) if family == "k-uniform" else
+               matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4))
+        kw = {"env": env}
+        backends = ["enumeration"]
+    rng = np.random.default_rng(11)
+    for backend in backends:
+        od = CountingOracle(backend, mode="double", **kw)
+        orat = CountingOracle(backend, mode="rational", **kw)
+        n = od.n
+        for trial in range(4):
+            w = [Fraction(int(v), 8) for v in rng.integers(1, 25, size=n)]
+            if trial:
+                w[trial % n] = Fraction(0)        # a zero weight removes its sets
+            wf = [float(v) for v in w]
+            Z = orat.partition(w)
+            assert abs(od.partition(wf) - math.log(Z)) < 1e-12
+            marg = od.marginals(wf)
+            M = od.second_moments(wf)
+            for e in range(n):
+                ms = orat.marginal_sum(w, e)
+                got = od.marginal_sum(wf, e)
+                if ms == 0:
+                    assert got == -math.inf
+                else:
+                    assert abs(got - math.log(ms)) < 1e-12
+                assert abs(marg[e] - float(ms / Z)) < 1e-12
+                for f in range(n):
+                    both = orat.constrained_count(w, {e, f}, [])
+                    assert abs(M[e, f] - float(both / Z)) < 1e-12

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socrs.dist import (ExplicitDistribution, GibbsDistribution,
-                        NullConditioningError, addability_prob,
+                        NonEnumerableError, NullConditioningError, addability_prob,
                         conditional_without, solve_stationary_lp_exact,
                         symmetric_uniform_bound, verify_stationary_lp)
-from socrs.env import k_uniform_environment, matching_environment
+from socrs.env import (Environment, EnumerationBudgetError,
+                       k_uniform_environment, matching_environment)
 from socrs.simplex import InfeasibleLP, UnboundedLP, solve_lp
 
 
@@ -95,6 +96,24 @@ def test_verify_stationary_lp_passes_and_fails():
     g_bad = GibbsDistribution(env, [Fraction(1)] * 3)   # rho = 1/2 > 3/10
     rep_bad = verify_stationary_lp(g_bad, x, Fraction(1, 3))
     assert rep_bad.violated_caps and rep_bad.max_cap_excess > 0
+
+
+def test_verify_stationary_lp_only_wraps_budget_overflow():
+    class OracleFault(ValueError):
+        pass
+
+    def broken(S):
+        raise OracleFault("feasibility oracle failed")
+
+    env = Environment(3, "k-uniform", broken, {"k": 1})
+    with pytest.raises(OracleFault):
+        verify_stationary_lp(GibbsDistribution(env, [0.5] * 3), [0.5] * 3, 0.3)
+
+    env = k_uniform_environment(4, 2)
+    env.enumerate_feasible = lambda cap=3: Environment.enumerate_feasible(env, cap)
+    with pytest.raises(NonEnumerableError) as info:
+        verify_stationary_lp(GibbsDistribution(env, [0.5] * 4), [0.5] * 4, 0.3)
+    assert isinstance(info.value.__cause__, EnumerationBudgetError)
 
 
 def test_simplex_basic():

@@ -1,6 +1,10 @@
 """Simulate-then-replace: single steps, one-shot runs, recurring arrivals,
 and the exact expansion of the output law."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -144,3 +148,38 @@ def test_adaptive_adversary_cannot_break_stationarity():
     law, acc = exact_output_law(gibbs, x,
                                 OrderStrategy.adaptive(greedy_blocker_adversary(env, x)))
     assert law_tv(law, witness) < 1e-12
+
+
+def test_feasibility_checks_survive_python_O():
+    # python -O strips asserts; each of these broken inputs must still raise
+    script = textwrap.dedent("""
+        from socrs.dist import ExplicitDistribution
+        from socrs.env import Environment, Matroid
+        from socrs.maxent import dominating_base_point
+        from socrs.policy import PolicyState, policy_step, run_recurring
+        from socrs.sampling import RngStream
+
+        # {1} is infeasible although {0, 1} is not: not downward closed
+        env = Environment(2, "custom", lambda S: S != frozenset({1}))
+        dist = ExplicitDistribution(env, {frozenset({0, 1}): 1.0})
+        bogus = Matroid(2, "explicit", lambda T: 2 if len(T) == 2 else 0)
+        cases = [
+            lambda: policy_step(PolicyState(dist, [1.0, 1.0], frozenset({0, 1}),
+                                            rng=RngStream(0)), 0, False),
+            lambda: run_recurring(dist, [1.0, 1.0], [(0, 0, False)], RngStream(0)),
+            lambda: dominating_base_point(bogus, [0.0, 0.0]),
+        ]
+        for i, case in enumerate(cases):
+            try:
+                case()
+            except RuntimeError as exc:
+                if type(exc) is RuntimeError:     # not a CapViolationError
+                    continue
+            raise SystemExit(f"case {i} did not raise the feasibility error")
+        """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
