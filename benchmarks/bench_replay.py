@@ -14,7 +14,7 @@ import numpy as np
 from socrs import _replay_py
 from socrs.dist import GibbsDistribution
 from socrs.env import matching_environment
-from socrs.replay import KERNEL, mass_table, random_orders
+from socrs.replay import KERNEL, kernel_tables, random_orders
 from socrs.sampling import RngStream
 
 try:
@@ -28,12 +28,7 @@ def build_inputs(n_edges, n_rep, seed):
     env = matching_environment(edges, n_edges + 1)
     dist = GibbsDistribution(env, [0.3] * n_edges)
     x = np.full(n_edges, 0.4)
-    table = dist.to_explicit()
-    mass = mass_table(table)
-    sets = table.sets()
-    masks = np.array([sum(1 << e for e in S) for S in sets], dtype=np.int64)
-    cdf = np.cumsum([float(table.support[S]) for S in sets])
-    cdf[-1] = 1.0 + 1e-12
+    _, mass, masks, cdf = kernel_tables(dist)
     rng = RngStream(seed)
     orders = random_orders(n_edges, n_rep, rng)
     u = rng.uniform((n_rep, 2 * n_edges + 1))

@@ -2,9 +2,8 @@
 simulate-then-replace execution, and exact/statistical certification."""
 
 from .env import (Environment, Matroid, ActivationVector, check_membership,
-                  matching_environment, bipartite_matching_environment,
-                  hypergraph_matching_environment, k_uniform_environment,
-                  matroid_environment)
+                  matching_environment, hypergraph_matching_environment,
+                  k_uniform_environment, matroid_environment)
 from .dist import (ExplicitDistribution, GibbsDistribution, StationaryReport,
                    conditional_without, verify_stationary_lp, addability_prob,
                    solve_stationary_lp_exact, symmetric_uniform_bound)

@@ -3,9 +3,12 @@
 Both implementations consume the pre-drawn uniforms in exactly the same
 fixed pattern -- one for the initial sample, then (activation, coin) per
 element -- so their outputs are bit-identical for identical inputs.
+
+The cap rule lives in `dist.check_cap`, which `replay.replay` applies before
+either kernel runs; the guard below only mirrors the compiled kernel's.
 """
 
-CAP_SLACK = 1e-9
+from .dist import CAP_SLACK
 
 
 def replay_batch(n, mass, support_masks, support_cdf, x, orders, u,

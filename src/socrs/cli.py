@@ -14,13 +14,12 @@ import numpy as np
 
 from . import generators, io
 from .counting import BaseMeasure, CountingOracle
-from .dist import (GibbsDistribution, solve_stationary_lp_exact,
-                   verify_stationary_lp)
+from .dist import solve_stationary_lp_exact, verify_stationary_lp
 from .env import EnvironmentError_
 from .maxent import (solve_maxent, solve_kl_projection, dominating_base_point,
                      BoundaryDivergenceError)
 from .policy import OrderStrategy, run_one_shot, run_recurring
-from .rayleigh import build_witness, materialize, rayleigh_check
+from .rayleigh import build_witness, materialize
 from .sampling import RngStream
 from ._rat import rat_str
 
@@ -145,8 +144,7 @@ def cmd_estimate(args):
     alpha = args.alpha
     gibbs = solve_maxent(env, _oracle(env), (alpha or 1.0) * np.asarray(x), tol=args.tol)
     config = generators.ExperimentConfig(seed=args.seed, samples=args.samples,
-                                         tolerance=args.tol, alpha_target=alpha,
-                                         mode=args.mode)
+                                         alpha_target=alpha, mode=args.mode)
     rec = generators.estimate_selectability(gibbs, x, config)
     _out(args, rec.to_doc())
     if alpha is not None and rec.alpha_achieved < alpha - 3 * 0.01:

@@ -21,12 +21,12 @@ Two precision modes:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 
 from ._rat import R, as_rational
-from .env import EnumerationBudgetError
 
 MATCHING_MEMO_CAP = 1_000_000
 DOUBLE_ZERO_FLOOR = 1e-300
@@ -95,7 +95,7 @@ class BaseMeasure:
         self.kind = kind
         self.matroid = matroid
         self.A = None
-        self._bases = None          # uniform-spanning-tree: base set, built once
+        self.table = None           # uniform-spanning-tree: built on the first mass()
         if kind == "explicit-table":
             total = sum(table.values())
             # normalization is exact when the masses are rationals
@@ -124,7 +124,7 @@ class BaseMeasure:
     @staticmethod
     def determinantal(A):
         from .env import Matroid
-        m = Matroid.linear([[_ratf(v) for v in row] for row in A])
+        m = Matroid.linear([[Fraction(v) for v in row] for row in A])
         return BaseMeasure("determinantal", m, A=A)
 
     @staticmethod
@@ -139,27 +139,20 @@ class BaseMeasure:
     def mass(self, B):
         """Normalized mu0(B)."""
         B = frozenset(B)
-        if self.kind == "explicit-table":
-            return self.table.get(B, 0)
-        if self.kind == "uniform-spanning-tree":
-            if self._bases is None:
-                self._bases = frozenset(self.matroid.bases())
-            return R(1, len(self._bases)) if B in self._bases else R(0)
-        # determinantal
-        cols = sorted(B)
-        sub = [[row[c] for c in cols] for row in self.A]
-        gram = _mat_mul_t(sub, sub)
-        num = det_bareiss(gram)
-        den = det_bareiss(_mat_mul_t(self.A, self.A))
-        return num / den
+        if self.kind == "determinantal":
+            cols = sorted(B)
+            sub = [[row[c] for c in cols] for row in self.A]
+            gram = _mat_mul_t(sub, sub)
+            num = det_bareiss(gram)
+            den = det_bareiss(_mat_mul_t(self.A, self.A))
+            return num / den
+        if self.table is None:
+            bases = self.matroid.bases()
+            self.table = {T: R(1, len(bases)) for T in bases}
+        return self.table.get(B, 0)
 
     def to_table(self):
         return {B: self.mass(B) for B in self.enumerate_bases()}
-
-
-def _ratf(v):
-    from fractions import Fraction
-    return Fraction(v) if not isinstance(v, float) else Fraction(v)
 
 
 def _mat_mul_t(A, B):
@@ -209,12 +202,8 @@ class CountingOracle:
     def _family(self):
         if self._sets is None:
             if self.base is not None:
-                if self.base.kind == "explicit-table":
-                    self._sets = self.base.enumerate_bases()
-                    self._weights0 = [self.base.table[B] for B in self._sets]
-                else:
-                    self._sets = self.base.enumerate_bases()
-                    self._weights0 = [self.base.mass(B) for B in self._sets]
+                self._sets = self.base.enumerate_bases()
+                self._weights0 = [self.base.mass(B) for B in self._sets]
             else:
                 self._sets = self.env.enumerate_feasible()
                 self._weights0 = [R(1)] * len(self._sets)

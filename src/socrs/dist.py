@@ -29,6 +29,25 @@ class NullConditioningError(ValueError):
     """Conditioning on an event of probability zero."""
 
 
+# Float slack of the stationary cap q_e(T) <= x_e, shared by the policy, the
+# exact expansion, the replay kernels and the LP verifier.
+CAP_SLACK = 1e-9
+
+
+class CapViolationError(RuntimeError):
+    def __init__(self, e, T, q, xe):
+        self.e, self.T, self.q, self.xe = e, frozenset(T), q, xe
+        super().__init__(
+            f"witness violates stationary caps: q_{e}({sorted(self.T)}) = {float(q):.12g} "
+            f"> x_{e} = {float(xe):.12g}")
+
+
+def check_cap(e, T, q, xe):
+    """Raise CapViolationError unless q_e(T) <= x_e (up to CAP_SLACK)."""
+    if float(q) > float(xe) + CAP_SLACK:
+        raise CapViolationError(e, T, q, xe)
+
+
 class ExplicitDistribution:
     """A probability law over feasible sets, given as an explicit table."""
 
@@ -65,6 +84,9 @@ class ExplicitDistribution:
     def marginal(self, e):
         return sum((p for S, p in self.support.items() if e in S),
                    R(0) if self.exact else 0.0)
+
+    def to_explicit(self):
+        return self
 
 
 class GibbsDistribution:
@@ -147,7 +169,7 @@ def conditional_without(dist, e, T):
     return b / denom
 
 
-def verify_stationary_lp(dist, x, alpha, tol=1e-9):
+def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
     """Exhaustively check selectability at alpha and all stationary caps.
 
     Pairs (e,T) with P[S_-e = T] = 0 are skipped.  Exact over the enumerated
@@ -160,7 +182,7 @@ def verify_stationary_lp(dist, x, alpha, tol=1e-9):
         raise NonEnumerableError(
             "environment not enumerable; use the Monte-Carlo harness") from exc
 
-    table = dist if isinstance(dist, ExplicitDistribution) else dist.to_explicit()
+    table = dist.to_explicit()
     exact = table.exact
     zero = R(0) if exact else 0.0
 

@@ -42,6 +42,7 @@ class Matroid:
         self._rank = rank_fn
         self.meta = meta or {}
         self.rank_total = rank_fn(frozenset(range(n)))
+        self._bases = None
 
     def rank(self, T):
         T = frozenset(T)
@@ -132,9 +133,11 @@ class Matroid:
         return Matroid(n, "explicit", rank, {"independent_sets": table})
 
     def bases(self):
-        """Enumerate all bases (inclusion-maximal independent sets of full rank)."""
-        env = matroid_environment(self)
-        return [S for S in env.enumerate_feasible() if len(S) == self.rank_total]
+        """All bases (independent sets of full rank), enumerated on the first call."""
+        if self._bases is None:
+            env = matroid_environment(self)
+            self._bases = [S for S in env.enumerate_feasible() if len(S) == self.rank_total]
+        return list(self._bases)
 
 
 def _rational_rank(M):
@@ -248,13 +251,8 @@ def matching_environment(edges, n_vertices=None, sides=None):
             if sides[u] == sides[v]:
                 raise EnvironmentError_(f"edge ({u},{v}) does not cross the bipartition")
         kind = "bipartite-matching"
-    ev = [tuple(e) for e in edges]
-    return Environment(len(edges), kind, lambda S: _disjoint_edges(ev, S),
+    return Environment(len(edges), kind, lambda S: _disjoint_edges(edges, S),
                        {"edges": edges, "n_vertices": n_vertices, "sides": sides})
-
-
-def bipartite_matching_environment(edges, sides, n_vertices=None):
-    return matching_environment(edges, n_vertices=n_vertices, sides=sides)
 
 
 def hypergraph_matching_environment(edges):

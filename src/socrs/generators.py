@@ -13,10 +13,8 @@ import numpy as np
 
 from . import replay as replay_mod
 from .counting import CountingOracle
-from .dist import GibbsDistribution, ExplicitDistribution
 from .env import (matching_environment, hypergraph_matching_environment,
-                  k_uniform_environment, matroid_environment, Matroid,
-                  check_membership)
+                  k_uniform_environment, matroid_environment, Matroid)
 from .maxent import solve_maxent, BoundaryDivergenceError
 from .policy import OrderStrategy, exact_output_law
 from .sampling import RngStream
@@ -313,16 +311,12 @@ def run_barriers():
 class ExperimentConfig:
     seed: int = 0
     samples: int = 100_000
-    tolerance: float = 1e-9
     alpha_target: float = None
     mode: str = "mc"            # "exact" | "mc"
-    order: str = "random"       # "random" | "ascending" | "descending"
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -373,14 +367,7 @@ def estimate_selectability(dist, x, config, instance_id="instance"):
                            per_element=ratios, runtime=time.time() - t0)
         return rec
     rng = RngStream(config.seed, stream=1)
-    if config.order == "random":
-        orders = replay_mod.random_orders(n, config.samples, rng)
-    elif config.order == "ascending":
-        orders = np.broadcast_to(np.arange(n, dtype=np.int64),
-                                 (config.samples, n)).copy()
-    else:
-        orders = np.broadcast_to(np.arange(n - 1, -1, -1, dtype=np.int64),
-                                 (config.samples, n)).copy()
+    orders = replay_mod.random_orders(n, config.samples, rng)
     acc, outcomes, n_rep = replay_mod.replay(dist, x, orders, rng)
     ratios, intervals = [], []
     for e in range(n):

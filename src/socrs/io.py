@@ -92,9 +92,3 @@ def read_trace(path):
         for row in rd:
             rows.append((int(row[0]), int(row[1]), bool(int(row[2])), bool(int(row[3]))))
     return rows
-
-
-def dump_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")

@@ -6,24 +6,19 @@ inactive element is rejected and S_hat becomes T; an active one is accepted
 with probability q_e / x_e where q_e = P[e in S | S_-e = T], and S_hat is
 updated accordingly.  This preserves the law of S_hat at every step, which
 is what makes the output distribution independent of the arrival order.
+
+Every path -- the sampled step `_replace` and its expansion in
+`exact_output_law` -- enforces the witness cap q_e <= x_e through
+`dist.check_cap`; `replay.replay` applies the same check before its kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dist import ExplicitDistribution, GibbsDistribution, conditional_without
-from .sampling import sample_explicit, _clamp
-
-CAP_SLACK = 1e-9
-
-
-class CapViolationError(RuntimeError):
-    def __init__(self, e, T, q, xe):
-        self.e, self.T, self.q, self.xe = e, frozenset(T), q, xe
-        super().__init__(
-            f"witness violates stationary caps: q_{e}({sorted(T)}) = {float(q):.12g} "
-            f"> x_{e} = {float(xe):.12g}")
+from .dist import ExplicitDistribution, check_cap, conditional_without
+from .dist import CapViolationError  # noqa: F401  (re-exported)
+from .sampling import sample_explicit
 
 
 @dataclass
@@ -34,10 +29,6 @@ class PolicyState:
     accepted: frozenset = frozenset()
     processed: frozenset = frozenset()
     rng: object = None
-
-    @property
-    def env(self):
-        return self.dist.env
 
 
 @dataclass
@@ -75,33 +66,33 @@ class OrderStrategy:
         return self.callback(list(history), frozenset(unprocessed))
 
 
-def _conditional(dist, e, T):
-    q = conditional_without(dist, e, T)
-    return float(q)
+def _replace(dist, x, S_hat, e, active, rng):
+    """One simulate-then-replace step; returns (S_hat, active, accepted).
+
+    `active` None draws the activation with probability x_e from `rng`.
+    """
+    T = S_hat - {e}
+    q = float(conditional_without(dist, e, T))
+    xe = float(x[e])
+    check_cap(e, T, q, xe)
+    if active is None:
+        active = float(rng.uniform()) < xe
+    accepted = bool(active) and float(rng.uniform()) < min(q / xe, 1.0)
+    S_hat = T | {e} if accepted else T
+    if not dist.env.is_feasible(S_hat):
+        raise RuntimeError(f"policy reached the infeasible set {sorted(S_hat)}")
+    return S_hat, bool(active), accepted
 
 
 def policy_step(state, e, active):
     """Process one arrival; returns (accepted, state).  Mutates state."""
     if e in state.processed:
         raise ValueError(f"element {e} already processed")
-    T = state.S_hat - {e}
-    q = _conditional(state.dist, e, T)
-    xe = float(state.x[e])
-    if q > xe + CAP_SLACK:
-        raise CapViolationError(e, T, q, xe)
-    accepted = False
-    if not active:
-        state.S_hat = T
-    else:
-        p = _clamp(q / xe)
-        if float(state.rng.uniform()) < p:
-            state.S_hat = T | {e}
-            state.accepted = state.accepted | {e}
-            accepted = True
-        else:
-            state.S_hat = T
+    state.S_hat, _, accepted = _replace(state.dist, state.x, state.S_hat, e,
+                                        active, state.rng)
+    if accepted:
+        state.accepted = state.accepted | {e}
     state.processed = state.processed | {e}
-    _check_feasible(state.env, state.S_hat)
     return accepted, state
 
 
@@ -111,23 +102,19 @@ def run_one_shot(dist, x, strategy, rng, activations=None):
     `activations`, when given, is a dict/sequence of per-element booleans;
     otherwise each element is active with probability x_e using the stream.
     """
-    env = dist.env
-    state = PolicyState(dist, list(x), S_hat=_initial_sample(dist, rng), rng=rng)
+    S_hat = _initial_sample(dist, rng)
+    unprocessed = set(range(dist.env.n))
     history = []
-    trace = []
-    while len(state.processed) < env.n:
-        unprocessed = set(range(env.n)) - state.processed
+    while unprocessed:
         e = strategy.next_element(history, unprocessed, rng)
         if e not in unprocessed:
             raise ValueError("strategy returned a processed element")
-        if activations is None:
-            active = bool(float(rng.uniform()) < float(x[e]))
-        else:
-            active = bool(activations[e])
-        accepted, state = policy_step(state, e, active)
+        unprocessed.remove(e)
+        active = None if activations is None else bool(activations[e])
+        S_hat, active, accepted = _replace(dist, x, S_hat, e, active, rng)
         history.append((e, active, accepted))
-        trace.append((e, 0, active, accepted))
-    return state.accepted, trace
+    return (frozenset(e for (e, _, acc) in history if acc),
+            [(e, 0, a, acc) for (e, a, acc) in history])
 
 
 def run_recurring(dist, x, trace, rng):
@@ -138,7 +125,6 @@ def run_recurring(dist, x, trace, rng):
     simulated membership is forgotten and redrawn through the acceptance
     coin.  Returns the acceptance log [(element, renewal, active, accepted)].
     """
-    env = dist.env
     S_hat = _initial_sample(dist, rng)
     last_renewal = {}
     log = []
@@ -146,32 +132,13 @@ def run_recurring(dist, x, trace, rng):
         if e in last_renewal and ridx <= last_renewal[e]:
             raise ValueError(f"renewal indices for element {e} must increase")
         last_renewal[e] = ridx
-        T = S_hat - {e}
-        q = _conditional(dist, e, T)
-        xe = float(x[e])
-        if q > xe + CAP_SLACK:
-            raise CapViolationError(e, T, q, xe)
-        if active is None:
-            active = bool(float(rng.uniform()) < xe)
-        accepted = False
-        if active and float(rng.uniform()) < _clamp(q / xe):
-            S_hat = T | {e}
-            accepted = True
-        else:
-            S_hat = T
-        _check_feasible(env, S_hat)
-        log.append((e, ridx, bool(active), accepted))
+        S_hat, active, accepted = _replace(dist, x, S_hat, e, active, rng)
+        log.append((e, ridx, active, accepted))
     return log
 
 
-def _check_feasible(env, S):
-    if not env.is_feasible(S):
-        raise RuntimeError(f"policy reached the infeasible set {sorted(S)}")
-
-
 def _initial_sample(dist, rng):
-    table = dist if isinstance(dist, ExplicitDistribution) else dist.to_explicit()
-    return sample_explicit(table, rng)
+    return sample_explicit(dist.to_explicit(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -189,44 +156,35 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     rounding (exact rationals when the witness table and x are rational).
 
     States are keyed by public history (what an adaptive adversary can see),
-    each holding a sub-distribution over simulated sets.
+    each holding a sub-distribution over simulated sets.  A non-adaptive
+    strategy sees no outcomes, so all of its states share the pseudo-history
+    ((e, False, False), ...) of the elements processed so far.
     """
-    env = dist.env
-    table = dist if isinstance(dist, ExplicitDistribution) else dist.to_explicit()
-    exact = table.exact and not any(isinstance(v, float) for v in x)
-    zero = 0 if exact else 0.0
-    xs = list(x)
-
-    adaptive = strategy.variant == "adaptive"
-    # history-keyed only when the adversary can actually react
-    states = {(): dict(table.support)}
-    accept_prob = [zero] * env.n
-    atoms = len(table.support)
-
     if strategy.variant == "seeded-random":
         raise ValueError("exact expansion needs a deterministic strategy")
-    done_order = []      # processed elements, shared across states when non-adaptive
+    env = dist.env
+    table = dist.to_explicit()
+    exact = table.exact and not any(isinstance(v, float) for v in x)
+    zero = 0 if exact else 0.0
+    adaptive = strategy.variant == "adaptive"
+    states = {(): dict(table.support)}
+    accept_prob = [zero] * env.n
+
     for step in range(env.n):
         new_states = {}
         for hist, masses in states.items():
-            if adaptive:
-                done = {h[0] for h in hist}
-            else:
-                done = set(done_order)
-            unprocessed = set(range(env.n)) - done
-            pseudo_hist = list(hist) if adaptive else [(f, False, False) for f in done_order]
-            e = strategy.next_element(pseudo_hist, unprocessed, None)
+            unprocessed = set(range(env.n)) - {h[0] for h in hist}
+            e = strategy.next_element(list(hist), unprocessed, None)
             if e not in unprocessed:
                 raise ValueError("strategy returned a processed element")
-            chosen = e
-            xe = xs[e]
+            xe = x[e]
+            buckets = {}        # by event; a non-adaptive order merges all three
             for S, p in masses.items():
                 if p == 0:
                     continue
                 T = S - {e}
                 q = conditional_without(table, e, T)
-                if float(q) > float(xe) + CAP_SLACK:
-                    raise CapViolationError(e, T, q, xe)
+                check_cap(e, T, q, xe)
                 # branches: inactive (1-x); active+accept (q); active+reject (x-q)
                 outcomes = [((e, False, False), T, (1 - xe) * p),
                             ((e, True, True), T | {e}, q * p),
@@ -235,11 +193,9 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
                 for ev, S2, mass in outcomes:
                     if (mass == 0) if exact else (float(mass) <= 0.0):
                         continue
-                    key = hist + (ev,) if adaptive else ()
-                    bucket = new_states.setdefault(key, {})
+                    bucket = buckets.setdefault(ev if adaptive else (e, False, False), {})
                     bucket[S2] = bucket.get(S2, zero) + mass
-        if not adaptive:
-            done_order.append(chosen)
+            new_states.update((hist + (ev,), bucket) for ev, bucket in buckets.items())
         states = new_states
         atoms = sum(len(v) for v in states.values())
         if atoms > atom_cap:

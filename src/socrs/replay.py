@@ -3,6 +3,9 @@
 The hot loop lives in a compiled extension (_replay_cy) when available, with
 a bit-identical pure-Python fallback (_replay_py).  Set SOCRS_PURE_PYTHON=1
 to force the fallback.
+
+`replay` applies `dist.check_cap` to every state a kernel could reach before
+it runs, so a cap violation raises `CapViolationError` with either kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import os
 
 import numpy as np
 
-from .dist import ExplicitDistribution
+from .dist import ExplicitDistribution, check_cap
 
 if os.environ.get("SOCRS_PURE_PYTHON"):
     from . import _replay_py as _kernel
@@ -27,7 +30,7 @@ else:
 
 def mass_table(dist):
     """Dense mask-indexed mass array for an enumerable witness (n <= 20)."""
-    table = dist if isinstance(dist, ExplicitDistribution) else dist.to_explicit()
+    table = dist.to_explicit()
     n = table.env.n
     if n > 20:
         raise ValueError("mass table limited to 20 elements")
@@ -37,19 +40,40 @@ def mass_table(dist):
     return mass
 
 
+def kernel_tables(dist):
+    """The witness inputs of `replay_batch`: (n, mass, support_masks, support_cdf)."""
+    table = dist.to_explicit()
+    sets = table.sets()
+    support_masks = np.array([sum(1 << e for e in S) for S in sets], dtype=np.int64)
+    cdf = np.cumsum([float(table.support[S]) for S in sets])
+    cdf[-1] = 1.0 + 1e-12
+    return table.env.n, mass_table(table), support_masks, cdf
+
+
+def _check_caps(mass, x):
+    """check_cap on each element's largest kernel conditional
+    q = mass[t|bit] / (mass[t] + mass[t|bit]) over states of positive mass."""
+    masks = np.arange(mass.size, dtype=np.int64)
+    for e, xe in enumerate(x):
+        bit = 1 << e
+        t = masks[(masks & bit) == 0]
+        denom = mass[t] + mass[t | bit]
+        t, denom = t[denom > 0], denom[denom > 0]
+        if t.size:
+            q = mass[t | bit] / denom
+            i = int(np.argmax(q))
+            check_cap(e, frozenset(f for f in range(len(x)) if t[i] >> f & 1), q[i], xe)
+
+
 def replay(dist, x, orders, rng, n_rep=None):
     """Run replays and return (accept_counts, outcome_counts, n_rep).
 
     orders: either an (n_rep, n) integer array of fixed per-replication
     arrival orders, or a single permutation reused for every replication.
     """
-    table = dist if isinstance(dist, ExplicitDistribution) else dist.to_explicit()
-    n = table.env.n
-    mass = mass_table(table)
-    sets = table.sets()
-    support_masks = np.array([sum(1 << e for e in S) for S in sets], dtype=np.int64)
-    cdf = np.cumsum([float(table.support[S]) for S in sets])
-    cdf[-1] = 1.0 + 1e-12
+    n, mass, support_masks, cdf = kernel_tables(dist)
+    x = np.asarray(x, dtype=float)
+    _check_caps(mass, x)
 
     orders = np.asarray(orders, dtype=np.int64)
     if orders.ndim == 1:
@@ -61,8 +85,7 @@ def replay(dist, x, orders, rng, n_rep=None):
     u = rng.uniform((n_rep, 2 * n + 1))
     accept_counts = np.zeros(n, dtype=np.int64)
     outcome_counts = np.zeros(1 << n, dtype=np.int64)
-    _kernel.replay_batch(n, mass, support_masks, cdf,
-                         np.asarray(x, dtype=float), orders, u,
+    _kernel.replay_batch(n, mass, support_masks, cdf, x, orders, u,
                          accept_counts, outcome_counts)
     return accept_counts, outcome_counts, n_rep
 

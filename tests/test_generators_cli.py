@@ -154,6 +154,17 @@ def test_cli_run_policy_and_estimate(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_cli_estimate_cap_violation_exits_one(tmp_path, mode):
+    # the max-ent witness for alpha = 0.6 breaks a cap on this instance;
+    # that is a violation (1) like in run-policy and verify-lp, not an input error (2)
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--seed", "3", "--out", str(inst)])
+    rc = cli.main(["estimate", "--alpha", "0.6", "--samples", "2000",
+                   "--mode", mode, "--out", str(tmp_path / "est.json"), str(inst)])
+    assert rc == 1
+
+
 def test_cli_run_recurring(tmp_path):
     inst = tmp_path / "inst.json"
     cli.main(["gen", "random-graph", "--seed", "2", "--out", str(inst)])

@@ -16,6 +16,7 @@ from socrs.policy import (CapViolationError, OrderStrategy, PolicyState,
                           exact_output_law, greedy_blocker_adversary,
                           policy_step, run_one_shot, run_recurring,
                           target_last_adversary)
+from socrs.replay import random_orders, replay
 from socrs.sampling import RngStream
 
 
@@ -52,6 +53,22 @@ def test_policy_step_cap_violation():
     state = PolicyState(d, [0.5], S_hat=frozenset(), rng=RngStream(0))
     with pytest.raises(CapViolationError):
         policy_step(state, 0, active=True)     # conditional 0.8 > x = 0.5
+
+
+def test_witness_inside_cap_slack_is_accepted_by_every_path():
+    # q = x + 5e-10 lies inside CAP_SLACK, so every path must accept it and
+    # clamp q / x = 1 + 5e-8 to 1 rather than reject it as above 1
+    env = k_uniform_environment(1, 1)
+    x = [0.01]
+    q = x[0] + 5e-10
+    d = ExplicitDistribution(env, {frozenset(): 1 - q, frozenset({0}): q})
+    state = PolicyState(d, x, S_hat=frozenset({0}), rng=RngStream(0))
+    assert policy_step(state, 0, active=True)[0]
+    assert run_recurring(d, x, [(0, 0, True), (0, 1, True)], RngStream(0))
+    _, acc = exact_output_law(d, x, OrderStrategy.fixed([0]))
+    assert acc[0] == pytest.approx(q)
+    accepts, _, _ = replay(d, x, random_orders(1, 1000, RngStream(1)), RngStream(2))
+    assert accepts[0] > 0
 
 
 def test_exact_expansion_preserves_law_all_orders():

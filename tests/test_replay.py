@@ -1,17 +1,19 @@
 """Monte-Carlo replay kernels: correctness against the exact law and
 bit-identical agreement between the compiled and pure-Python paths."""
 
+import os
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from socrs import _replay_py
-from socrs.dist import GibbsDistribution
+from socrs.dist import CAP_SLACK, GibbsDistribution
 from socrs.env import matching_environment
-from socrs.policy import OrderStrategy, exact_output_law
-from socrs.replay import (KERNEL, _kernel, mass_table, outcome_distribution,
-                          random_orders, replay)
+from socrs.policy import CapViolationError, OrderStrategy, exact_output_law
+from socrs.replay import (KERNEL, _kernel, kernel_tables, mass_table,
+                          outcome_distribution, random_orders, replay)
 from socrs.sampling import RngStream, empirical_tv, tv_multinomial_sigma
 
 
@@ -22,13 +24,7 @@ def path_instance(n_edges=4, w=0.3, x=0.4):
 
 
 def _batch_inputs(dist, x, n_rep, seed):
-    table = dist.to_explicit()
-    n = table.env.n
-    mass = mass_table(table)
-    sets = table.sets()
-    masks = np.array([sum(1 << e for e in S) for S in sets], dtype=np.int64)
-    cdf = np.cumsum([float(table.support[S]) for S in sets])
-    cdf[-1] = 1.0 + 1e-12
+    n, mass, masks, cdf = kernel_tables(dist)
     rng = RngStream(seed)
     orders = random_orders(n, n_rep, rng)
     u = rng.uniform((n_rep, 2 * n + 1))
@@ -92,8 +88,27 @@ def test_replay_rejects_cap_violating_witness():
     dist, _ = path_instance(3, w=1.0, x=0.2)    # rho = 1/2 > 0.2
     rng = RngStream(1)
     orders = random_orders(3, 100, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(CapViolationError):
         replay(dist, [0.2] * 3, orders, rng)
+
+
+def test_python_kernel_still_guards_the_cap():
+    # replay_batch called directly, without replay's check_cap pass
+    dist, _ = path_instance(3, w=1.0, x=0.2)
+    n, mass, masks, cdf, xf, orders, u = _batch_inputs(dist, [0.2] * 3, 100, 1)
+    with pytest.raises(ValueError, match="stationary caps"):
+        _replay_py.replay_batch(n, mass, masks, cdf, xf, orders, u,
+                                np.zeros(n, dtype=np.int64),
+                                np.zeros(1 << n, dtype=np.int64))
+
+
+def test_compiled_kernel_cap_slack_matches_dist():
+    # _replay_cy.pyx cannot import dist.CAP_SLACK, so its literal is pinned here
+    pyx = os.path.join(os.path.dirname(__file__), os.pardir, "src", "socrs",
+                       "_replay_cy.pyx")
+    with open(pyx) as fh:
+        literal = re.search(r"cdef double CAP_SLACK = (\S+)", fh.read()).group(1)
+    assert float(literal) == CAP_SLACK
 
 
 def test_replay_reproducible():
