@@ -1,17 +1,5 @@
-"""Build shim: compiles the optional replay-kernel extension when Cython is
-available; the package works (more slowly) without it."""
+"""Build shim: the package is pure Python, so this only defers to setuptools."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/socrs/_replay_cy.pyx"],
-        compiler_directives={"language_level": 3},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup()

@@ -1,14 +1,19 @@
-"""Pure-Python replay kernel (fallback for the compiled extension).
+"""Replay kernel: simulate-then-replace over blocks of replications at once.
 
-Both implementations consume the pre-drawn uniforms in exactly the same
-fixed pattern -- one for the initial sample, then (activation, coin) per
-element -- so their outputs are bit-identical for identical inputs.
+Each replication reads its row of pre-drawn uniforms in a fixed pattern --
+u[r, 0] for the initial sample, then (activation, coin) = u[r, 1 + 2j],
+u[r, 2 + 2j] at arrival step j -- so the counts depend only on the inputs,
+not on the block size.
 
 The cap rule lives in `dist.check_cap`, which `replay.replay` applies before
-either kernel runs; the guard below only mirrors the compiled kernel's.
+the kernel runs; the guard below keeps the kernel safe when called directly.
 """
 
+import numpy as np
+
 from .dist import CAP_SLACK
+
+BLOCK = 8192        # replications per block; bounds the temporaries
 
 
 def replay_batch(n, mass, support_masks, support_cdf, x, orders, u,
@@ -19,41 +24,27 @@ def replay_batch(n, mass, support_masks, support_cdf, x, orders, u,
     bitmask m (0 for infeasible sets).  Results accumulate into
     accept_counts[e] and outcome_counts[final mask].
     """
-    n_rep = orders.shape[0]
-    K = len(support_masks)
-    for r in range(n_rep):
-        u0 = u[r, 0]
-        lo, hi = 0, K - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u0 < support_cdf[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        m = support_masks[lo]
-        for j in range(n):
-            e = orders[r, j]
-            bit = 1 << e
-            t = m & ~bit
-            tb = t | bit
-            denom = mass[t] + mass[tb]
-            q = mass[tb] / denom
-            xe = x[e]
-            if q > xe + CAP_SLACK:
-                raise ValueError(
-                    f"witness violates stationary caps at element {e}, mask {t}")
-            ua = u[r, 1 + 2 * j]
-            uc = u[r, 2 + 2 * j]
-            if ua < xe:
-                p = q / xe
-                if p > 1.0:
-                    p = 1.0
-                if uc < p:
-                    m = tb
-                    accept_counts[e] += 1
-                else:
-                    m = t
-            else:
-                m = t
-        outcome_counts[m] += 1
-    return 0
+    last = len(support_masks) - 1
+    # a state of zero conditioning mass gives q = NaN, which is never kept
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for lo in range(0, orders.shape[0], BLOCK):
+            ub = u[lo:lo + BLOCK]
+            ob = orders[lo:lo + BLOCK]
+            first = np.searchsorted(support_cdf, ub[:, 0], side="right")
+            m = support_masks[np.minimum(first, last)]
+            for j in range(n):
+                e = ob[:, j]
+                bit = np.left_shift(1, e)
+                t = m & ~bit
+                tb = t | bit
+                q = mass[tb] / (mass[t] + mass[tb])
+                xe = x[e]
+                bad = np.flatnonzero(q > xe + CAP_SLACK)
+                if bad.size:
+                    r = bad[0]
+                    raise ValueError(f"witness violates stationary caps at element "
+                                     f"{e[r]}, mask {t[r]}")
+                keep = (ub[:, 1 + 2 * j] < xe) & (ub[:, 2 + 2 * j] < np.minimum(q / xe, 1.0))
+                m = np.where(keep, tb, t)
+                accept_counts += np.bincount(e[keep], minlength=n)
+            outcome_counts += np.bincount(m, minlength=outcome_counts.size)

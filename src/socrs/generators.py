@@ -329,6 +329,8 @@ class ResultRecord:
     cap_violations: list = field(default_factory=list)
     runtime: float = 0.0
     intervals: list = field(default_factory=list)
+    accepts: list = field(default_factory=list)    # MC counts for the exit
+    n_rep: int = 0                                 # gate; not in the document
 
     def to_doc(self):
         return {
@@ -376,5 +378,5 @@ def estimate_selectability(dist, x, config, instance_id="instance"):
         intervals.append((lo / float(x[e]), hi / float(x[e])))
     rec = ResultRecord(instance_id, config.alpha_target, min(ratios),
                        per_element=ratios, intervals=intervals,
-                       runtime=time.time() - t0)
+                       runtime=time.time() - t0, accepts=list(acc), n_rep=n_rep)
     return rec

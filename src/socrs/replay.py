@@ -1,31 +1,18 @@
 """Vectorized Monte-Carlo replays of the simulate-then-replace policy.
 
-The hot loop lives in a compiled extension (_replay_cy) when available, with
-a bit-identical pure-Python fallback (_replay_py).  Set SOCRS_PURE_PYTHON=1
-to force the fallback.
-
-`replay` applies `dist.check_cap` to every state a kernel could reach before
-it runs, so a cap violation raises `CapViolationError` with either kernel.
+`replay` applies `dist.check_cap` to every state the kernel could reach before
+it runs, so a cap violation raises `CapViolationError`; the kernel itself is
+`_replay_py.replay_batch`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from . import _replay_py as _kernel
 from .dist import ExplicitDistribution, check_cap
 
-if os.environ.get("SOCRS_PURE_PYTHON"):
-    from . import _replay_py as _kernel
-    KERNEL = "python"
-else:
-    try:
-        from . import _replay_cy as _kernel  # type: ignore[attr-defined]
-        KERNEL = "cython"
-    except ImportError:
-        from . import _replay_py as _kernel
-        KERNEL = "python"
+KERNEL = "python"
 
 
 def mass_table(dist):
@@ -102,13 +89,18 @@ def outcome_distribution(env, outcome_counts, n_rep):
 
 def random_orders(n, n_rep, rng):
     """One uniformly random arrival order per replication."""
-    # Fisher-Yates driven by the stream's uniforms keeps this reproducible
+    # Fisher-Yates on the stream's uniforms, swap step i = n-1..1 over a block
+    # of rows at once; drawn block by block they equal one (n_rep, n) draw
     orders = np.empty((n_rep, n), dtype=np.int64)
-    u = rng.uniform((n_rep, n))
-    for r in range(n_rep):
-        perm = np.arange(n, dtype=np.int64)
+    orders[:] = np.arange(n, dtype=np.int64)
+    for lo in range(0, n_rep, _kernel.BLOCK):
+        block = orders[lo:lo + _kernel.BLOCK]
+        ub = rng.uniform(block.shape)
+        flat = block.reshape(-1)            # a view: the block's rows are contiguous
+        row = np.arange(block.shape[0]) * n
         for i in range(n - 1, 0, -1):
-            j = int(u[r, i] * (i + 1))
-            perm[i], perm[j] = perm[j], perm[i]
-        orders[r] = perm
+            j = row + (ub[:, i] * (i + 1)).astype(np.int64)
+            swapped = flat[j]
+            flat[j] = flat[row + i]
+            flat[row + i] = swapped
     return orders

@@ -49,7 +49,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_pivots=200_000):
 
     m = len(rows)
     n_slack = sum(1 for s in senses if s in ("<=", ">="))
-    total = n + n_slack + m          # structural + slack/surplus + artificial
+    n_art = sum(1 for s in senses if s != "<=")     # a "<=" row starts on its slack
+    total = n + n_slack + n_art      # structural + slack/surplus + artificial
     T = [[R(0)] * (total + 1) for _ in range(m)]
     basis = [None] * m
     slack_idx = 0
@@ -66,7 +67,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_pivots=200_000):
             T[i][n + slack_idx] = R(-1)
             slack_idx += 1
         if basis[i] is None:
-            a = n + n_slack + i
+            a = n + n_slack + len(art_cols)
             T[i][a] = R(1)
             basis[i] = a
             art_cols.append(a)

@@ -165,6 +165,36 @@ def test_cli_estimate_cap_violation_exits_one(tmp_path, mode):
     assert rc == 1
 
 
+def test_cli_estimate_gate_allows_sampling_noise(tmp_path):
+    # with 1,000 samples the point estimates of this valid witness scatter
+    # well below alpha; verify-lp passes, so no seed may exit 1
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--seed", "3", "--out", str(inst)])
+    out = str(tmp_path / "out.json")
+    assert cli.main(["verify-lp", "--alpha", "0.3", "--out", out, str(inst)]) == 0
+    for seed in range(20):
+        assert cli.main(["estimate", "--alpha", "0.3", "--samples", "1000",
+                         "--seed", str(seed), "--out", out, str(inst)]) == 0
+    assert cli.main(["estimate", "--alpha", "0.3", "--mode", "exact",
+                     "--out", out, str(inst)]) == 0
+
+
+def test_cli_estimate_gate_fails_counts_far_below_alpha(tmp_path, monkeypatch):
+    from socrs import generators
+    real_replay = generators.replay_mod.replay
+
+    def short_replay(*args, **kwargs):
+        acc, outcomes, n_rep = real_replay(*args, **kwargs)
+        acc[0] = acc[0] * 4 // 5      # 80% of the accepts of element 0
+        return acc, outcomes, n_rep
+
+    monkeypatch.setattr(generators.replay_mod, "replay", short_replay)
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--seed", "3", "--out", str(inst)])
+    assert cli.main(["estimate", "--alpha", "0.3", "--samples", "20000",
+                     "--out", str(tmp_path / "est.json"), str(inst)]) == 1
+
+
 def test_cli_run_recurring(tmp_path):
     inst = tmp_path / "inst.json"
     cli.main(["gen", "random-graph", "--seed", "2", "--out", str(inst)])

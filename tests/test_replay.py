@@ -1,26 +1,30 @@
-"""Monte-Carlo replay kernels: correctness against the exact law and
-bit-identical agreement between the compiled and pure-Python paths."""
-
-import os
-import re
-from fractions import Fraction
+"""Monte-Carlo replay: the block kernel and the row-parallel Fisher-Yates
+against scalar per-replication references, and replays against the exact law."""
 
 import numpy as np
 import pytest
 
 from socrs import _replay_py
-from socrs.dist import CAP_SLACK, GibbsDistribution
+from socrs.dist import ExplicitDistribution, GibbsDistribution
 from socrs.env import matching_environment
 from socrs.policy import CapViolationError, OrderStrategy, exact_output_law
-from socrs.replay import (KERNEL, _kernel, kernel_tables, mass_table,
-                          outcome_distribution, random_orders, replay)
-from socrs.sampling import RngStream, empirical_tv, tv_multinomial_sigma
+from socrs.replay import (kernel_tables, mass_table, outcome_distribution,
+                          random_orders, replay)
+from socrs.sampling import RngStream, tv_multinomial_sigma
 
 
 def path_instance(n_edges=4, w=0.3, x=0.4):
     edges = [(i, i + 1) for i in range(n_edges)]
     env = matching_environment(edges, n_edges + 1)
     return GibbsDistribution(env, [w] * n_edges), [x] * n_edges
+
+
+def zero_mass_instance():
+    # {1}, {3}, {1, 3} and {0, 3} are feasible with zero mass, {1} listed
+    # explicitly so the support CDF has a step of width 0
+    dist, _ = path_instance(4)
+    support = {(): 0.4, (0,): 0.2, (1,): 0.0, (2,): 0.2, (0, 2): 0.2}
+    return ExplicitDistribution(dist.env, support), [0.6, 0.4, 0.6, 0.4]
 
 
 def _batch_inputs(dist, x, n_rep, seed):
@@ -31,17 +35,85 @@ def _batch_inputs(dist, x, n_rep, seed):
     return n, mass, masks, cdf, np.asarray(x, float), orders, u
 
 
+# -- scalar references: one replication, one swap at a time ------------------
+
+def _replay_reference(n, mass, support_masks, support_cdf, x, orders, u):
+    accept_counts = np.zeros(n, dtype=np.int64)
+    outcome_counts = np.zeros(1 << n, dtype=np.int64)
+    K = len(support_masks)
+    for r in range(orders.shape[0]):
+        lo, hi = 0, K - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if u[r, 0] < support_cdf[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        m = int(support_masks[lo])
+        for j in range(n):
+            e = int(orders[r, j])
+            t = m & ~(1 << e)
+            tb = t | (1 << e)
+            q = mass[tb] / (mass[t] + mass[tb])
+            m = t
+            if u[r, 1 + 2 * j] < x[e] and u[r, 2 + 2 * j] < min(q / x[e], 1.0):
+                m = tb
+                accept_counts[e] += 1
+        outcome_counts[m] += 1
+    return accept_counts, outcome_counts
+
+
+def _orders_reference(n, n_rep, rng):
+    u = rng.uniform((n_rep, n))
+    orders = np.empty((n_rep, n), dtype=np.int64)
+    for r in range(n_rep):
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(u[r, i] * (i + 1))
+            perm[i], perm[j] = perm[j], perm[i]
+        orders[r] = perm
+    return orders
+
+
+def _run_kernel(n, mass, masks, cdf, xf, orders, u):
+    acc = np.zeros(n, dtype=np.int64)
+    out = np.zeros(1 << n, dtype=np.int64)
+    _replay_py.replay_batch(n, mass, masks, cdf, xf, orders, u, acc, out)
+    return acc, out
+
+
 def test_kernels_bit_identical():
-    dist, x = path_instance()
-    n, mass, masks, cdf, xf, orders, u = _batch_inputs(dist, x, 2000, 3)
-    acc_a = np.zeros(n, dtype=np.int64)
-    out_a = np.zeros(1 << n, dtype=np.int64)
-    _kernel.replay_batch(n, mass, masks, cdf, xf, orders, u, acc_a, out_a)
-    acc_b = np.zeros(n, dtype=np.int64)
-    out_b = np.zeros(1 << n, dtype=np.int64)
-    _replay_py.replay_batch(n, mass, masks, cdf, xf, orders, u, acc_b, out_b)
-    assert np.array_equal(acc_a, acc_b)
-    assert np.array_equal(out_a, out_b)
+    for (dist, x), n_rep in [
+            (path_instance(4), 2 * _replay_py.BLOCK + 37),      # ragged last block
+            (path_instance(4), 100),                            # less than one block
+            (path_instance(1), 500),                            # n = 1
+            (zero_mass_instance(), 3000)]:
+        inputs = _batch_inputs(dist, x, n_rep, 3)
+        # initial draws exactly on every CDF step, the last (1 + 1e-12) included
+        cdf, u = inputs[3], inputs[6]
+        u[:len(cdf), 0] = cdf[:n_rep]
+        acc, out = _run_kernel(*inputs)
+        ref_acc, ref_out = _replay_reference(*inputs)
+        assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
+        assert out.sum() == n_rep
+
+
+def test_kernel_with_one_order_broadcast_matches_reference():
+    dist, x = path_instance(4)
+    n, mass, masks, cdf = kernel_tables(dist)
+    order = np.array([2, 0, 3, 1], dtype=np.int64)
+    acc, out, n_rep = replay(dist, x, order, RngStream(4), n_rep=1000)
+    u = RngStream(4).uniform((n_rep, 2 * n + 1))
+    ref_acc, ref_out = _replay_reference(n, mass, masks, cdf, np.asarray(x, float),
+                                         np.broadcast_to(order, (n_rep, n)), u)
+    assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
+
+
+@pytest.mark.parametrize("n, n_rep", [(8, 1000), (4, _replay_py.BLOCK + 37),
+                                      (1, 10), (5, 1), (3, 0)])
+def test_random_orders_match_scalar_fisher_yates(n, n_rep):
+    assert np.array_equal(random_orders(n, n_rep, RngStream(2)),
+                          _orders_reference(n, n_rep, RngStream(2)))
 
 
 def test_mass_table_round_trip():
@@ -95,20 +167,9 @@ def test_replay_rejects_cap_violating_witness():
 def test_python_kernel_still_guards_the_cap():
     # replay_batch called directly, without replay's check_cap pass
     dist, _ = path_instance(3, w=1.0, x=0.2)
-    n, mass, masks, cdf, xf, orders, u = _batch_inputs(dist, [0.2] * 3, 100, 1)
+    inputs = _batch_inputs(dist, [0.2] * 3, 100, 1)
     with pytest.raises(ValueError, match="stationary caps"):
-        _replay_py.replay_batch(n, mass, masks, cdf, xf, orders, u,
-                                np.zeros(n, dtype=np.int64),
-                                np.zeros(1 << n, dtype=np.int64))
-
-
-def test_compiled_kernel_cap_slack_matches_dist():
-    # _replay_cy.pyx cannot import dist.CAP_SLACK, so its literal is pinned here
-    pyx = os.path.join(os.path.dirname(__file__), os.pardir, "src", "socrs",
-                       "_replay_cy.pyx")
-    with open(pyx) as fh:
-        literal = re.search(r"cdef double CAP_SLACK = (\S+)", fh.read()).group(1)
-    assert float(literal) == CAP_SLACK
+        _run_kernel(*inputs)
 
 
 def test_replay_reproducible():
