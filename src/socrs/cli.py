@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = all assertions pass, 1 = a violation was found,
-2 = usage/input error.
+2 = usage/input error, including an instance too large for an exact
+computation's enumeration budget.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import generators, io
 from .counting import BaseMeasure, CountingOracle
 from .dist import solve_stationary_lp_exact, verify_stationary_lp
-from .env import EnvironmentError_
+from .env import EnumerationBudgetError, EnvironmentError_
 from .maxent import (solve_maxent, solve_kl_projection, dominating_base_point,
                      BoundaryDivergenceError)
 from .policy import OrderStrategy, run_one_shot, run_recurring
@@ -255,7 +256,8 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (EnvironmentError_, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (EnvironmentError_, EnumerationBudgetError, FileNotFoundError,
+            json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:          # violations and solver failures

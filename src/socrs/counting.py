@@ -14,8 +14,11 @@ Two precision modes:
     gives all per-set log-masses log mu0(S) + sum_{e in S} log w_e in one
     matmul (-inf for sets holding a weight <= 0), and one logsumexp turns
     them into log Z and the normalised set probabilities that partition,
-    marginal_sum, marginals and second_moments read.
-  * "rational": everything returns exact rationals.
+    marginal_sum, marginals and second_moments read, and that
+    dist.GibbsDistribution.to_explicit and rayleigh.materialize read as
+    explicit tables.
+  * "rational": everything returns exact rationals; the exact per-set
+    masses mu0(S) w^S, which to_explicit also reads, come from one loop.
 """
 
 from __future__ import annotations
@@ -209,15 +212,23 @@ class CountingOracle:
                 self._weights0 = [R(1)] * len(self._sets)
         return self._sets, self._weights0
 
+    def _masses_rational(self, w):
+        """Exact mu0(S) w^S for every enumerated set S, in family order."""
+        sets, m0 = self._family()
+        masses = []
+        for S, mu in zip(sets, m0):
+            t = as_rational(mu)
+            for f in S:
+                t *= w[f]
+            masses.append(t)
+        return masses
+
     def _enum_rational(self, w, e=None):
         """Exact sum of mu0(S) w^S over the family, or over its sets holding e."""
-        sets, m0 = self._family()
+        sets, _ = self._family()
         total = R(0)
-        for S, mu in zip(sets, m0):
+        for S, t in zip(sets, self._masses_rational(w)):
             if e is None or e in S:
-                t = as_rational(mu)
-                for f in S:
-                    t *= w[f]
                 total += t
         return total
 

@@ -12,16 +12,16 @@ every T including nu(T)=0 and removes the positivity side condition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._rat import R, as_rational, rat_str
+from .counting import CountingOracle
 from .env import EnumerationBudgetError, EnvironmentError_
 from . import simplex
 
 
-class NonEnumerableError(RuntimeError):
+class NonEnumerableError(EnumerationBudgetError):
     """Exact verification needs an enumerable environment; use the MC harness."""
 
 
@@ -103,24 +103,19 @@ class GibbsDistribution:
     def rho(self):
         return [v / (1 + v) for v in self.w]
 
-    def to_explicit(self, cap=None):
-        sets = self.env.enumerate_feasible() if cap is None else self.env.enumerate_feasible(cap)
-        exact = not any(isinstance(v, float) for v in self.w)
-        if exact:
-            w = [as_rational(v) for v in self.w]
-            masses, Z = {}, R(0)
-            for S in sets:
-                t = R(1)
-                for e in S:
-                    t *= w[e]
-                masses[S] = t
-                Z += t
-            return ExplicitDistribution(self.env, {S: m / Z for S, m in masses.items()})
-        logs = {S: sum(math.log(float(self.w[e])) for e in S) for S in sets}
-        M = max(logs.values())
-        Z = sum(math.exp(v - M) for v in logs.values())
-        return ExplicitDistribution(self.env,
-                                    {S: math.exp(v - M) / Z for S, v in logs.items()})
+    def to_explicit(self):
+        """The explicit table, read from an enumeration oracle over self.env
+        (self.oracle when it is one, so its cached incidence matrix is reused)."""
+        oracle = self.oracle
+        if oracle is None or oracle.backend != "enumeration" or oracle.env is not self.env:
+            oracle = CountingOracle("enumeration", env=self.env)
+        sets, _ = oracle._family()
+        if any(isinstance(v, float) for v in self.w):
+            probs = oracle._set_probs(self.w)
+            return ExplicitDistribution(self.env, {S: float(p) for S, p in zip(sets, probs)})
+        masses = oracle._masses_rational([as_rational(v) for v in self.w])
+        Z = sum(masses)
+        return ExplicitDistribution(self.env, {S: m / Z for S, m in zip(sets, masses)})
 
     def marginal(self, e):
         return self.to_explicit().marginal(e)
@@ -245,7 +240,8 @@ def solve_stationary_lp_exact(env, x, budget=5000):
     """
     sets = env.enumerate_feasible()
     if len(sets) > budget:
-        raise RuntimeError(f"|F| = {len(sets)} exceeds the rational simplex budget {budget}")
+        raise EnumerationBudgetError(
+            f"|F| = {len(sets)} exceeds the rational simplex budget {budget}")
     x = [as_rational(v) for v in x]
     idx = {S: i for i, S in enumerate(sets)}
     nv = len(sets) + 1              # mu variables then alpha

@@ -326,7 +326,6 @@ class ResultRecord:
     alpha_achieved: float
     per_element: list = field(default_factory=list)
     stationarity_tv: list = field(default_factory=list)
-    cap_violations: list = field(default_factory=list)
     runtime: float = 0.0
     intervals: list = field(default_factory=list)
     accepts: list = field(default_factory=list)    # MC counts for the exit
@@ -339,7 +338,6 @@ class ResultRecord:
             "alpha_achieved": self.alpha_achieved,
             "per_element": self.per_element,
             "stationarity_tv": self.stationarity_tv,
-            "cap_violations": self.cap_violations,
             "intervals": self.intervals,
             "runtime": self.runtime,
         }

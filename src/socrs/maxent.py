@@ -17,6 +17,7 @@ import numpy as np
 
 from .counting import ENUM_BACKENDS
 from .dist import GibbsDistribution
+from .env import EnumerationBudgetError
 
 THETA_MAX = 60.0
 
@@ -243,7 +244,8 @@ def dominating_base_point(matroid, x, enum_max_n=20):
         return q
 
     if n > enum_max_n:
-        raise RuntimeError(f"dominating_base_point enumeration limited to n <= {enum_max_n}")
+        raise EnumerationBudgetError(
+            f"dominating_base_point enumeration limited to n <= {enum_max_n}")
     q = x.copy()
     masks = np.arange(1, 1 << n, dtype=np.int64)
     ranks = np.array([matroid.rank(frozenset(e for e in range(n) if mask >> e & 1))

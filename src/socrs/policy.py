@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .dist import ExplicitDistribution, check_cap, conditional_without
 from .dist import CapViolationError  # noqa: F401  (re-exported)
+from .env import EnumerationBudgetError
 from .sampling import sample_explicit
 
 
@@ -199,7 +200,7 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
         states = new_states
         atoms = sum(len(v) for v in states.values())
         if atoms > atom_cap:
-            raise RuntimeError(f"exact expansion exceeded {atom_cap} atoms")
+            raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
 
     out = {}
     for masses in states.values():

@@ -12,12 +12,10 @@ stationary caps at x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rat import R
 from .counting import BaseMeasure, CountingOracle
 from .dist import ExplicitDistribution
 from .env import matroid_environment
@@ -86,21 +84,15 @@ def _oracle_for(mu0, mode="double"):
 
 
 def materialize(witness):
-    """Explicit mu* table over independent sets (enumerable instances)."""
+    """Explicit mu* table over independent sets (enumerable instances): the
+    witness oracle's tilted base law, each base thinned element by element."""
     env = witness.env()
-    bases = witness.base.enumerate_bases()
-    w = witness.w
+    bases, _ = witness.oracle._family()
+    probs = witness.oracle._set_probs(witness.w)
     tau = witness.tau
-    logmass = {}
-    for B in bases:
-        lm = math.log(float(witness.base.mass(B))) + sum(math.log(w[e]) for e in B)
-        logmass[B] = lm
-    M = max(logmass.values())
-    Z = sum(math.exp(v - M) for v in logmass.values())
-    mu = {B: math.exp(v - M) / Z for B, v in logmass.items()}
-
     support = {}
-    for B, p in mu.items():
+    for B, p in zip(bases, probs):
+        p = float(p)
         members = sorted(B)
         for mask in range(1 << len(members)):
             T = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)

@@ -1,7 +1,8 @@
 """Vectorized Monte-Carlo replays of the simulate-then-replace policy.
 
-`replay` applies `dist.check_cap` to every state the kernel could reach before
-it runs, so a cap violation raises `CapViolationError`; the kernel itself is
+Before the kernel runs, `replay` checks the witness's stationary caps with
+`dist.verify_stationary_lp`, the same check `verify-lp` makes, and raises
+`CapViolationError` on the first violated cap; the kernel itself is
 `_replay_py.replay_batch`.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _replay_py as _kernel
-from .dist import ExplicitDistribution, check_cap
+from .dist import CapViolationError, ExplicitDistribution, verify_stationary_lp
 
 KERNEL = "python"
 
@@ -37,30 +38,18 @@ def kernel_tables(dist):
     return table.env.n, mass_table(table), support_masks, cdf
 
 
-def _check_caps(mass, x):
-    """check_cap on each element's largest kernel conditional
-    q = mass[t|bit] / (mass[t] + mass[t|bit]) over states of positive mass."""
-    masks = np.arange(mass.size, dtype=np.int64)
-    for e, xe in enumerate(x):
-        bit = 1 << e
-        t = masks[(masks & bit) == 0]
-        denom = mass[t] + mass[t | bit]
-        t, denom = t[denom > 0], denom[denom > 0]
-        if t.size:
-            q = mass[t | bit] / denom
-            i = int(np.argmax(q))
-            check_cap(e, frozenset(f for f in range(len(x)) if t[i] >> f & 1), q[i], xe)
-
-
 def replay(dist, x, orders, rng, n_rep=None):
     """Run replays and return (accept_counts, outcome_counts, n_rep).
 
     orders: either an (n_rep, n) integer array of fixed per-replication
     arrival orders, or a single permutation reused for every replication.
     """
-    n, mass, support_masks, cdf = kernel_tables(dist)
+    table = dist.to_explicit()
+    n, mass, support_masks, cdf = kernel_tables(table)
     x = np.asarray(x, dtype=float)
-    _check_caps(mass, x)
+    report = verify_stationary_lp(table, x, 0.0)
+    if report.violated_caps:
+        raise CapViolationError(*report.violated_caps[0])
 
     orders = np.asarray(orders, dtype=np.int64)
     if orders.ndim == 1:

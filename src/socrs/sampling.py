@@ -20,15 +20,18 @@ class RngStream:
     """Deterministic, replayable random stream.
 
     Identical (seed, stream, counter) triples yield identical draws; distinct
-    stream ids are independent.  The counter records how many uniforms have
-    been consumed so a stream can be reconstructed mid-sequence.
+    stream ids are independent.  A stream id is an int or, for spawned
+    children, a tuple of ints: the SeedSequence spawn key.  The counter
+    records how many uniforms have been consumed so a stream can be
+    reconstructed mid-sequence.
     """
 
     def __init__(self, seed, stream=0, counter=0):
         self.seed = int(seed)
-        self.stream = int(stream)
+        self.stream = stream
+        self._key = tuple(map(int, stream)) if isinstance(stream, tuple) else (int(stream),)
         self._gen = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))))
+            np.random.SeedSequence(entropy=self.seed, spawn_key=self._key)))
         self.counter = 0
         if counter:
             self.uniform(counter)
@@ -38,8 +41,8 @@ class RngStream:
         return self._gen.random(size)
 
     def spawn(self, i):
-        """Independent child stream with a deterministic id."""
-        return RngStream(self.seed, stream=(self.stream << 16) + 1 + i)
+        """Independent child stream: the parent's spawn key extended by i."""
+        return RngStream(self.seed, stream=self._key + (int(i),))
 
 
 def _clamp(p):

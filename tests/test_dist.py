@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from socrs import dist as dist_mod
+from socrs.counting import CountingOracle
 from socrs.dist import (ExplicitDistribution, GibbsDistribution,
                         NonEnumerableError, NullConditioningError, addability_prob,
                         conditional_without, solve_stationary_lp_exact,
                         symmetric_uniform_bound, verify_stationary_lp)
 from socrs.env import (Environment, EnumerationBudgetError,
                        k_uniform_environment, matching_environment)
+from socrs.maxent import solve_maxent
 from socrs.simplex import InfeasibleLP, UnboundedLP, solve_lp
 
 
@@ -48,6 +51,47 @@ def test_gibbs_normalization_and_rho():
     Z = 1 + Fraction(1, 2) + 1 + 2
     assert tab.prob(frozenset({0})) == Fraction(1, 2) / Z
     assert g.rho[0] == Fraction(1, 2) / (1 + Fraction(1, 2))
+
+
+def test_rational_to_explicit_is_the_hand_computed_law():
+    # path 0-1-2-3: feasible sets {}, {0}, {1}, {2}, {0, 2}
+    env = matching_environment([(0, 1), (1, 2), (2, 3)], 4)
+    g = GibbsDistribution(env, [Fraction(1, 2), Fraction(1), Fraction(2)])
+    Z = 1 + Fraction(1, 2) + 1 + 2 + 1
+    assert g.to_explicit().support == {
+        frozenset(): 1 / Z, frozenset({0}): Fraction(1, 2) / Z,
+        frozenset({1}): 1 / Z, frozenset({2}): 2 / Z, frozenset({0, 2}): 1 / Z}
+
+
+def _brute_force_law(env, w):
+    masses = {S: math.prod(float(w[e]) for e in S) for S in env.enumerate_feasible()}
+    Z = sum(masses.values())
+    return {S: m / Z for S, m in masses.items()}
+
+
+def _float_gibbs(case, monkeypatch):
+    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)], 5)
+    w = [0.3, 1.7, 0.05, 2.5, 0.9, 0.4]
+    if case == "maxent":
+        g = solve_maxent(env, CountingOracle("enumeration", env=env),
+                         np.array([0.25, 0.2, 0.15, 0.3, 0.1, 0.2]), tol=1e-10)
+
+        def no_new_oracle(*args, **kwargs):
+            raise AssertionError("to_explicit built an oracle instead of reusing one")
+        monkeypatch.setattr(dist_mod, "CountingOracle", no_new_oracle)
+        return g
+    if case == "bare":
+        return GibbsDistribution(env, w)
+    return GibbsDistribution(env, w, oracle=CountingOracle("matching-recursion", env=env))
+
+
+@pytest.mark.parametrize("case", ["maxent", "bare", "matching-recursion"])
+def test_float_to_explicit_matches_brute_force_product_law(case, monkeypatch):
+    g = _float_gibbs(case, monkeypatch)
+    tab = g.to_explicit()
+    ref = _brute_force_law(g.env, g.w)
+    assert not tab.exact and set(tab.support) == set(ref)
+    assert max(abs(tab.support[S] - p) for S, p in ref.items()) < 1e-14
 
 
 def test_conditional_without_gibbs_is_rho_or_zero():
@@ -114,6 +158,13 @@ def test_verify_stationary_lp_only_wraps_budget_overflow():
     with pytest.raises(NonEnumerableError) as info:
         verify_stationary_lp(GibbsDistribution(env, [0.5] * 4), [0.5] * 4, 0.3)
     assert isinstance(info.value.__cause__, EnumerationBudgetError)
+
+
+def test_budget_overruns_are_enumeration_budget_errors():
+    assert issubclass(NonEnumerableError, EnumerationBudgetError)
+    env = k_uniform_environment(6, 2)          # |F| = 22
+    with pytest.raises(EnumerationBudgetError, match="budget 21"):
+        solve_stationary_lp_exact(env, [Fraction(1, 3)] * 6, budget=21)
 
 
 def test_simplex_basic():

@@ -129,6 +129,28 @@ def test_cli_lp_exact_and_alpha_table(tmp_path):
     assert json.loads(out2.read_text())["alpha"] == pytest.approx(0.6)
 
 
+def test_cli_lp_exact_beyond_budget_exits_two(tmp_path):
+    # |F| = 6196 exceeds the rational simplex budget of 5000: too large an
+    # instance is an input error, not a violation
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "symmetric-uniform", "--params", '{"n": 20, "k": 4}',
+              "--out", str(inst)])
+    assert cli.main(["lp-exact", "--out", str(tmp_path / "lp.json"), str(inst)]) == 2
+    assert not (tmp_path / "lp.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_cli_estimate_document_keys(tmp_path, mode):
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--seed", "4", "--out", str(inst)])
+    out = tmp_path / "est.json"
+    assert cli.main(["estimate", "--alpha", "0.3", "--samples", "2000", "--mode", mode,
+                     "--out", str(out), str(inst)]) == 0
+    assert set(json.loads(out.read_text())) == {
+        "instance_id", "alpha_target", "alpha_achieved", "per_element",
+        "stationarity_tv", "intervals", "runtime"}
+
+
 def test_cli_usage_and_input_errors(tmp_path):
     assert cli.main(["definitely-not-a-command"]) == 2
     assert cli.main([]) == 2

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from socrs.counting import BaseMeasure, CountingOracle
-from socrs.env import Matroid, k_uniform_environment, matching_environment
+from socrs.env import (EnumerationBudgetError, Matroid, k_uniform_environment,
+                       matching_environment)
 from socrs.maxent import (BoundaryDivergenceError, barycentric_base_point,
                           dominating_base_point, dual_gradient, dual_value,
                           is_boundary_base_point, solve_kl_projection,
@@ -81,6 +82,8 @@ def test_dominating_base_point_graphic():
     for mask in range(1, 1 << m.n):
         T = frozenset(e for e in range(m.n) if mask >> e & 1)
         assert sum(q[e] for e in T) <= m.rank(T) + 1e-9
+    with pytest.raises(EnumerationBudgetError, match="n <= 4"):
+        dominating_base_point(m, x, enum_max_n=4)
 
 
 def test_barycentric_point_is_interior():

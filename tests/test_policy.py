@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from socrs.dist import ExplicitDistribution, GibbsDistribution
-from socrs.env import k_uniform_environment, matching_environment
+from socrs.env import EnumerationBudgetError, k_uniform_environment, matching_environment
 from socrs.policy import (CapViolationError, OrderStrategy, PolicyState,
                           exact_output_law, greedy_blocker_adversary,
                           policy_step, run_one_shot, run_recurring,
@@ -106,6 +106,12 @@ def test_exact_expansion_all_x_one():
     law, acc = exact_output_law(d, [Fraction(1), Fraction(1)],
                                 OrderStrategy.fixed([0, 1]))
     assert law_tv(law, d) == 0
+
+
+def test_exact_expansion_atom_cap_is_a_budget_error():
+    dist, x = triangle_gibbs()
+    with pytest.raises(EnumerationBudgetError, match="exceeded 1 atoms"):
+        exact_output_law(dist, x, OrderStrategy.fixed([0, 1, 2]), atom_cap=1)
 
 
 def test_exact_expansion_rejects_seeded_random():

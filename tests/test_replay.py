@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from socrs import _replay_py
-from socrs.dist import ExplicitDistribution, GibbsDistribution
-from socrs.env import matching_environment
+from socrs.dist import ExplicitDistribution, GibbsDistribution, verify_stationary_lp
+from socrs.env import k_uniform_environment, matching_environment
 from socrs.policy import CapViolationError, OrderStrategy, exact_output_law
 from socrs.replay import (kernel_tables, mass_table, outcome_distribution,
                           random_orders, replay)
@@ -162,6 +162,22 @@ def test_replay_rejects_cap_violating_witness():
     orders = random_orders(3, 100, rng)
     with pytest.raises(CapViolationError):
         replay(dist, [0.2] * 3, orders, rng)
+
+
+def test_replay_raises_the_verifiers_first_violated_cap():
+    # element 0 breaks its cap at T = {} (q = 0.4) and worse at T = {1}
+    # (q = 0.8); the verifier reports the first in family order
+    env = k_uniform_environment(2, 2)
+    dist = ExplicitDistribution(env, {frozenset(): 0.3, frozenset({0}): 0.2,
+                                      frozenset({1}): 0.1, frozenset({0, 1}): 0.4})
+    x = [0.3, 0.9]
+    first = verify_stationary_lp(dist, x, 0.0).violated_caps[0]
+    assert first[:2] == (0, frozenset())
+    rng = RngStream(1)
+    with pytest.raises(CapViolationError) as info:
+        replay(dist, x, random_orders(2, 100, rng), rng)
+    exc = info.value
+    assert (exc.e, exc.T, exc.q, exc.xe) == first
 
 
 def test_python_kernel_still_guards_the_cap():

@@ -38,6 +38,22 @@ def test_rng_streams_differ():
     assert float(c.uniform()) != float(d.uniform())
 
 
+def test_rng_spawned_streams_do_not_collide():
+    # the old integer ids (stream << 16) + 1 + i made both pairs identical
+    pairs = [(RngStream(5, stream=0).spawn(65536), RngStream(5, stream=1).spawn(0)),
+             (RngStream(5, stream=0).spawn(0), RngStream(5, stream=1))]
+    for a, b in pairs:
+        assert not np.array_equal(a.uniform(8), b.uniform(8))
+    # spawning is deterministic
+    assert np.array_equal(RngStream(5).spawn(3).uniform(4), RngStream(5).spawn(3).uniform(4))
+
+
+def test_rng_top_level_streams_keep_their_draws():
+    assert RngStream(5, stream=3).uniform(3).tolist() == \
+        [0.7201956883590646, 0.6946643555619701, 0.6384116219089043]
+    assert RngStream(2026).uniform(2).tolist() == [0.3826911772203264, 0.020440605975802884]
+
+
 def test_clamp_slack():
     assert _clamp(1.0 + 5e-10) == 1.0
     assert _clamp(-5e-10) == 0.0
