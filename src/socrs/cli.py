@@ -45,8 +45,8 @@ def _load_env(args):
     return io.parse_instance(args.instance)
 
 
-def _oracle(env, backend="enumeration", mode="double"):
-    return CountingOracle(backend, env=env, mode=mode)
+def _oracle(env):
+    return CountingOracle("enumeration", env=env)
 
 
 def _matroid_of(env):
@@ -195,56 +195,59 @@ def cmd_barriers(args):
     return 0 if (report["hat_ok"] and report["k4_limit_ok"]) else 1
 
 
+# the options a command may read; each command registers only those it reads
+_FLAGS = {
+    "seed": dict(type=int, default=0),
+    "samples": dict(type=int, default=100_000),
+    "tol": dict(type=float, default=1e-8),
+    "alpha": dict(type=float, default=None),
+    "mode": dict(choices=["exact", "mc"], default="mc"),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="socrs",
                                 description="stationary online contention resolution")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, instance=True):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=100_000)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--mode", choices=["exact", "mc"], default="mc")
+    def command(name, fn, reads, instance=True, **kw):
+        sp = sub.add_parser(name, **kw)
+        for flag in reads:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--out", default=None)
         if instance:
             sp.add_argument("instance", help="instance JSON file or literal document")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("gen", help="emit a named instance document")
+    sp = command("gen", cmd_gen, ["seed"], instance=False,
+                 help="emit a named instance document")
     sp.add_argument("name")
     sp.add_argument("--params", default=None, help="JSON parameter object")
-    common(sp, instance=False)
-    sp.set_defaults(fn=cmd_gen)
 
-    for name, fn in [("solve-maxent", cmd_solve_maxent), ("kl-project", cmd_kl_project),
-                     ("dominate", cmd_dominate), ("build-rayleigh", cmd_build_rayleigh),
-                     ("verify-lp", cmd_verify_lp), ("lp-exact", cmd_lp_exact),
-                     ("estimate", cmd_estimate)]:
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.set_defaults(fn=fn)
+    for name, fn, reads in [
+            ("solve-maxent", cmd_solve_maxent, ["alpha", "tol"]),
+            ("kl-project", cmd_kl_project, ["tol"]),
+            ("dominate", cmd_dominate, []),
+            ("build-rayleigh", cmd_build_rayleigh, ["seed", "tol"]),
+            ("verify-lp", cmd_verify_lp, ["alpha", "tol"]),
+            ("lp-exact", cmd_lp_exact, []),
+            ("estimate", cmd_estimate, ["seed", "samples", "tol", "alpha", "mode"])]:
+        command(name, fn, reads)
 
-    sp = sub.add_parser("run-policy")
-    common(sp)
+    sp = command("run-policy", cmd_run_policy, ["seed", "tol", "alpha"])
     sp.add_argument("--trace-out", default=None)
-    sp.set_defaults(fn=cmd_run_policy)
 
-    sp = sub.add_parser("run-recurring")
-    common(sp)
+    sp = command("run-recurring", cmd_run_recurring, ["seed", "tol", "alpha"])
     sp.add_argument("--trace-out", default=None)
     sp.add_argument("--replay", default=None, help="trace file to replay")
     sp.add_argument("--renewals", type=int, default=100)
-    sp.set_defaults(fn=cmd_run_recurring)
 
-    sp = sub.add_parser("alpha-table")
+    sp = command("alpha-table", cmd_alpha_table, [], instance=False)
     sp.add_argument("kind")
     sp.add_argument("--params", default=None)
-    common(sp, instance=False)
-    sp.set_defaults(fn=cmd_alpha_table)
 
-    sp = sub.add_parser("barriers")
-    common(sp, instance=False)
-    sp.set_defaults(fn=cmd_barriers)
+    command("barriers", cmd_barriers, [], instance=False)
     return p
 
 

@@ -171,6 +171,8 @@ def _mat_mul_t(A, B):
 ENUM_BACKENDS = ("enumeration", "tabulated-base-measure")
 _ENV_BACKENDS = {"enumeration", "matching-recursion", "ksym-dp"}
 _BASE_BACKENDS = {"matrix-tree", "cauchy-binet", *ENUM_BACKENDS}
+# the base-measure kind each closed-form backend evaluates
+_BACKEND_MEASURE = {"matrix-tree": "uniform-spanning-tree", "cauchy-binet": "determinantal"}
 
 
 class CountingOracle:
@@ -185,6 +187,9 @@ class CountingOracle:
         if base is not None:
             if backend not in _BASE_BACKENDS:
                 raise ValueError(f"backend {backend} not valid for base measures")
+            need = _BACKEND_MEASURE.get(backend)
+            if need is not None and base.kind != need:
+                raise ValueError(f"backend {backend} needs a {need} measure, not {base.kind}")
             self.n = base.matroid.n
         elif env is not None:
             if backend not in _ENV_BACKENDS:

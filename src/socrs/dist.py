@@ -7,7 +7,19 @@ The stationary LP (over distributions nu on the feasible family) is
           P[e in S | S_-e = T]    <= x_e                  (stationary caps)
 
 with the cap linearized as (1-x_e) nu(T+e) <= x_e nu(T), which is valid for
-every T including nu(T)=0 and removes the positivity side condition.
+every T including nu(T)=0 and removes the positivity side condition.  Its
+caps are the pairs (e, T) with T+e feasible; `stationary_caps` lists them.
+
+The exact solver eliminates nu(empty) = 1 - sum_{S != empty} nu(S), so over
+z = (nu(S) for S != empty, alpha) >= 0 every row is <= with a nonnegative
+right-hand side:
+
+    alpha x_e - sum_{S ni e} nu(S)                    <= 0    (selectability)
+    (1-x_e) nu(T+e) - x_e nu(T)                        <= 0    (caps, T != empty)
+    (1-x_e) nu({e}) + x_e sum_{S != empty} nu(S)       <= x_e  (caps, T = empty)
+    sum_{S != empty} nu(S)                             <= 1    (nu(empty) >= 0)
+
+so the simplex starts at z = 0, the point mass on the empty set.
 """
 
 from __future__ import annotations
@@ -164,10 +176,22 @@ def conditional_without(dist, e, T):
     return b / denom
 
 
+def stationary_caps(sets):
+    """The caps (e, T, T+e) of the stationary LP over an enumerated family.
+
+    Each S in family order, then each e in S ascending, with T = S - e; T is
+    in the family because feasible families are downward closed.
+    """
+    for S in sets:
+        for e in sorted(S):
+            yield e, S - {e}, S
+
+
 def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
     """Exhaustively check selectability at alpha and all stationary caps.
 
-    Pairs (e,T) with P[S_-e = T] = 0 are skipped.  Exact over the enumerated
+    Pairs (e,T) with P[S_-e = T] = 0 are skipped.  Violations are listed by
+    the family position of T, then by e.  Exact over the enumerated
     support; raises for non-enumerable environments.
     """
     env = dist.env
@@ -180,6 +204,7 @@ def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
     table = dist.to_explicit()
     exact = table.exact
     zero = R(0) if exact else 0.0
+    xs = [as_rational(v) if exact and not isinstance(v, float) else float(v) for v in x]
 
     marg = [zero] * env.n
     for S, p in table.support.items():
@@ -188,31 +213,25 @@ def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
 
     alpha_achieved = None
     for e in range(env.n):
-        ratio = marg[e] / as_rational(x[e]) if exact and not isinstance(x[e], float) \
-            else float(marg[e]) / float(x[e])
+        ratio = float(marg[e]) / xs[e] if isinstance(xs[e], float) else marg[e] / xs[e]
         if alpha_achieved is None or ratio < alpha_achieved:
             alpha_achieved = ratio
 
     violations = []
     max_excess = zero
-    for T in sets:
-        for e in range(env.n):
-            if e in T:
-                continue
-            Te = T | {e}
-            if not env.is_feasible(Te):
-                continue
-            a = table.support.get(T, zero)
-            b = table.support.get(frozenset(Te), zero)
-            if a + b == 0:
-                continue  # zero-probability conditioning event: skipped
-            cond = b / (a + b)
-            excess = cond - (as_rational(x[e]) if exact and not isinstance(x[e], float)
-                             else float(x[e]))
-            if float(excess) > tol:
-                violations.append((e, T, cond, x[e]))
-            if excess > max_excess:
-                max_excess = excess
+    for e, T, Te in stationary_caps(sets):
+        a = table.support.get(T, zero)
+        b = table.support.get(Te, zero)
+        if a + b == 0:
+            continue  # zero-probability conditioning event: skipped
+        cond = b / (a + b)
+        excess = cond - xs[e]
+        if float(excess) > tol:
+            violations.append((e, T, cond, x[e]))
+        if excess > max_excess:
+            max_excess = excess
+    pos = {S: i for i, S in enumerate(sets)}
+    violations.sort(key=lambda v: (pos[v[1]], v[0]))
     return StationaryReport(alpha_achieved, violations, max_excess)
 
 
@@ -243,38 +262,41 @@ def solve_stationary_lp_exact(env, x, budget=5000):
         raise EnumerationBudgetError(
             f"|F| = {len(sets)} exceeds the rational simplex budget {budget}")
     x = [as_rational(v) for v in x]
-    idx = {S: i for i, S in enumerate(sets)}
-    nv = len(sets) + 1              # mu variables then alpha
-    ALPHA = len(sets)
+    # variables: mu_S for every S but the empty set (sets[0]), then alpha
+    col = {S: i for i, S in enumerate(sets[1:])}
+    nv = len(sets)
+    ALPHA = nv - 1
 
     A_ub, b_ub = [], []
     # selectability: alpha*x_e - sum_{S ni e} mu_S <= 0
     for e in range(env.n):
         row = [R(0)] * nv
-        for S, i in idx.items():
+        for S, i in col.items():
             if e in S:
                 row[i] = R(-1)
         row[ALPHA] = x[e]
         A_ub.append(row)
         b_ub.append(R(0))
-    # caps: (1-x_e) mu(T+e) - x_e mu(T) <= 0 for every feasible T+e
-    for T in sets:
-        for e in T:
-            Tm = T - {e}
-            row = [R(0)] * nv
-            row[idx[T]] = 1 - x[e]
-            row[idx[Tm]] -= x[e]
-            A_ub.append(row)
+    # caps: (1-x_e) mu(T+e) - x_e mu(T) <= 0, with mu(empty) = 1 - sum mu_S
+    for e, T, Te in stationary_caps(sets):
+        row = [R(0)] * nv
+        if T:
+            row[col[T]] -= x[e]
             b_ub.append(R(0))
-    A_eq = [[R(1)] * len(sets) + [R(0)]]
-    b_eq = [R(1)]
-    c = [R(0)] * len(sets) + [R(1)]
+        else:
+            row[:ALPHA] = [x[e]] * ALPHA
+            b_ub.append(x[e])
+        row[col[Te]] += 1 - x[e]
+        A_ub.append(row)
+    # mu(empty) >= 0
+    A_ub.append([R(1)] * ALPHA + [R(0)])
+    b_ub.append(R(1))
+    c = [R(0)] * ALPHA + [R(1)]
 
-    opt, z = simplex.solve_lp(c, A_ub, b_ub, A_eq, b_eq)
-    support = {S: Fraction(int(z[idx[S]].numerator), int(z[idx[S]].denominator))
-               for S in sets if z[idx[S]] != 0}
-    if not support:
-        support = {frozenset(): Fraction(1)}
+    opt, z = simplex.solve_lp(c, A_ub, b_ub)
+    mu = [1 - sum(z[:ALPHA])] + z[:ALPHA]
+    support = {S: Fraction(int(p.numerator), int(p.denominator))
+               for S, p in zip(sets, mu) if p != 0}
     witness = ExplicitDistribution(env, support)
     return Fraction(int(opt.numerator), int(opt.denominator)), witness
 

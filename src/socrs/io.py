@@ -11,7 +11,7 @@ import json
 
 from .env import (matching_environment, hypergraph_matching_environment,
                   k_uniform_environment, matroid_environment, Matroid,
-                  EnvironmentError_)
+                  ActivationVector, EnvironmentError_)
 
 _COMMON = {"kind", "x", "scale", "labels", "name"}
 _ALLOWED = {
@@ -66,7 +66,7 @@ def parse_instance(doc):
             raise EnvironmentError_(f"unknown matroid variant {variant!r}")
         env = matroid_environment(matroid)
 
-    x = [float(v) for v in doc["x"]]
+    x = ActivationVector(doc["x"]).x
     if len(x) != env.n:
         raise EnvironmentError_("x length does not match element count")
     scale = float(doc.get("scale", 1.0))

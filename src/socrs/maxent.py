@@ -147,7 +147,7 @@ def solve_maxent(env, oracle, p, tol=1e-8, max_iters=20000, theta_max=THETA_MAX,
     Raises BoundaryDivergenceError when p is not an interior target.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0) or np.any(p >= 1):
+    if not np.all((p > 0) & (p < 1)):           # NaN fails both comparisons
         raise ValueError("target marginals must lie in (0,1)")
     w = np.exp(_solve_dual(oracle, p, tol, max_iters, theta_max, theta0))
     return GibbsDistribution(env, list(w), oracle=oracle)

@@ -58,11 +58,15 @@ def replay(dist, x, orders, rng, n_rep=None):
         orders = np.broadcast_to(orders, (n_rep, n)).copy()
     n_rep = orders.shape[0]
 
-    u = rng.uniform((n_rep, 2 * n + 1))
     accept_counts = np.zeros(n, dtype=np.int64)
     outcome_counts = np.zeros(1 << n, dtype=np.int64)
-    _kernel.replay_batch(n, mass, support_masks, cdf, x, orders, u,
-                         accept_counts, outcome_counts)
+    # one block's uniforms at a time: the stream fills row-major, so the
+    # blocks' draws equal one (n_rep, 2n+1) draw while memory stays bounded
+    for lo in range(0, n_rep, _kernel.BLOCK):
+        block = orders[lo:lo + _kernel.BLOCK]
+        u = rng.uniform((block.shape[0], 2 * n + 1))
+        _kernel.replay_batch(n, mass, support_masks, cdf, x, block, u,
+                             accept_counts, outcome_counts)
     return accept_counts, outcome_counts, n_rep
 
 

@@ -94,6 +94,22 @@ def test_matrix_tree_equals_cauchy_binet_equals_enumeration():
         assert a == b == c
 
 
+def test_closed_form_backends_refuse_other_measures():
+    tri = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
+    bases = tri.bases()
+    table = BaseMeasure.explicit(tri, {B: Fraction(i + 1) for i, B in enumerate(bases)})
+    w = [Fraction(2), Fraction(3), Fraction(5)]
+    # masses 1, 2, 3 over 6; matrix-tree would weigh the trees uniformly (31/3)
+    Z = CountingOracle("tabulated-base-measure", base=table, mode="rational").partition(w)
+    assert Z == Fraction(71, 6)
+    with pytest.raises(ValueError, match="uniform-spanning-tree"):
+        CountingOracle("matrix-tree", base=table)
+    with pytest.raises(ValueError, match="determinantal"):
+        CountingOracle("cauchy-binet", base=table)
+    with pytest.raises(ValueError, match="determinantal"):
+        CountingOracle("cauchy-binet", base=BaseMeasure.uniform_on_bases(tri))
+
+
 def test_determinantal_marginals_match_table():
     A = [[1, 0, 1], [0, 1, 1]]
     base = BaseMeasure.determinantal(A)

@@ -16,7 +16,7 @@ from socrs.dist import (ExplicitDistribution, GibbsDistribution,
 from socrs.env import (Environment, EnumerationBudgetError,
                        k_uniform_environment, matching_environment)
 from socrs.maxent import solve_maxent
-from socrs.simplex import InfeasibleLP, UnboundedLP, solve_lp
+from socrs.simplex import UnboundedLP, solve_lp
 
 
 def triangle_env():
@@ -175,10 +175,51 @@ def test_simplex_basic():
     opt, z = solve_lp(c, A_ub, b_ub)
     assert opt == Fraction(14, 5)
     assert list(z) == [Fraction(8, 5), Fraction(6, 5)]
-    with pytest.raises(InfeasibleLP):
-        solve_lp([Fraction(1)], A_ub=[[Fraction(1)]], b_ub=[Fraction(-1)])
+    # the simplex starts at the slack basis, so a negative rhs is refused
+    with pytest.raises(ValueError):
+        solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(-1)])
     with pytest.raises(UnboundedLP):
-        solve_lp([Fraction(1)], A_ub=[[Fraction(-1)]], b_ub=[Fraction(1)])
+        solve_lp([Fraction(1)], [[Fraction(-1)]], [Fraction(1)])
+
+
+# the n = 3 impossibility witness at x = (1/3,)*3 + (2/3,)*3, as the
+# two-phase simplex returned it
+_IMPOSSIBILITY_3 = {
+    "": "4/67", "0": "2/67", "1": "2/67", "2": "2/67", "3": "8/67", "4": "8/67",
+    "5": "8/67", "0+4": "4/67", "0+5": "4/67", "1+3": "4/67", "1+5": "4/67",
+    "2+3": "4/67", "2+4": "4/67", "3+4": "2/67", "3+5": "2/67", "4+5": "2/67",
+    "0+4+5": "1/67", "1+3+5": "1/67", "2+3+4": "1/67"}
+
+
+def test_impossibility_witness_n3_is_pinned():
+    from socrs.generators import gen_instance
+    env, _, _ = gen_instance("bipartite-impossibility", n=3)
+    xr = [Fraction(1, 3)] * 3 + [Fraction(2, 3)] * 3
+    a, wit = solve_stationary_lp_exact(env, xr)
+    assert a == Fraction(33, 67)
+    assert wit.support == {
+        frozenset(int(e) for e in k.split("+") if e): Fraction(v)
+        for k, v in _IMPOSSIBILITY_3.items()}
+    assert verify_stationary_lp(wit, xr, a, tol=0).passes(a, tol=0)
+
+
+def test_verifier_reads_caps_from_the_family_without_feasibility_calls(monkeypatch):
+    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
+    sets = env.enumerate_feasible()
+    # unequal masses, so that some caps are violated at x = 0.3
+    d = ExplicitDistribution(env, {S: Fraction(i + 1, len(sets) * (len(sets) + 1) // 2)
+                                   for i, S in enumerate(sets)})
+    calls = []
+    real = env.is_feasible
+    monkeypatch.setattr(env, "is_feasible", lambda S: calls.append(S) or real(S))
+    x = [Fraction(3, 10)] * env.n
+    rep = verify_stationary_lp(d, x, Fraction(1, 10))
+    assert calls == []
+    # every (e, T) with T+e feasible, by family position of T, then by e
+    pairs = [(e, T) for T in sets for e in range(env.n)
+             if e not in T and (T | {e}) in sets
+             and d.prob(T | {e}) / (d.prob(T) + d.prob(T | {e})) > x[e]]
+    assert pairs and [(e, T) for e, T, _, _ in rep.violated_caps] == pairs
 
 
 def test_lp_exact_single_element_and_1_uniform():

@@ -2,9 +2,13 @@
 
 import json
 import math
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socrs import cli, io
 from socrs.env import check_membership
@@ -158,6 +162,63 @@ def test_cli_usage_and_input_errors(tmp_path):
     bad.write_text('{"kind": "nope", "x": [0.5]}')
     assert cli.main(["verify-lp", str(bad)]) == 2
     assert cli.main(["verify-lp", str(tmp_path / "missing.json")]) == 2
+
+
+# the options each subcommand reads; every other one of the five is refused
+_READS = {
+    "gen": {"seed"},
+    "solve-maxent": {"alpha", "tol"}, "verify-lp": {"alpha", "tol"},
+    "kl-project": {"tol"},
+    "build-rayleigh": {"seed", "tol"},
+    "estimate": {"seed", "samples", "tol", "alpha", "mode"},
+    "run-policy": {"seed", "tol", "alpha"}, "run-recurring": {"seed", "tol", "alpha"},
+    "dominate": set(), "lp-exact": set(), "alpha-table": set(), "barriers": set(),
+}
+_FLAG_VALUE = {"seed": "1", "samples": "10", "tol": "1e-6", "alpha": "0.3", "mode": "exact"}
+_POSITIONAL = {"gen": ["random-graph"], "alpha-table": ["k-uniform"], "barriers": []}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_cli_registers_only_the_flags_a_command_reads(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    positional = _POSITIONAL.get(command, ["inst.json"])
+    parser = cli.build_parser()
+    for flag in sorted(_FLAG_VALUE):
+        argv = [command, f"--{flag}", _FLAG_VALUE[flag], "--out", "o.json"] + positional
+        if flag in _READS[command]:
+            assert getattr(parser.parse_args(argv), flag) is not None
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+            assert cli.main(argv) == 2
+
+
+_TRIANGLE = {"kind": "matroid",
+             "matroid": {"variant": "graphic", "n_vertices": 3,
+                         "edges": [[0, 1], [1, 2], [0, 2]]}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([c for c in sorted(_READS) if c not in _POSITIONAL]),
+       st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+       st.integers(0, 2), st.sampled_from([0.0, 1.5, -0.2, math.nan]))
+def test_cli_x_outside_unit_interval_exits_two(command, x, e, bad):
+    x[e] = bad
+    flags = ["--alpha", "0.3"] if "alpha" in _READS[command] else []
+    assert cli.main([command, *flags, json.dumps(dict(_TRIANGLE, x=x))]) == 2
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line.*?```\n(.*?)```", readme, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.strip()]
+    assert len(lines) >= 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "socrs"
+        assert cli.main(argv[1:]) == 0, line
 
 
 def test_cli_run_policy_and_estimate(tmp_path):

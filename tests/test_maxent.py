@@ -47,6 +47,8 @@ def test_maxent_rejects_invalid_targets():
     oracle = CountingOracle("enumeration", env=env)
     with pytest.raises(ValueError):
         solve_maxent(env, oracle, [0.0, 0.5, 0.5])
+    with pytest.raises(ValueError):
+        solve_maxent(env, oracle, [math.nan, 0.2, 0.2])
     # sum > k = 1 is outside the polytope: the dual diverges
     with pytest.raises(BoundaryDivergenceError):
         solve_maxent(env, oracle, [0.5, 0.5, 0.5])

@@ -109,6 +109,28 @@ def test_kernel_with_one_order_broadcast_matches_reference():
     assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
 
 
+def test_replay_draws_uniforms_per_block():
+    import tracemalloc
+    dist, x = path_instance(8)
+    n_rep = 200_000
+    rng = RngStream(5)
+    orders = random_orders(8, n_rep, rng)
+    tracemalloc.start()
+    try:
+        acc, out, _ = replay(dist, x, orders, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n_rep, 17) float64 draw alone would take 27 MB
+    assert peak < 8 * 2**20
+    ref_rng = RngStream(5)
+    random_orders(8, n_rep, ref_rng)
+    u = ref_rng.uniform((n_rep, 2 * 8 + 1))
+    ref_acc, ref_out = _run_kernel(*kernel_tables(dist), np.asarray(x, float), orders, u)
+    assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
+    assert rng.counter == ref_rng.counter
+
+
 @pytest.mark.parametrize("n, n_rep", [(8, 1000), (4, _replay_py.BLOCK + 37),
                                       (1, 10), (5, 1), (3, 0)])
 def test_random_orders_match_scalar_fisher_yates(n, n_rep):
