@@ -19,7 +19,7 @@ from .counting import BaseMeasure, CountingOracle
 from .dist import solve_stationary_lp_exact, verify_stationary_lp
 from .env import EnumerationBudgetError, EnvironmentError_
 from .maxent import (solve_maxent, solve_kl_projection, dominating_base_point,
-                     BoundaryDivergenceError)
+                     kl_diagnostics, BoundaryDivergenceError)
 from .policy import OrderStrategy, run_one_shot, run_recurring
 from .rayleigh import build_witness, materialize
 from .sampling import RngStream
@@ -82,9 +82,10 @@ def cmd_kl_project(args):
     mu0 = BaseMeasure.uniform_on_bases(m)
     oracle = CountingOracle("enumeration", base=mu0)
     q = dominating_base_point(m, np.asarray(x))
-    w, q_used = solve_kl_projection(mu0, oracle, q, tol=args.tol)
+    w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=args.tol)
     _out(args, {"q": list(map(float, q)), "q_used": list(map(float, q_used)),
-                "w": list(map(float, w))})
+                "w": list(map(float, w)),
+                "diagnostics": kl_diagnostics(solver, q, q_used)})
     return 0
 
 

@@ -199,7 +199,8 @@ def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
         sets = env.enumerate_feasible()
     except EnumerationBudgetError as exc:
         raise NonEnumerableError(
-            "environment not enumerable; use the Monte-Carlo harness") from exc
+            f"environment not enumerable, so its stationary caps cannot be checked: {exc}"
+        ) from exc
 
     table = dist.to_explicit()
     exact = table.exact

@@ -2,10 +2,14 @@
 dominating base points.
 
 The dual objective is h(theta) = log Z(e^theta) - <theta, p>; its gradient is
-the marginal mismatch.  We run gradient descent with Armijo backtracking and
-the diagonal preconditioner p_e(1-p_e), and (on enumerable instances) finish
-with Newton steps using exact pairwise marginals so interior targets are met
-to very tight tolerances.
+the marginal mismatch.  Gradient descent with Armijo backtracking and the
+diagonal preconditioner p_e(1-p_e) runs until |grad| <= 1e-2 on enumeration
+backends; from there Newton steps on the exact covariance, with the same
+backtracking on h, meet the tolerance with a margin (Singh-Vishnoi 2014,
+Straszak-Vishnoi 2019: second-order steps once the iterate is in the
+well-conditioned region).  When Newton fails, descent to the tolerance takes
+over.  Backends without an exact covariance descend to max(tol, 1e-6) and
+then to the tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +24,19 @@ from .dist import GibbsDistribution
 from .env import EnumerationBudgetError
 
 THETA_MAX = 60.0
+# |grad| at which the first descent pass stops: enumeration backends hand over
+# to Newton, the others descend on to tol from there
+NEWTON_HANDOFF = 1e-2
+DESCENT_COARSE = 1e-6
+# Newton aims this far below tol: its steps from |grad| <= 1e-2 can otherwise
+# stop just under tol, leaving marginals only tol-accurate; converging
+# quadratically, it buys the margin with one step more or none
+NEWTON_MARGIN = 1e-3
+# h = log Z - <theta, p> cancels terms as large as sum|theta|, so its value is
+# only good to about this fraction of them; the Armijo test allows that much,
+# else steps whose true change in h is below rounding (the last Newton steps
+# toward a tight tol) are refused at random
+_H_ROUNDING = 1e-13
 
 
 class BoundaryDivergenceError(RuntimeError):
@@ -36,11 +53,12 @@ class BoundaryDivergenceError(RuntimeError):
 
 @dataclass
 class DualState:
+    """The record of one `_solve_dual` run."""
     theta: np.ndarray
-    step: float = 1.0
-    gradient: np.ndarray = None
-    iterations: int = 0
-    converged: bool = False
+    descent_steps: int = 0
+    newton_steps: int = 0
+    grad_norm: float = math.inf
+    fallback: bool = False      # the descend-to-tol pass ran
 
 
 def dual_value(oracle, theta, p):
@@ -55,89 +73,118 @@ def dual_gradient(oracle, theta, p):
     return oracle.marginals(np.exp(theta)) - np.asarray(p, float)
 
 
-def _descend(oracle, p, tol, max_iters, theta_max, theta0):
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    theta = np.zeros(n) if theta0 is None else np.array(theta0, dtype=float)
-    precond = np.maximum(p * (1.0 - p), 1e-12)
-    state = DualState(theta=theta)
+def _check_bounded(theta, theta_max):
+    if float(np.abs(theta).max()) > theta_max:
+        coord = int(np.abs(theta).argmax())
+        raise BoundaryDivergenceError(coord, 1 if theta[coord] > 0 else -1, theta)
 
+
+def _armijo(oracle, p, theta, h, g, direction, t=1.0):
+    """Backtrack from step t along `direction` until h falls by 1e-4 of the
+    first-order prediction, or t drops below 1e-14.
+
+    Returns (theta, h, lowered); `lowered` is False when t ran out first.
+    """
+    dec = float(np.dot(g, direction))
+    slack = _H_ROUNDING * (1.0 + abs(h) + float(np.abs(theta).sum()))
+    while True:
+        cand = theta + t * direction
+        hc = dual_value(oracle, cand, p)
+        if hc <= h + 1e-4 * t * dec + slack:
+            return cand, hc, True
+        if t < 1e-14:
+            return cand, hc, False
+        t *= 0.5
+
+
+def _descend(oracle, p, state, tol, max_iters, theta_max):
+    """Preconditioned descent from state.theta until |grad| <= tol or
+    max_iters steps; updates `state` in place."""
+    precond = np.maximum(p * (1.0 - p), 1e-12)
+    theta = state.theta
     h = dual_value(oracle, theta, p)
     g = dual_gradient(oracle, theta, p)
-    for it in range(max_iters):
-        state.iterations = it
+    for _ in range(max_iters):
         if float(np.abs(g).max()) <= tol:
-            state.converged = True
             break
         direction = -g / precond
         # trust region: one iterate never moves any theta by more than 2
         dmax = float(np.abs(direction).max())
         if dmax > 2.0:
             direction = direction * (2.0 / dmax)
-        # Armijo backtracking from unit step
-        t = 1.0
-        dec = float(np.dot(g, direction))
-        while True:
-            cand = theta + t * direction
-            hc = dual_value(oracle, cand, p)
-            if hc <= h + 1e-4 * t * dec or t < 1e-14:
-                break
-            t *= 0.5
-        theta, h = cand, hc
-        state.step = t
-        if float(np.abs(theta).max()) > theta_max:
-            coord = int(np.abs(theta).argmax())
-            raise BoundaryDivergenceError(coord, 1 if theta[coord] > 0 else -1, theta)
+        theta, h, _ = _armijo(oracle, p, theta, h, g, direction)
+        state.descent_steps += 1
+        _check_bounded(theta, theta_max)
         g = dual_gradient(oracle, theta, p)
     state.theta = theta
-    state.gradient = g
-    return state
+    state.grad_norm = float(np.abs(g).max())
 
 
-def _newton_polish(oracle, p, theta, tol, theta_max, max_steps=60):
-    """Damped Newton on enumerable oracles using exact covariance."""
-    p = np.asarray(p, dtype=float)
+def _newton_polish(oracle, p, state, tol, theta_max, max_steps=60):
+    """Damped Newton from state.theta on an enumerable oracle's exact
+    covariance; updates `state` and returns whether |grad| <= tol was met.
+
+    Steps until |grad| <= NEWTON_MARGIN * tol, or until |grad| <= tol and a
+    step no longer lowers it.  Stops early when the Hessian solve raises or
+    a step does not lower h, and after max_steps steps.
+    """
+    theta = state.theta
+    h = dual_value(oracle, theta, p)
+    prev = math.inf
     for _ in range(max_steps):
         w = np.exp(theta)
         marg = oracle.marginals(w)
         g = marg - p
-        if float(np.abs(g).max()) <= tol:
-            return theta, True
+        state.grad_norm = float(np.abs(g).max())
+        if state.grad_norm <= NEWTON_MARGIN * tol or tol >= state.grad_norm >= prev:
+            return True
+        prev = state.grad_norm
         M = oracle.second_moments(w)
         H = M - np.outer(marg, marg)
         H = H + 1e-14 * np.eye(p.size)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            return theta, False
+            break
         t = 1.0
         while float(np.abs(theta - t * step).max()) > theta_max and t > 1e-8:
             t *= 0.5
-        theta = theta - t * step
-        if float(np.abs(theta).max()) > theta_max:
-            coord = int(np.abs(theta).argmax())
-            raise BoundaryDivergenceError(coord, 1 if theta[coord] > 0 else -1, theta)
-    return theta, float(np.abs(dual_gradient(oracle, theta, p)).max()) <= tol
+        theta, h, lowered = _armijo(oracle, p, theta, h, g, -step, t)
+        if not lowered:
+            break
+        state.theta = theta
+        state.newton_steps += 1
+        _check_bounded(theta, theta_max)
+    else:
+        state.grad_norm = float(np.abs(dual_gradient(oracle, theta, p)).max())
+    return state.grad_norm <= tol
 
 
 def _solve_dual(oracle, target, tol, max_iters, theta_max, theta0):
-    """theta with |grad h(theta)| <= tol for the dual of marginal target `target`.
+    """DualState whose theta has |grad h(theta)| <= tol for the dual of
+    marginal target `target`.
 
-    Descends to max(tol, 1e-6), then polishes with Newton where the exact
-    covariance exists (enumeration backends), and descends again to tol when
-    the polish fails or, on other backends, when tol is below the coarse one.
+    Descends to max(tol, 1e-2) on enumeration backends and polishes with
+    Newton on the exact covariance (`_newton_polish`); on other backends it
+    descends to max(tol, 1e-6).  When the gradient is still above tol after
+    that (Newton failed, or the other backends' coarse pass ended), descent
+    to tol runs from the last iterate and the record's `fallback` is set.
     """
-    coarse = max(tol, 1e-6)
-    theta = _descend(oracle, target, coarse, max_iters, theta_max, theta0).theta
-    ok = coarse <= tol
-    if oracle.backend in ENUM_BACKENDS:
-        theta, ok = _newton_polish(oracle, target, theta, tol, theta_max)
+    p = np.asarray(target, dtype=float)
+    theta = np.zeros(p.size) if theta0 is None else np.array(theta0, dtype=float)
+    state = DualState(theta=theta)
+    enum = oracle.backend in ENUM_BACKENDS
+    _descend(oracle, p, state, max(tol, NEWTON_HANDOFF if enum else DESCENT_COARSE),
+             max_iters, theta_max)
+    ok = state.grad_norm <= tol
+    if enum and not ok:
+        ok = _newton_polish(oracle, p, state, tol, theta_max)
     if not ok:
-        theta = _descend(oracle, target, tol, max_iters, theta_max, theta).theta
-    gnorm = float(np.abs(dual_gradient(oracle, theta, target)).max())
-    if gnorm > tol:
-        raise RuntimeError(f"dual solver stalled: |grad| = {gnorm:.3e}")
-    return theta
+        state.fallback = True
+        _descend(oracle, p, state, tol, max_iters, theta_max)
+    if state.grad_norm > tol:
+        raise RuntimeError(f"dual solver stalled: |grad| = {state.grad_norm:.3e}")
+    return state
 
 
 def solve_maxent(env, oracle, p, tol=1e-8, max_iters=20000, theta_max=THETA_MAX,
@@ -149,7 +196,7 @@ def solve_maxent(env, oracle, p, tol=1e-8, max_iters=20000, theta_max=THETA_MAX,
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0) & (p < 1)):           # NaN fails both comparisons
         raise ValueError("target marginals must lie in (0,1)")
-    w = np.exp(_solve_dual(oracle, p, tol, max_iters, theta_max, theta0))
+    w = np.exp(_solve_dual(oracle, p, tol, max_iters, theta_max, theta0).theta)
     return GibbsDistribution(env, list(w), oracle=oracle)
 
 
@@ -189,29 +236,33 @@ def solve_kl_projection(base, oracle, q, tol=1e-8, delta=1e-6, max_iters=20000,
     """Tilt weights w with P_{mu_w}[e in B] = q_e (after boundary shrinking).
 
     Boundary base points are pre-shrunk toward the barycentric base point:
-    q' = (1-delta) q + delta qbar.  Returns (w, q_used).
+    q' = (1-delta) q + delta qbar.  Returns (w, q_used, record), the record
+    being the `DualState` of the solve that produced w.
     """
     q = np.asarray(q, dtype=float)
     qbar = barycentric_base_point(base)
     boundary = is_boundary_base_point(base.matroid, q)
     target = q if boundary is False else (1 - delta) * q + delta * qbar
-
-    def attempt(tgt):
-        return np.exp(_solve_dual(oracle, tgt, tol, max_iters, theta_max, None))
-
     try:
-        w = attempt(target)
-        return w, target
+        state = _solve_dual(oracle, target, tol, max_iters, theta_max, None)
     except BoundaryDivergenceError:
         if boundary is False:
             raise
-        shrunk = (1 - delta) * target + delta * qbar
+        target = (1 - delta) * target + delta * qbar
         try:
-            w = attempt(shrunk)
+            state = _solve_dual(oracle, target, tol, max_iters, theta_max, None)
         except BoundaryDivergenceError as exc:
             raise RuntimeError(
                 f"KL projection diverged even after delta-shrink: {exc}") from exc
-        return w, shrunk
+    return np.exp(state.theta), target, state
+
+
+def kl_diagnostics(state, q, q_used):
+    """The `diagnostics` block of a KL-projection document: the dual solver's
+    record and whether the target was delta-shrunk off the boundary."""
+    return {"descent_steps": state.descent_steps, "newton_steps": state.newton_steps,
+            "grad_norm": state.grad_norm, "descent_fallback": state.fallback,
+            "delta_shrink": bool(np.any(q_used != q))}
 
 
 def dominating_base_point(matroid, x, enum_max_n=20):

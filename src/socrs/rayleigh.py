@@ -19,7 +19,7 @@ import numpy as np
 from .counting import BaseMeasure, CountingOracle
 from .dist import ExplicitDistribution
 from .env import matroid_environment
-from .maxent import dominating_base_point, solve_kl_projection
+from .maxent import DualState, dominating_base_point, kl_diagnostics, solve_kl_projection
 
 
 class NotRayleighError(RuntimeError):
@@ -37,6 +37,7 @@ class RayleighWitness:
     b: float
     x: np.ndarray
     oracle: CountingOracle
+    solver: DualState           # record of the KL projection's dual solve
 
     @property
     def matroid(self):
@@ -53,6 +54,7 @@ class RayleighWitness:
             "s": list(map(float, self.s)),
             "b": self.b,
             "x": list(map(float, self.x)),
+            "diagnostics": kl_diagnostics(self.solver, self.q, self.q_used),
         }
 
 
@@ -67,14 +69,13 @@ def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, delta=1e-6,
             raise NotRayleighError(f"base measure fails the Rayleigh inequality by {worst}")
     q = dominating_base_point(matroid, y)
     oracle = _oracle_for(mu0)
-    w, q_used = solve_kl_projection(mu0, oracle, q, tol=tol, delta=delta)
+    w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=tol, delta=delta)
     # thin against the marginals the projected measure actually has (q_used,
     # the delta-shrunk targets), so mu* marginals are x/(1+b) to solver tol
-    q_used = np.asarray(q_used, float)
     s = x / (b * q_used)
     tau = (b / (1.0 + b)) * s
-    return RayleighWitness(base=mu0, q=q, q_used=np.asarray(q_used, float), w=w,
-                           tau=tau, s=s, b=float(b), x=x, oracle=oracle)
+    return RayleighWitness(base=mu0, q=q, q_used=q_used, w=w, tau=tau, s=s,
+                           b=float(b), x=x, oracle=oracle, solver=solver)
 
 
 def _oracle_for(mu0, mode="double"):

@@ -12,16 +12,17 @@ import numpy as np
 
 from . import _replay_py as _kernel
 from .dist import CapViolationError, ExplicitDistribution, verify_stationary_lp
+from .env import EnumerationBudgetError
 
 KERNEL = "python"
 
 
 def mass_table(dist):
     """Dense mask-indexed mass array for an enumerable witness (n <= 20)."""
-    table = dist.to_explicit()
-    n = table.env.n
+    n = dist.env.n
     if n > 20:
-        raise ValueError("mass table limited to 20 elements")
+        raise EnumerationBudgetError(f"replay mass table limited to n <= 20 elements, got {n}")
+    table = dist.to_explicit()
     mass = np.zeros(1 << n)
     for S, p in table.support.items():
         mass[sum(1 << e for e in S)] = float(p)
@@ -55,7 +56,8 @@ def replay(dist, x, orders, rng, n_rep=None):
     if orders.ndim == 1:
         if n_rep is None:
             raise ValueError("n_rep required with a single order")
-        orders = np.broadcast_to(orders, (n_rep, n)).copy()
+        # a read-only view: the kernel only reads order rows
+        orders = np.broadcast_to(orders, (n_rep, n))
     n_rep = orders.shape[0]
 
     accept_counts = np.zeros(n, dtype=np.int64)

@@ -158,6 +158,8 @@ def test_verify_stationary_lp_only_wraps_budget_overflow():
     with pytest.raises(NonEnumerableError) as info:
         verify_stationary_lp(GibbsDistribution(env, [0.5] * 4), [0.5] * 4, 0.3)
     assert isinstance(info.value.__cause__, EnumerationBudgetError)
+    # the replay harness needs the same enumeration, so it is not offered
+    assert "Monte-Carlo" not in str(info.value)
 
 
 def test_budget_overruns_are_enumeration_budget_errors():

@@ -6,13 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from socrs import maxent
 from socrs.counting import BaseMeasure, CountingOracle
+from socrs.dist import verify_stationary_lp
 from socrs.env import (EnumerationBudgetError, Matroid, k_uniform_environment,
                        matching_environment)
+from socrs.generators import gen_instance
+from socrs.io import parse_instance
 from socrs.maxent import (BoundaryDivergenceError, barycentric_base_point,
                           dominating_base_point, dual_gradient, dual_value,
                           is_boundary_base_point, solve_kl_projection,
                           solve_maxent)
+from socrs.rayleigh import build_witness, materialize
 
 
 def test_gradient_matches_finite_differences():
@@ -107,7 +112,7 @@ def test_kl_projection_interior_target():
     base = BaseMeasure.uniform_on_bases(m)
     oracle = CountingOracle("enumeration", base=base)
     q = np.array([0.7, 0.65, 0.65])
-    w, q_used = solve_kl_projection(base, oracle, q, tol=1e-10)
+    w, q_used, _ = solve_kl_projection(base, oracle, q, tol=1e-10)
     assert np.allclose(q_used, q)
     assert np.abs(oracle.marginals(w) - q).max() < 1e-8
 
@@ -117,16 +122,66 @@ def test_kl_projection_boundary_target_shrinks():
     base = BaseMeasure.uniform_on_bases(m)
     oracle = CountingOracle("enumeration", base=base)
     q = np.array([1.0, 0.5, 0.5])     # vertex of the base polytope
-    w, q_used = solve_kl_projection(base, oracle, q, tol=1e-10, delta=1e-6)
+    w, q_used, _ = solve_kl_projection(base, oracle, q, tol=1e-10, delta=1e-6)
     assert np.abs(q_used - q).max() > 0           # shrink happened
     assert np.abs(q_used - q).max() < 1e-5        # but barely
     assert np.abs(oracle.marginals(w) - q_used).max() < 1e-8
 
 
+TIGHT_ENV = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
+TIGHT_P = np.array([0.12, 0.21, 0.08, 0.17])
+
+
 def test_newton_polish_reaches_tight_tolerance():
-    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
-    oracle = CountingOracle("enumeration", env=env)
-    p = np.array([0.12, 0.21, 0.08, 0.17])
-    gibbs = solve_maxent(env, oracle, p, tol=1e-12)
+    oracle = CountingOracle("enumeration", env=TIGHT_ENV)
+    gibbs = solve_maxent(TIGHT_ENV, oracle, TIGHT_P, tol=1e-12)
     marg = oracle.marginals(np.asarray(gibbs.w, float))
-    assert np.abs(marg - p).max() < 1e-12
+    assert np.abs(marg - TIGHT_P).max() < 1e-12
+
+
+def test_newton_polish_goes_below_tol():
+    # K8 at alpha = 1/3: stopping at the first iterate under tol, Newton
+    # from |grad| <= 1e-2 lands at 5e-9 and alpha_achieved falls 8e-9 short
+    env, x, _ = parse_instance(gen_instance("random-graph", seed=2239550589,
+                                            n_vertices=8, n_edges=28)[2])
+    oracle = CountingOracle("enumeration", env=env)
+    p = np.asarray(x) / 3
+    gibbs = solve_maxent(env, oracle, p, tol=1e-8)
+    assert np.abs(oracle.marginals(np.asarray(gibbs.w, float)) - p).max() < 1e-10
+
+
+def test_descent_fallback_reaches_tol_when_newton_fails(monkeypatch):
+    monkeypatch.setattr(maxent, "_newton_polish", lambda *args, **kwargs: False)
+    oracle = CountingOracle("enumeration", env=TIGHT_ENV)
+    state = maxent._solve_dual(oracle, TIGHT_P, 1e-12, 20000, maxent.THETA_MAX, None)
+    assert state.fallback and state.newton_steps == 0
+    assert state.grad_norm <= 1e-12
+    assert np.abs(oracle.marginals(np.exp(state.theta)) - TIGHT_P).max() <= 1e-12
+
+
+def test_kl_projection_near_boundary_hands_over_to_newton():
+    # the delta-shrunk 2-hat target: descent to |grad| <= 1e-6 alone runs
+    # 20,000 steps here
+    env, x, b = parse_instance(gen_instance("hat-graph", n=2, terminal_edge=True)[2])
+    m = env.meta["matroid"]
+    witness = build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x), b=b,
+                            check_rayleigh=False)
+    assert witness.solver.descent_steps < 200
+    assert not witness.solver.fallback
+    assert np.any(witness.q_used != witness.q)
+    law = materialize(witness)
+    for e in range(env.n):
+        assert abs(law.marginal(e) - x[e] / (1 + b)) < 1e-6
+    assert not verify_stationary_lp(law, list(x), 1 / (1 + b)).violated_caps
+
+
+def test_newton_accepts_steps_below_the_rounding_of_h():
+    # here the last Newton steps change h by less than its rounding; a strict
+    # Armijo test on h would reject them and the descent fallback stalls
+    m = Matroid.graphic(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
+    x = np.array([0.13973781827063406, 0.4033800355670849,
+                  0.7136866454856076, 0.7980620881085303])
+    witness = build_witness(m, BaseMeasure.uniform_on_bases(m), x, tol=1e-12,
+                            check_rayleigh=False)
+    assert not witness.solver.fallback
+    assert witness.solver.grad_norm <= 1e-12

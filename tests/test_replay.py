@@ -6,7 +6,7 @@ import pytest
 
 from socrs import _replay_py
 from socrs.dist import ExplicitDistribution, GibbsDistribution, verify_stationary_lp
-from socrs.env import k_uniform_environment, matching_environment
+from socrs.env import EnumerationBudgetError, k_uniform_environment, matching_environment
 from socrs.policy import CapViolationError, OrderStrategy, exact_output_law
 from socrs.replay import (kernel_tables, mass_table, outcome_distribution,
                           random_orders, replay)
@@ -109,6 +109,23 @@ def test_kernel_with_one_order_broadcast_matches_reference():
     assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
 
 
+def test_single_order_replays_without_copying_it():
+    import tracemalloc
+    dist, x = path_instance(8)
+    order = np.array([3, 7, 0, 5, 1, 6, 2, 4], dtype=np.int64)
+    n_rep = 1_000_000
+    tracemalloc.start()
+    try:
+        acc, out, _ = replay(dist, x, order, RngStream(6), n_rep=n_rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (n_rep, 8) int64 copy of the order alone would take 61 MB
+    assert peak < 4 * 2**20
+    ref_acc, ref_out, _ = replay(dist, x, np.tile(order, (n_rep, 1)), RngStream(6))
+    assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
+
+
 def test_replay_draws_uniforms_per_block():
     import tracemalloc
     dist, x = path_instance(8)
@@ -145,6 +162,12 @@ def test_mass_table_round_trip():
     assert abs(mass.sum() - 1.0) < 1e-12
     for S, p in table.support.items():
         assert mass[sum(1 << e for e in S)] == float(p)
+
+
+def test_mass_table_limit_is_an_enumeration_budget_error():
+    dist = GibbsDistribution(k_uniform_environment(21, 1), [0.1] * 21)
+    with pytest.raises(EnumerationBudgetError, match="n <= 20"):
+        mass_table(dist)
 
 
 def test_replay_matches_exact_law():
