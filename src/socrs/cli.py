@@ -8,6 +8,7 @@ computation's enumeration budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from statistics import NormalDist
@@ -18,8 +19,8 @@ from . import generators, io
 from .counting import BaseMeasure, CountingOracle
 from .dist import solve_stationary_lp_exact, verify_stationary_lp
 from .env import EnumerationBudgetError, EnvironmentError_
-from .maxent import (solve_maxent, solve_kl_projection, dominating_base_point,
-                     kl_diagnostics, BoundaryDivergenceError)
+from .maxent import (solve_maxent, dominating_base_point, kl_diagnostics,
+                     BoundaryDivergenceError)
 from .policy import OrderStrategy, run_one_shot, run_recurring
 from .rayleigh import build_witness, materialize
 from .sampling import RngStream
@@ -79,13 +80,11 @@ def cmd_solve_maxent(args):
 def cmd_kl_project(args):
     env, x, scale = _load_env(args)
     m = _matroid_of(env)
-    mu0 = BaseMeasure.uniform_on_bases(m)
-    oracle = CountingOracle("enumeration", base=mu0)
-    q = dominating_base_point(m, np.asarray(x))
-    w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=args.tol)
-    _out(args, {"q": list(map(float, q)), "q_used": list(map(float, q_used)),
-                "w": list(map(float, w)),
-                "diagnostics": kl_diagnostics(solver, q, q_used)})
+    wit = build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x), tol=args.tol,
+                        check_rayleigh=False)
+    _out(args, {"q": list(map(float, wit.q)), "q_used": list(map(float, wit.q_used)),
+                "w": list(map(float, wit.w)),
+                "diagnostics": kl_diagnostics(wit.solver, wit.q, wit.q_used)})
     return 0
 
 
@@ -206,60 +205,62 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call.  A command's handler is
+    not stored in it: `main` looks `cmd_<command>` up when it runs."""
     p = argparse.ArgumentParser(prog="socrs",
                                 description="stationary online contention resolution")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, reads, instance=True, **kw):
+    def command(name, reads, instance=True, **kw):
         sp = sub.add_parser(name, **kw)
         for flag in reads:
             sp.add_argument(f"--{flag}", **_FLAGS[flag])
         sp.add_argument("--out", default=None)
         if instance:
             sp.add_argument("instance", help="instance JSON file or literal document")
-        sp.set_defaults(fn=fn)
         return sp
 
-    sp = command("gen", cmd_gen, ["seed"], instance=False,
+    sp = command("gen", ["seed"], instance=False,
                  help="emit a named instance document")
     sp.add_argument("name")
     sp.add_argument("--params", default=None, help="JSON parameter object")
 
-    for name, fn, reads in [
-            ("solve-maxent", cmd_solve_maxent, ["alpha", "tol"]),
-            ("kl-project", cmd_kl_project, ["tol"]),
-            ("dominate", cmd_dominate, []),
-            ("build-rayleigh", cmd_build_rayleigh, ["seed", "tol"]),
-            ("verify-lp", cmd_verify_lp, ["alpha", "tol"]),
-            ("lp-exact", cmd_lp_exact, []),
-            ("estimate", cmd_estimate, ["seed", "samples", "tol", "alpha", "mode"])]:
-        command(name, fn, reads)
+    for name, reads in [
+            ("solve-maxent", ["alpha", "tol"]),
+            ("kl-project", ["tol"]),
+            ("dominate", []),
+            ("build-rayleigh", ["seed", "tol"]),
+            ("verify-lp", ["alpha", "tol"]),
+            ("lp-exact", []),
+            ("estimate", ["seed", "samples", "tol", "alpha", "mode"])]:
+        command(name, reads)
 
-    sp = command("run-policy", cmd_run_policy, ["seed", "tol", "alpha"])
+    sp = command("run-policy", ["seed", "tol", "alpha"])
     sp.add_argument("--trace-out", default=None)
 
-    sp = command("run-recurring", cmd_run_recurring, ["seed", "tol", "alpha"])
+    sp = command("run-recurring", ["seed", "tol", "alpha"])
     sp.add_argument("--trace-out", default=None)
     sp.add_argument("--replay", default=None, help="trace file to replay")
     sp.add_argument("--renewals", type=int, default=100)
 
-    sp = command("alpha-table", cmd_alpha_table, [], instance=False)
+    sp = command("alpha-table", [], instance=False)
     sp.add_argument("kind")
     sp.add_argument("--params", default=None)
 
-    command("barriers", cmd_barriers, [], instance=False)
+    command("barriers", [], instance=False)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # looked up at call time, so a rebinding of cli.cmd_* takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (EnvironmentError_, EnumerationBudgetError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

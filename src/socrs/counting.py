@@ -6,19 +6,22 @@ marginal sums, constrained sums (pinned include/exclude blocks via
 forward-difference interpolation), and the coefficient extraction used for
 thinned base measures.
 
-Two precision modes:
-  * "double": partition/marginal_sum return log-magnitudes (float, -inf
-    for zero); constrained_count/thinned_mass return plain floats since the
-    interpolation sums are signed.  On the enumeration backends every
-    double-mode value comes from one place: the cached incidence matrix
-    gives all per-set log-masses log mu0(S) + sum_{e in S} log w_e in one
-    matmul (-inf for sets holding a weight <= 0), and one logsumexp turns
-    them into log Z and the normalised set probabilities that partition,
-    marginal_sum, marginals and second_moments read, and that
-    dist.GibbsDistribution.to_explicit and rayleigh.materialize read as
-    explicit tables.
-  * "rational": everything returns exact rationals; the exact per-set
-    masses mu0(S) w^S, which to_explicit also reads, come from one loop.
+Every backend and every forward difference is written once.  The precision
+mode decides only the arithmetic and the form of the result:
+  * "rational": exact rationals throughout; partition and marginal_sum
+    return Z itself.
+  * "double": floats; partition/marginal_sum return log-magnitudes (-inf
+    for zero), constrained_count/thinned_mass plain floats, since their
+    interpolation sums are signed and are taken relative to the largest
+    log term.
+The closed-form backends run their kernels in the mode's (one, zero).  The
+enumeration backends read exact masses mu0(S) w^S from one loop in rational
+mode; in double mode the cached incidence matrix gives all per-set
+log-masses log mu0(S) + sum_{e in S} log w_e in one matmul (-inf for sets
+holding a zero weight), and one logsumexp turns them into log Z and the
+normalised set probabilities that partition, marginal_sum, marginals and
+second_moments read, and that dist.GibbsDistribution.to_explicit and
+rayleigh.materialize read as explicit tables.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 from ._rat import R, as_rational
 
 MATCHING_MEMO_CAP = 1_000_000
-DOUBLE_ZERO_FLOOR = 1e-300
 
 
 class CountingOverflowError(OverflowError):
@@ -97,7 +99,8 @@ class BaseMeasure:
     def __init__(self, kind, matroid, table=None, A=None):
         self.kind = kind
         self.matroid = matroid
-        self.A = None
+        self.A = None               # determinantal: A and det(A A^T)
+        self.gram_det = None
         self.table = None           # uniform-spanning-tree: built on the first mass()
         if kind == "explicit-table":
             total = sum(table.values())
@@ -105,8 +108,8 @@ class BaseMeasure:
             self.table = {frozenset(B): v / total for B, v in table.items()}
         elif kind == "determinantal":
             self.A = [list(map(as_rational, row)) for row in A]
-            gram = _mat_mul_t(self.A, self.A)
-            if det_bareiss(gram) == 0:
+            self.gram_det = det_bareiss(_mat_mul_t(self.A, self.A))
+            if self.gram_det == 0:
                 raise SingularRepresentationError("A A^T is singular")
         elif kind == "uniform-spanning-tree":
             if matroid.variant != "graphic":
@@ -145,10 +148,7 @@ class BaseMeasure:
         if self.kind == "determinantal":
             cols = sorted(B)
             sub = [[row[c] for c in cols] for row in self.A]
-            gram = _mat_mul_t(sub, sub)
-            num = det_bareiss(gram)
-            den = det_bareiss(_mat_mul_t(self.A, self.A))
-            return num / den
+            return det_bareiss(_mat_mul_t(sub, sub)) / self.gram_det
         if self.table is None:
             bases = self.matroid.bases()
             self.table = {T: R(1, len(bases)) for T in bases}
@@ -183,6 +183,11 @@ class CountingOracle:
         self.env = env
         self.base = base
         self.mode = mode
+        # the mode's arithmetic: its number type and its unit and zero
+        if mode == "rational":
+            self._num, self._one, self._zero = as_rational, R(1), R(0)
+        else:
+            self._num, self._one, self._zero = float, 1.0, 0.0
 
         if base is not None:
             if backend not in _BASE_BACKENDS:
@@ -278,95 +283,80 @@ class CountingOracle:
 
     # -- core evaluation: plain value in rational mode, log in double -----
 
-    def _g_rational(self, w):
-        w = [as_rational(v) for v in w]
-        if self.backend in ENUM_BACKENDS:
-            return self._enum_rational(w)
-        if self.backend == "matching-recursion":
-            return _matching_partition(self.env.meta["edges"], w, R(1), R(0))
-        if self.backend == "ksym-dp":
-            k = self.env.meta["k"]
-            return _esym_truncated_sum(w, k, R(1), R(0))
-        if self.backend == "matrix-tree":
-            return _matrix_tree_g(self.base, w, exact=True)
-        if self.backend == "cauchy-binet":
-            return _cauchy_binet_g(self.base, w, exact=True)
-        raise AssertionError(self.backend)
+    def _weights(self, w):
+        """w checked for length and converted to the mode's number type."""
+        if len(w) != self.n:
+            raise ValueError("weight vector length mismatch")
+        return [self._num(v) for v in w]
 
-    def _g_log(self, w):
-        """log of the generating value, -inf for zero (double mode)."""
+    def _value(self, s, M=0):
+        """s e^M in the mode's output form: s itself in rational mode (where
+        M = 0), log(s) + M in double mode (-inf for s <= 0)."""
+        if self.mode == "rational":
+            return s
+        return math.log(s) + M if s > 0 else -math.inf
+
+    def _g(self, w):
+        """Z(w) of mode-typed weights w, as `_value` gives it."""
         if self.backend in ENUM_BACKENDS:
-            return self._tilt(w)[0]
-        w = [float(v) for v in w]
+            return self._enum_rational(w) if self.mode == "rational" else self._tilt(w)[0]
+        one, zero = self._one, self._zero
         if self.backend == "matching-recursion":
-            val = _matching_partition(self.env.meta["edges"], w, 1.0, 0.0)
+            val = _matching_partition(self.env.meta["edges"], w, one, zero)
         elif self.backend == "ksym-dp":
-            val = _esym_truncated_sum(w, self.env.meta["k"], 1.0, 0.0)
+            val = _esym_truncated_sum(w, self.env.meta["k"], one, zero)
         elif self.backend == "matrix-tree":
-            val = _matrix_tree_g(self.base, w, exact=False)
-        elif self.backend == "cauchy-binet":
-            val = _cauchy_binet_g(self.base, w, exact=False)
+            val = _matrix_tree_g(self.base, w, one, zero)
         else:
-            raise AssertionError(self.backend)
-        return math.log(val) if val > 0 else -math.inf
+            val = _cauchy_binet_g(self.base, w, one, zero)
+        return self._value(val)
+
+    def _alternating_sum(self, terms):
+        """sum c Z(v) over the (c, v) in `terms`, as (s, M) with the sum
+        equal to s e^M: exact s and M = 0 in rational mode; in double mode M
+        is the largest log Z(v), so s stays in range (M = -inf when every
+        Z(v) is 0)."""
+        zs = [(c, self._g(v)) for c, v in terms]
+        if self.mode == "rational":
+            return sum(c * z for c, z in zs), 0
+        M = max(z for _, z in zs)
+        if M == -math.inf:
+            return 0.0, M
+        return sum(c * math.exp(z - M) for c, z in zs), M
 
     # -- public operations -------------------------------------------------
 
     def partition(self, w):
-        self._check_w(w)
-        if self.mode == "rational":
-            return self._g_rational(w)
-        return self._g_log(w)
+        return self._g(self._weights(w))
 
     def marginal_sum(self, w, e):
         """Z restricted to sets containing e (= w_e dZ/dw_e)."""
-        self._check_w(w)
+        w = self._weights(w)
+        one, zero = self._one, self._zero
         if self.backend == "matching-recursion":
             edges = self.env.meta["edges"]
             u, v = edges[e]
-            keep = [i for i in range(len(edges)) if i != e
-                    and u not in edges[i] and v not in edges[i]]
-            sub = {i: edges[i] for i in keep}
-            if self.mode == "rational":
-                w = [as_rational(x) for x in w]
-                return w[e] * _matching_partition_sub(sub, w, R(1), R(0))
-            val = _matching_partition_sub(sub, list(map(float, w)), 1.0, 0.0)
-            return (math.log(float(w[e])) + math.log(val)) if val > 0 and w[e] > 0 else -math.inf
+            sub = {i: f for i, f in enumerate(edges) if i != e and u not in f and v not in f}
+            return self._value(w[e] * _matching_partition_sub(sub, w, one, zero))
         if self.backend == "ksym-dp":
-            k = self.env.meta["k"]
-            rest = [w[i] for i in range(self.n) if i != e]
-            if self.mode == "rational":
-                rest = [as_rational(x) for x in rest]
-                return as_rational(w[e]) * _esym_truncated_sum(rest, k - 1, R(1), R(0))
-            val = _esym_truncated_sum(list(map(float, rest)), k - 1, 1.0, 0.0)
-            return (math.log(float(w[e])) + math.log(val)) if val > 0 and w[e] > 0 else -math.inf
+            rest = w[:e] + w[e + 1:]
+            return self._value(w[e] * _esym_truncated_sum(rest, self.env.meta["k"] - 1, one, zero))
         if self.backend in ENUM_BACKENDS:
             if self.mode == "rational":
-                return self._enum_rational([as_rational(v) for v in w], e)
+                return self._enum_rational(w, e)
             lz, p = self._tilt(w)
-            pe = 0.0 if p is None else float(p @ self._inc[:, e])
-            return lz + math.log(pe) if pe > 0 else -math.inf
+            return self._value(0.0 if p is None else float(p @ self._inc[:, e]), lz)
         # determinant backends: multi-affinity gives marginal = Z(w) - Z(w | w_e = 0)
         w0 = list(w)
-        w0[e] = 0
-        if self.mode == "rational":
-            return self._g_rational(w) - self._g_rational(w0)
-        a = self._g_log(w)
-        b = self._g_log(w0)
-        if b == -math.inf:
-            return a
-        if b >= a:
-            return -math.inf
-        return a + math.log1p(-math.exp(b - a))
+        w0[e] = zero
+        return self._value(*self._alternating_sum([(1, w), (-1, w0)]))
 
     def marginal_probability(self, w, e):
         """P[e in S] under the w-tilted measure."""
+        num, z = self.marginal_sum(w, e), self.partition(w)
         if self.mode == "rational":
-            return self.marginal_sum(w, e) / self._g_rational(w)
-        num = self.marginal_sum(w, e)
-        if num == -math.inf:
-            return 0.0
-        return math.exp(num - self._g_log(w))
+            return num / z
+        return 0.0 if num == -math.inf else math.exp(num - z)
 
     def marginals(self, w):
         if self.backend in ENUM_BACKENDS and self.mode == "double":
@@ -393,7 +383,7 @@ class CountingOracle:
         d, m = len(I), len(J)
         if d + m > 8 and self.mode != "rational":
             raise ValueError("more than 8 pinned elements requires rational mode")
-        self._check_w(w)
+        w = self._weights(w)
 
         def scaled(a, b):
             ww = list(w)
@@ -403,38 +393,12 @@ class CountingOracle:
                 ww[j] = ww[j] * b
             return ww
 
+        s, M = self._alternating_sum(
+            [((-1) ** (d - a) * comb(d, a) * (-1) ** (b - 1) * comb(m + 1, b), scaled(a, b))
+             for a in range(d + 1) for b in range(1, m + 2)])
+        val = s / factorial(d)
         if self.mode == "rational":
-            total = R(0)
-            for a in range(d + 1):
-                ca = (-1) ** (d - a) * comb(d, a)
-                inner = R(0)
-                for b in range(1, m + 2):
-                    cb = (-1) ** (b - 1) * comb(m + 1, b)
-                    inner += cb * self._g_rational(scaled(a, b))
-                total += ca * inner
-            return total / factorial(d)
-
-        # double mode: common-scale alternating sum
-        grid = {}
-        logs = []
-        for a in range(d + 1):
-            for b in range(1, m + 2):
-                lg = self._g_log(scaled(a, b))
-                grid[(a, b)] = lg
-                if lg != -math.inf:
-                    logs.append(lg)
-        if not logs:
-            return 0.0
-        M = max(logs)
-        acc = 0.0
-        for a in range(d + 1):
-            ca = (-1) ** (d - a) * comb(d, a)
-            for b in range(1, m + 2):
-                cb = (-1) ** (b - 1) * comb(m + 1, b)
-                lg = grid[(a, b)]
-                if lg != -math.inf:
-                    acc += ca * cb * math.exp(lg - M)
-        val = acc / factorial(d)
+            return val
         if not math.isfinite(val):
             raise CountingOverflowError("interpolation sum overflowed; use rational mode")
         if M > 700:
@@ -446,59 +410,28 @@ class CountingOracle:
         degree-|T| coefficient of g along the T-block scaling, over Z(w).
 
         The coefficient is extracted with the |T|-step forward difference at
-        nodes t = 1..|T|+1.
+        nodes t = 1..|T|+1; elements outside T keep the weight w (1 - tau).
         """
         T = sorted(set(T))
         d = len(T)
-        self._check_w(w)
+        w = self._weights(w)
+        tau = [self._num(v) for v in tau]
 
         def wt(t):
-            ww = list(w)
-            for i in range(self.n):
-                if i in T:
-                    ww[i] = ww[i] * t
-                else:
-                    ww[i] = ww[i] * (1 - tau[i]) if self.mode == "rational" else \
-                        float(ww[i]) * max(1.0 - float(tau[i]), 0.0)
-            if self.mode != "rational":
-                ww = [v if v > 0 else DOUBLE_ZERO_FLOOR for v in ww]
-            return ww
+            return [w[i] * t if i in T else w[i] * (1 - tau[i]) for i in range(self.n)]
 
-        if self.mode == "rational":
-            w = [as_rational(v) for v in w]
-            tau = [as_rational(v) for v in tau]
-            lead = R(0)
-            for a in range(d + 1):
-                ca = (-1) ** (d - a) * comb(d, a)
-                lead += ca * self._g_rational(wt(1 + a))
-            lead /= factorial(d)
-            tt = R(1)
-            for i in T:
-                tt *= tau[i]
-            return tt * lead / self._g_rational(w)
-
-        logs = [self._g_log(wt(1 + a)) for a in range(d + 1)]
-        finite = [v for v in logs if v != -math.inf]
-        if not finite:
-            return 0.0
-        M = max(finite)
-        acc = 0.0
-        for a, lg in enumerate(logs):
-            if lg != -math.inf:
-                acc += (-1) ** (d - a) * comb(d, a) * math.exp(lg - M)
-        lead = acc / factorial(d)
-        tt = 1.0
+        s, M = self._alternating_sum([((-1) ** (d - a) * comb(d, a), wt(1 + a))
+                                      for a in range(d + 1)])
+        lead = s / factorial(d)
+        tt = self._one
         for i in T:
-            tt *= float(tau[i])
-        lz = self._g_log(w)
-        val = tt * lead * math.exp(M - lz)
+            tt *= tau[i]
+        if self.mode == "rational":
+            return tt * lead / self._g(w)
+        val = tt * lead * math.exp(M - self._g(w))
         if not math.isfinite(val):
             raise CountingOverflowError("thinned-mass extraction overflowed; use rational mode")
         return max(val, 0.0)
-
-    def _check_w(self, w):
-        if len(w) != self.n:
-            raise ValueError("weight vector length mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -550,54 +483,31 @@ def _esym_truncated_sum(w, k, one, zero):
     return total
 
 
-def _weighted_laplacian(base, w):
+def _reduced_laplacian(base, w, zero):
+    """The weighted graph Laplacian with its first row and column dropped."""
     m = base.matroid
     nv = m.meta["n_vertices"]
-    edges = m.meta["edges"]
-    L = [[0 for _ in range(nv)] for _ in range(nv)]
-    for e, (u, v) in enumerate(edges):
+    L = [[zero] * nv for _ in range(nv)]
+    for e, (u, v) in enumerate(m.meta["edges"]):
         if u == v:
             continue
         L[u][u] += w[e]
         L[v][v] += w[e]
         L[u][v] -= w[e]
         L[v][u] -= w[e]
-    return L
+    return [row[1:] for row in L[1:]]
 
 
-def _matrix_tree_g(base, w, exact):
+def _matrix_tree_g(base, w, one, zero):
     """Normalized spanning-tree generating value det L_red(w) / #trees."""
-    if exact:
-        w = [as_rational(v) for v in w]
-    L = _weighted_laplacian(base, w)
-    red = [row[1:] for row in L[1:]]
-    if exact:
-        red = [[as_rational(v) for v in row] for row in red]
-        num = det_bareiss(red)
-        ones = _weighted_laplacian(base, [R(1)] * len(w))
-        den = det_bareiss([[as_rational(v) for v in row[1:]] for row in ones[1:]])
-        return num / den
-    num = det_double(red)
-    ones = _weighted_laplacian(base, [1.0] * len(w))
-    den = det_double([row[1:] for row in ones[1:]])
-    return num / den
+    det = det_double if isinstance(one, float) else det_bareiss
+    return (det(_reduced_laplacian(base, w, zero))
+            / det(_reduced_laplacian(base, [one] * len(w), zero)))
 
 
-def _cauchy_binet_g(base, w, exact):
+def _cauchy_binet_g(base, w, one, zero):
     """det(A diag(w) A^T) / det(A A^T) = sum_B mu0(B) w^B."""
-    A = base.A
-    r = len(A)
-    if exact:
-        w = [as_rational(v) for v in w]
-        Aw = [[A[i][j] * w[j] for j in range(len(w))] for i in range(r)]
-        num = det_bareiss(_mat_mul_t(Aw, A))
-        den = det_bareiss(_mat_mul_t(A, A))
-        if den == 0:
-            raise SingularRepresentationError("A A^T is singular")
-        return num / den
-    Af = np.array([[float(v) for v in row] for row in A])
-    num = det_double(Af @ np.diag(np.asarray(w, float)) @ Af.T)
-    den = det_double(Af @ Af.T)
-    if den == 0:
-        raise SingularRepresentationError("A A^T is singular")
-    return num / den
+    gram = _mat_mul_t([[a * x for a, x in zip(row, w)] for row in base.A], base.A)
+    if isinstance(one, float):
+        return det_double(gram) / float(base.gram_det)
+    return det_bareiss(gram) / base.gram_det

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class EnvironmentError_(ValueError):
     """Raised for malformed environments or out-of-range elements."""
@@ -20,6 +22,8 @@ class EnumerationBudgetError(RuntimeError):
 
 
 ENUMERATION_CAP = 2_000_000
+# ground-set size up to which Matroid.rank_table enumerates all subsets
+RANK_TABLE_MAX_N = 20
 
 
 class IllConditionedMatrixError(RuntimeError):
@@ -43,6 +47,7 @@ class Matroid:
         self.meta = meta or {}
         self.rank_total = rank_fn(frozenset(range(n)))
         self._bases = None
+        self._rank_table = None
 
     def rank(self, T):
         T = frozenset(T)
@@ -131,6 +136,33 @@ class Matroid:
             return max(len(I) for I in table if I <= T)
 
         return Matroid(n, "explicit", rank, {"independent_sets": table})
+
+    def rank_table(self):
+        """(member, ranks) over the nonempty subsets of the ground set, the
+        i-th being the bitmask i + 1: member[e, i] tells whether e lies in it
+        and ranks[i] is its rank.  Built on the first call, read-only;
+        raises EnumerationBudgetError beyond RANK_TABLE_MAX_N elements."""
+        if self._rank_table is None:
+            n = self.n
+            if n > RANK_TABLE_MAX_N:
+                raise EnumerationBudgetError(
+                    f"rank table limited to n <= {RANK_TABLE_MAX_N} elements (n = {n})")
+            masks = np.arange(1, 1 << n, dtype=np.int64)
+            member = np.array([(masks >> e) & 1 for e in range(n)], dtype=bool)
+            ranks = np.array([self._rank(frozenset(e for e in range(n) if mask >> e & 1))
+                              for mask in range(1, 1 << n)], dtype=np.int64)
+            member.flags.writeable = ranks.flags.writeable = False
+            self._rank_table = member, ranks
+        return self._rank_table
+
+    def subset_sums(self, x):
+        """sum_{e in T} x_e for every subset T of the rank table, added in
+        element order as a Python sum over T would add them."""
+        member, _ = self.rank_table()
+        acc = np.zeros(member.shape[1])
+        for e, v in enumerate(x):
+            acc += v * member[e]
+        return acc
 
     def bases(self):
         """All bases (independent sets of full rank), enumerated on the first call."""
@@ -358,20 +390,18 @@ def check_membership(env, x, tol=1e-12):
 
     if env.kind == "matroid":
         m = env.meta["matroid"]
-        if m.n > 20:
+        try:
+            member, ranks = m.rank_table()
+        except EnumerationBudgetError:
             return MembershipReport("undetermined", "ground set too large for rank enumeration")
-        status = "inside-relint"
-        for mask in range(1, 1 << m.n):
-            T = frozenset(e for e in range(m.n) if mask >> e & 1)
-            sx = sum(x[e] for e in T)
-            r = m.rank(T)
-            if sx > r + tol:
-                return MembershipReport("outside", f"rank constraint on {sorted(T)}",
-                                        {"T": sorted(T), "sum": sx, "rank": r})
-            if sx >= r - tol:
-                status = "boundary"
-        if hit_boundary:
-            status = "boundary"
-        return MembershipReport(status)
+        sx = m.subset_sums(x)
+        over = np.flatnonzero(sx > ranks + tol)
+        if over.size:
+            i = over[0]
+            T = [e for e in range(m.n) if member[e, i]]
+            return MembershipReport("outside", f"rank constraint on {T}",
+                                    {"T": T, "sum": float(sx[i]), "rank": int(ranks[i])})
+        tight = bool(np.any(sx >= ranks - tol))
+        return MembershipReport("boundary" if tight or hit_boundary else "inside-relint")
 
     return MembershipReport("undetermined", f"unknown kind {env.kind}")

@@ -218,11 +218,8 @@ def _scaled_random_x(rng, env):
         scale = 0.9 * env.meta["k"] / raw.sum()
     else:
         m = env.meta["matroid"]
-        worst = 0.0
-        for mask in range(1, 1 << m.n):
-            T = [e for e in range(m.n) if mask >> e & 1]
-            worst = max(worst, sum(raw[e] for e in T) / m.rank(frozenset(T)))
-        scale = 0.9 / worst
+        _, ranks = m.rank_table()
+        scale = 0.9 / float((m.subset_sums(raw) / ranks).max())
     x = np.minimum(raw * min(scale, 0.95 / raw.max()), 0.95)
     return [float(v) for v in x]
 

@@ -211,24 +211,22 @@ def barycentric_base_point(base):
     return qbar / len(bases)
 
 
-def is_boundary_base_point(matroid, q, tol=1e-12, max_n=14):
+def is_boundary_base_point(matroid, q, tol=1e-12):
     """True when q sits on the boundary of the base polytope.
 
     Faces correspond to coordinates at 0/1 or proper tight rank constraints;
-    checked by subset enumeration (None when the ground set is too large).
+    checked on the matroid's rank table (None when the ground set is beyond
+    its budget).
     """
-    n = matroid.n
     q = np.asarray(q, dtype=float)
     if np.any(q <= tol) or np.any(q >= 1.0 - tol):
         return True
-    if n > max_n:
+    try:
+        _, ranks = matroid.rank_table()
+    except EnumerationBudgetError:
         return None
-    full = (1 << n) - 1
-    for mask in range(1, full):
-        T = frozenset(e for e in range(n) if mask >> e & 1)
-        if sum(q[e] for e in T) >= matroid.rank(T) - tol:
-            return True
-    return False
+    # every proper subset: the table's last column is the ground set
+    return bool(np.any(matroid.subset_sums(q)[:-1] >= ranks[:-1] - tol))
 
 
 def solve_kl_projection(base, oracle, q, tol=1e-8, delta=1e-6, max_iters=20000,
@@ -265,7 +263,7 @@ def kl_diagnostics(state, q, q_used):
             "delta_shrink": bool(np.any(q_used != q))}
 
 
-def dominating_base_point(matroid, x, enum_max_n=20):
+def dominating_base_point(matroid, x):
     """Greedy coordinate raising: q >= x with q in the base polytope.
 
     Each coordinate (in index order) is raised by
@@ -294,14 +292,8 @@ def dominating_base_point(matroid, x, enum_max_n=20):
             q[e] += max(inc, 0.0)
         return q
 
-    if n > enum_max_n:
-        raise EnumerationBudgetError(
-            f"dominating_base_point enumeration limited to n <= {enum_max_n}")
+    member, ranks = matroid.rank_table()
     q = x.copy()
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    ranks = np.array([matroid.rank(frozenset(e for e in range(n) if mask >> e & 1))
-                      for mask in masks], dtype=float)
-    member = np.array([(masks >> e) & 1 for e in range(n)], dtype=bool)  # n x (2^n - 1)
     qsum = member.T.astype(float) @ q
     for e in range(n):
         sel = member[e]

@@ -68,7 +68,8 @@ def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, delta=1e-6,
         if not ok:
             raise NotRayleighError(f"base measure fails the Rayleigh inequality by {worst}")
     q = dominating_base_point(matroid, y)
-    oracle = _oracle_for(mu0)
+    # enumeration keeps the Newton polish available
+    oracle = CountingOracle("enumeration", base=mu0)
     w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=tol, delta=delta)
     # thin against the marginals the projected measure actually has (q_used,
     # the delta-shrunk targets), so mu* marginals are x/(1+b) to solver tol
@@ -76,12 +77,6 @@ def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, delta=1e-6,
     tau = (b / (1.0 + b)) * s
     return RayleighWitness(base=mu0, q=q, q_used=q_used, w=w, tau=tau, s=s,
                            b=float(b), x=x, oracle=oracle, solver=solver)
-
-
-def _oracle_for(mu0, mode="double"):
-    # enumeration keeps the Newton polish available; determinant backends are
-    # exercised separately through the counting tests
-    return CountingOracle("enumeration", base=mu0, mode=mode)
 
 
 def materialize(witness):

@@ -259,21 +259,37 @@ def test_spanning_tree_mass_enumerates_bases_once(monkeypatch):
     assert len(calls) == 2        # once for enumerate_bases, once for the mass cache
 
 
-@pytest.mark.parametrize("family", ["k-uniform", "matching", "spanning-trees"])
-def test_double_mode_matches_rational_mode(family):
+# an r x n representation with every r-subset of columns independent
+_DET_A = [[1, 0, 0, 1, 2], [0, 1, 0, 1, -1], [0, 0, 1, 1, 1]]
+
+
+def _backends(family):
+    """(constructor keywords, backends) of one test family."""
+    if family == "k-uniform":
+        return {"env": k_uniform_environment(5, 2)}, ["enumeration", "ksym-dp"]
+    if family == "matching":
+        env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
+        return {"env": env}, ["enumeration", "matching-recursion"]
     if family == "spanning-trees":
         m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-        kw = {"base": BaseMeasure.uniform_on_bases(m)}
-        backends = ["enumeration", "tabulated-base-measure"]
-    else:
-        env = (k_uniform_environment(5, 2) if family == "k-uniform" else
-               matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4))
-        kw = {"env": env}
-        backends = ["enumeration"]
+        base = BaseMeasure.uniform_on_bases(m)
+        return {"base": base}, ["enumeration", "tabulated-base-measure", "matrix-tree"]
+    return ({"base": BaseMeasure.determinantal(_DET_A)},
+            ["tabulated-base-measure", "cauchy-binet"])
+
+
+def _close(got, exact, tol=1e-12):
+    return abs(got - float(exact)) <= tol * max(1.0, abs(float(exact)))
+
+
+@pytest.mark.parametrize("family", ["k-uniform", "matching", "spanning-trees", "determinantal"])
+def test_double_mode_matches_rational_mode(family):
+    kw, backends = _backends(family)
     rng = np.random.default_rng(11)
     for backend in backends:
         od = CountingOracle(backend, mode="double", **kw)
         orat = CountingOracle(backend, mode="rational", **kw)
+        enum = backend in ("enumeration", "tabulated-base-measure")
         n = od.n
         for trial in range(4):
             w = [Fraction(int(v), 8) for v in rng.integers(1, 25, size=n)]
@@ -283,7 +299,7 @@ def test_double_mode_matches_rational_mode(family):
             Z = orat.partition(w)
             assert abs(od.partition(wf) - math.log(Z)) < 1e-12
             marg = od.marginals(wf)
-            M = od.second_moments(wf)
+            M = od.second_moments(wf) if enum else None
             for e in range(n):
                 ms = orat.marginal_sum(w, e)
                 got = od.marginal_sum(wf, e)
@@ -294,4 +310,28 @@ def test_double_mode_matches_rational_mode(family):
                 assert abs(marg[e] - float(ms / Z)) < 1e-12
                 for f in range(n):
                     both = orat.constrained_count(w, {e, f}, [])
-                    assert abs(M[e, f] - float(both / Z)) < 1e-12
+                    assert _close(od.constrained_count(wf, {e, f}, []), both)
+                    if e != f:
+                        assert _close(od.constrained_count(wf, [e], [f]),
+                                      orat.constrained_count(w, [e], [f]))
+                    if enum:
+                        assert abs(M[e, f] - float(both / Z)) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["spanning-trees", "determinantal"])
+def test_thinned_mass_double_matches_rational(family):
+    kw, backends = _backends(family)
+    n = kw["base"].matroid.n
+    rng = np.random.default_rng(5)
+    w = [Fraction(int(v), 4) for v in rng.integers(1, 13, size=n)]
+    tau = [Fraction(int(v), 10) for v in rng.integers(1, 10, size=n)]
+    tau[n - 1] = Fraction(1)          # an element kept outright: weight 0 outside T
+    wf, tauf = [float(v) for v in w], [float(v) for v in tau]
+    Ts = [(), (0,), (1, 3), (0, 1, 2), (2, 3, 4), (1, 2, 4)]
+    for backend in backends:
+        od = CountingOracle(backend, mode="double", **kw)
+        orat = CountingOracle(backend, mode="rational", **kw)
+        for T in Ts:
+            assert _close(od.thinned_mass(wf, tauf, T), orat.thinned_mass(w, tau, T))
+
+

@@ -143,6 +143,12 @@ def test_cli_lp_exact_beyond_budget_exits_two(tmp_path):
     assert not (tmp_path / "lp.json").exists()
 
 
+def test_cli_gen_matroid_beyond_rank_table_exits_two():
+    # 21 elements: the rank table over all 2^21 - 1 subsets is beyond budget
+    assert cli.main(["gen", "random-graphic-matroid", "--params",
+                     '{"n_vertices": 8, "n_edges": 21}']) == 2
+
+
 @pytest.mark.parametrize("mode", ["mc", "exact"])
 def test_cli_estimate_document_keys(tmp_path, mode):
     inst = tmp_path / "inst.json"

@@ -89,8 +89,10 @@ def test_dominating_base_point_graphic():
     for mask in range(1, 1 << m.n):
         T = frozenset(e for e in range(m.n) if mask >> e & 1)
         assert sum(q[e] for e in T) <= m.rank(T) + 1e-9
-    with pytest.raises(EnumerationBudgetError, match="n <= 4"):
-        dominating_base_point(m, x, enum_max_n=4)
+    # beyond the rank table's 20 elements: 21 parallel edges
+    big = Matroid.graphic(2, [(0, 1)] * 21)
+    with pytest.raises(EnumerationBudgetError, match="n <= 20"):
+        dominating_base_point(big, np.full(21, 0.01))
 
 
 def test_barycentric_point_is_interior():
@@ -157,6 +159,23 @@ def test_descent_fallback_reaches_tol_when_newton_fails(monkeypatch):
     assert state.fallback and state.newton_steps == 0
     assert state.grad_norm <= 1e-12
     assert np.abs(oracle.marginals(np.exp(state.theta)) - TIGHT_P).max() <= 1e-12
+
+
+@pytest.mark.parametrize("backend, env", [
+    ("matching-recursion", matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)),
+    ("ksym-dp", k_uniform_environment(5, 2))], ids=["matching-recursion", "ksym-dp"])
+def test_dual_schedule_without_exact_covariance(backend, env):
+    # no second moments on these backends: descent alone, to max(tol, 1e-6)
+    # and then to tol, and no Newton step
+    p = np.array([0.12, 0.21, 0.08, 0.17, 0.3])
+    enum = CountingOracle("enumeration", env=env)
+    oracle = CountingOracle(backend, env=env)
+    expect = enum.marginals(np.asarray(solve_maxent(env, enum, p).w, float))
+    got = enum.marginals(np.asarray(solve_maxent(env, oracle, p).w, float))
+    assert np.abs(got - expect).max() < 1e-8
+    state = maxent._solve_dual(oracle, p, 1e-8, 20000, maxent.THETA_MAX, None)
+    assert state.newton_steps == 0 and state.descent_steps > 0
+    assert state.grad_norm <= 1e-8
 
 
 def test_kl_projection_near_boundary_hands_over_to_newton():
