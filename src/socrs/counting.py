@@ -351,18 +351,22 @@ class CountingOracle:
         w0[e] = zero
         return self._value(*self._alternating_sum([(1, w), (-1, w0)]))
 
-    def marginal_probability(self, w, e):
-        """P[e in S] under the w-tilted measure."""
-        num, z = self.marginal_sum(w, e), self.partition(w)
+    def _ratio(self, num, z):
+        """num / z of two values in `_value`'s form, as a probability."""
         if self.mode == "rational":
             return num / z
         return 0.0 if num == -math.inf else math.exp(num - z)
 
+    def marginal_probability(self, w, e):
+        """P[e in S] under the w-tilted measure."""
+        return self._ratio(self.marginal_sum(w, e), self.partition(w))
+
     def marginals(self, w):
         if self.backend in ENUM_BACKENDS and self.mode == "double":
-            p = self._set_probs(w)
+            p = self._set_probs(w)          # builds self._inc on the first call
             return self._inc.T @ p
-        return np.array([float(self.marginal_probability(w, e)) for e in range(self.n)])
+        z = self.partition(w)
+        return np.array([float(self._ratio(self.marginal_sum(w, e), z)) for e in range(self.n)])
 
     def second_moments(self, w):
         """Matrix M with M[e,f] = P[e in S and f in S]; enumeration backends only."""
@@ -444,10 +448,8 @@ def _matching_partition(edges, w, one, zero):
     return _matching_partition_sub(sub, w, one, zero)
 
 
-def _matching_partition_sub(sub, w, one, zero, memo=None):
-    if memo is None:
-        memo = {}
-    return _mp_rec(frozenset(sub), {i: e for i, e in sub.items()}, w, one, memo)
+def _matching_partition_sub(sub, w, one, zero):
+    return _mp_rec(frozenset(sub), {i: e for i, e in sub.items()}, w, one, {})
 
 
 def _mp_rec(key, edges, w, one, memo):

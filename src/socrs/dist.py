@@ -34,7 +34,7 @@ from . import simplex
 
 
 class NonEnumerableError(EnumerationBudgetError):
-    """Exact verification needs an enumerable environment; use the MC harness."""
+    """Exact verification and the replay's cap check need an enumerable environment."""
 
 
 class NullConditioningError(ValueError):

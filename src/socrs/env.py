@@ -22,12 +22,15 @@ class EnumerationBudgetError(RuntimeError):
 
 
 ENUMERATION_CAP = 2_000_000
-# ground-set size up to which Matroid.rank_table enumerates all subsets
-RANK_TABLE_MAX_N = 20
+# elements up to which a dense table over all 2^n subsets is built: the rank
+# table, the Rayleigh pipeline's subset transform, replay's mass table
+SUBSET_TABLE_MAX_N = 20
+PIVOT_TOL = 1e-9        # float rank: smaller pivots are zero, within 10x ambiguous
+FACE_TOL = 1e-12        # a point this close to a face of a polytope lies on it
 
 
 class IllConditionedMatrixError(RuntimeError):
-    """Pivot magnitude fell into the ambiguous band [tol/10, tol)."""
+    """Pivot magnitude fell into the ambiguous band [PIVOT_TOL/10, PIVOT_TOL)."""
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +102,11 @@ class Matroid:
                        rank, {"n_vertices": n_vertices, "edges": edges})
 
     @staticmethod
-    def linear(A, tol=1e-9):
+    def linear(A):
         """Linear matroid of the columns of A (r x n).
 
         Integer/rational entries get exact rational elimination; floats use
-        partial pivoting with tolerance `tol`, flagging ambiguous pivots.
+        partial pivoting with tolerance PIVOT_TOL, flagging ambiguous pivots.
         """
         rows = [list(row) for row in A]
         ncols = len(rows[0]) if rows else 0
@@ -120,7 +123,7 @@ class Matroid:
                 M = [[Fraction(row[c]) for c in cols] for row in rows]
                 return _rational_rank(M)
             M = [[float(row[c]) for c in cols] for row in rows]
-            return _float_rank(M, tol)
+            return _float_rank(M)
 
         return Matroid(ncols, "linear", rank, {"A": rows, "exact": exact})
 
@@ -141,12 +144,12 @@ class Matroid:
         """(member, ranks) over the nonempty subsets of the ground set, the
         i-th being the bitmask i + 1: member[e, i] tells whether e lies in it
         and ranks[i] is its rank.  Built on the first call, read-only;
-        raises EnumerationBudgetError beyond RANK_TABLE_MAX_N elements."""
+        raises EnumerationBudgetError beyond SUBSET_TABLE_MAX_N elements."""
         if self._rank_table is None:
             n = self.n
-            if n > RANK_TABLE_MAX_N:
+            if n > SUBSET_TABLE_MAX_N:
                 raise EnumerationBudgetError(
-                    f"rank table limited to n <= {RANK_TABLE_MAX_N} elements (n = {n})")
+                    f"rank table limited to n <= {SUBSET_TABLE_MAX_N} elements (n = {n})")
             masks = np.arange(1, 1 << n, dtype=np.int64)
             member = np.array([(masks >> e) & 1 for e in range(n)], dtype=bool)
             ranks = np.array([self._rank(frozenset(e for e in range(n) if mask >> e & 1))
@@ -190,7 +193,7 @@ def _rational_rank(M):
     return r
 
 
-def _float_rank(M, tol):
+def _float_rank(M):
     nrows, ncols = len(M), len(M[0])
     r = 0
     for c in range(ncols):
@@ -198,10 +201,11 @@ def _float_rank(M, tol):
         if piv is None or r >= nrows:
             break
         mag = abs(M[piv][c])
-        if tol / 10 <= mag < tol:
+        if PIVOT_TOL / 10 <= mag < PIVOT_TOL:
             raise IllConditionedMatrixError(
-                f"pivot magnitude {mag:.3e} inside ambiguity band [{tol/10:.1e},{tol:.1e})")
-        if mag < tol:
+                f"pivot magnitude {mag:.3e} inside ambiguity band "
+                f"[{PIVOT_TOL/10:.1e},{PIVOT_TOL:.1e})")
+        if mag < PIVOT_TOL:
             continue
         M[r], M[piv] = M[piv], M[r]
         for i in range(r + 1, nrows):
@@ -338,7 +342,7 @@ def _vertex_loads(edges, x, n_vertices):
     return loads
 
 
-def check_membership(env, x, tol=1e-12):
+def check_membership(env, x):
     """Locate x relative to the feasibility polytope conv{1_S : S feasible}.
 
     Necessary conditions (vertex loads, size sums, rank constraints) are
@@ -351,6 +355,7 @@ def check_membership(env, x, tol=1e-12):
     x = [float(v) for v in x]
     if len(x) != env.n:
         raise EnvironmentError_("activation vector length mismatch")
+    tol = FACE_TOL
     for e, v in enumerate(x):
         if v < -tol:
             return MembershipReport("outside", f"x_{e} < 0", {"e": e})

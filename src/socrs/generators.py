@@ -254,9 +254,9 @@ def hat_graph_disconnection(n):
     return Fraction(bad, len(forests))
 
 
-def k4_alpha_limit(eps, tol=1e-10):
+def k4_alpha_limit(eps):
     """Largest alpha whose K4 max-entropy witness obeys the diagonal cap
-    rho_d <= eps, by bisection."""
+    rho_d <= eps, by bisection to width 1e-10."""
     env, x, _ = gen_instance("K4-barrier", eps=eps)
     oracle = CountingOracle("enumeration", env=env)
     x = np.asarray(x)
@@ -268,7 +268,7 @@ def k4_alpha_limit(eps, tol=1e-10):
 
     lo, hi = 0.0, 1.0
     # find a feasible lower start and an infeasible upper bracket
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         try:
             r = diag_rho(mid)
@@ -351,7 +351,7 @@ def wilson_interval(successes, n, z=1.959963984540054):
     return (max(center - half, 0.0), min(center + half, 1.0))
 
 
-def estimate_selectability(dist, x, config, instance_id="instance"):
+def estimate_selectability(dist, x, config):
     """Estimate min_e P[e in S]/x_e for the simulate-then-replace policy."""
     t0 = time.time()
     env = dist.env
@@ -360,7 +360,7 @@ def estimate_selectability(dist, x, config, instance_id="instance"):
         strategy = OrderStrategy.fixed(list(range(n)))
         _, acc = exact_output_law(dist, x, strategy)
         ratios = [float(acc[e]) / float(x[e]) for e in range(n)]
-        rec = ResultRecord(instance_id, config.alpha_target, min(ratios),
+        rec = ResultRecord("instance", config.alpha_target, min(ratios),
                            per_element=ratios, runtime=time.time() - t0)
         return rec
     rng = RngStream(config.seed, stream=1)
@@ -371,7 +371,7 @@ def estimate_selectability(dist, x, config, instance_id="instance"):
         ratios.append(acc[e] / n_rep / float(x[e]))
         lo, hi = wilson_interval(int(acc[e]), n_rep)
         intervals.append((lo / float(x[e]), hi / float(x[e])))
-    rec = ResultRecord(instance_id, config.alpha_target, min(ratios),
+    rec = ResultRecord("instance", config.alpha_target, min(ratios),
                        per_element=ratios, intervals=intervals,
                        runtime=time.time() - t0, accepts=list(acc), n_rep=n_rep)
     return rec

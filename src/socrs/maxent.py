@@ -9,7 +9,8 @@ backtracking on h, meet the tolerance with a margin (Singh-Vishnoi 2014,
 Straszak-Vishnoi 2019: second-order steps once the iterate is in the
 well-conditioned region).  When Newton fails, descent to the tolerance takes
 over.  Backends without an exact covariance descend to max(tol, 1e-6) and
-then to the tolerance.
+then to the tolerance.  A descent pass stops after MAX_DESCENT_STEPS steps,
+the polish after NEWTON_MAX_STEPS; |theta| > THETA_MAX is divergence.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ import numpy as np
 
 from .counting import ENUM_BACKENDS
 from .dist import GibbsDistribution
-from .env import EnumerationBudgetError
+from .env import FACE_TOL, EnumerationBudgetError
 
 THETA_MAX = 60.0
+MAX_DESCENT_STEPS = 20000
+NEWTON_MAX_STEPS = 60
+DELTA_SHRINK = 1e-6
 # |grad| at which the first descent pass stops: enumeration backends hand over
 # to Newton, the others descend on to tol from there
 NEWTON_HANDOFF = 1e-2
@@ -73,8 +77,8 @@ def dual_gradient(oracle, theta, p):
     return oracle.marginals(np.exp(theta)) - np.asarray(p, float)
 
 
-def _check_bounded(theta, theta_max):
-    if float(np.abs(theta).max()) > theta_max:
+def _check_bounded(theta):
+    if float(np.abs(theta).max()) > THETA_MAX:
         coord = int(np.abs(theta).argmax())
         raise BoundaryDivergenceError(coord, 1 if theta[coord] > 0 else -1, theta)
 
@@ -97,14 +101,14 @@ def _armijo(oracle, p, theta, h, g, direction, t=1.0):
         t *= 0.5
 
 
-def _descend(oracle, p, state, tol, max_iters, theta_max):
+def _descend(oracle, p, state, tol):
     """Preconditioned descent from state.theta until |grad| <= tol or
-    max_iters steps; updates `state` in place."""
+    MAX_DESCENT_STEPS steps; updates `state` in place."""
     precond = np.maximum(p * (1.0 - p), 1e-12)
     theta = state.theta
     h = dual_value(oracle, theta, p)
     g = dual_gradient(oracle, theta, p)
-    for _ in range(max_iters):
+    for _ in range(MAX_DESCENT_STEPS):
         if float(np.abs(g).max()) <= tol:
             break
         direction = -g / precond
@@ -114,24 +118,24 @@ def _descend(oracle, p, state, tol, max_iters, theta_max):
             direction = direction * (2.0 / dmax)
         theta, h, _ = _armijo(oracle, p, theta, h, g, direction)
         state.descent_steps += 1
-        _check_bounded(theta, theta_max)
+        _check_bounded(theta)
         g = dual_gradient(oracle, theta, p)
     state.theta = theta
     state.grad_norm = float(np.abs(g).max())
 
 
-def _newton_polish(oracle, p, state, tol, theta_max, max_steps=60):
+def _newton_polish(oracle, p, state, tol):
     """Damped Newton from state.theta on an enumerable oracle's exact
     covariance; updates `state` and returns whether |grad| <= tol was met.
 
     Steps until |grad| <= NEWTON_MARGIN * tol, or until |grad| <= tol and a
     step no longer lowers it.  Stops early when the Hessian solve raises or
-    a step does not lower h, and after max_steps steps.
+    a step does not lower h, and after NEWTON_MAX_STEPS steps.
     """
     theta = state.theta
     h = dual_value(oracle, theta, p)
     prev = math.inf
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         w = np.exp(theta)
         marg = oracle.marginals(w)
         g = marg - p
@@ -147,20 +151,20 @@ def _newton_polish(oracle, p, state, tol, theta_max, max_steps=60):
         except np.linalg.LinAlgError:
             break
         t = 1.0
-        while float(np.abs(theta - t * step).max()) > theta_max and t > 1e-8:
+        while float(np.abs(theta - t * step).max()) > THETA_MAX and t > 1e-8:
             t *= 0.5
         theta, h, lowered = _armijo(oracle, p, theta, h, g, -step, t)
         if not lowered:
             break
         state.theta = theta
         state.newton_steps += 1
-        _check_bounded(theta, theta_max)
+        _check_bounded(theta)
     else:
         state.grad_norm = float(np.abs(dual_gradient(oracle, theta, p)).max())
     return state.grad_norm <= tol
 
 
-def _solve_dual(oracle, target, tol, max_iters, theta_max, theta0):
+def _solve_dual(oracle, target, tol):
     """DualState whose theta has |grad h(theta)| <= tol for the dual of
     marginal target `target`.
 
@@ -171,24 +175,21 @@ def _solve_dual(oracle, target, tol, max_iters, theta_max, theta0):
     to tol runs from the last iterate and the record's `fallback` is set.
     """
     p = np.asarray(target, dtype=float)
-    theta = np.zeros(p.size) if theta0 is None else np.array(theta0, dtype=float)
-    state = DualState(theta=theta)
+    state = DualState(theta=np.zeros(p.size))
     enum = oracle.backend in ENUM_BACKENDS
-    _descend(oracle, p, state, max(tol, NEWTON_HANDOFF if enum else DESCENT_COARSE),
-             max_iters, theta_max)
+    _descend(oracle, p, state, max(tol, NEWTON_HANDOFF if enum else DESCENT_COARSE))
     ok = state.grad_norm <= tol
     if enum and not ok:
-        ok = _newton_polish(oracle, p, state, tol, theta_max)
+        ok = _newton_polish(oracle, p, state, tol)
     if not ok:
         state.fallback = True
-        _descend(oracle, p, state, tol, max_iters, theta_max)
+        _descend(oracle, p, state, tol)
     if state.grad_norm > tol:
         raise RuntimeError(f"dual solver stalled: |grad| = {state.grad_norm:.3e}")
     return state
 
 
-def solve_maxent(env, oracle, p, tol=1e-8, max_iters=20000, theta_max=THETA_MAX,
-                 theta0=None):
+def solve_maxent(env, oracle, p, tol=1e-8):
     """Weights w of the max-entropy Gibbs law with marginals p.
 
     Raises BoundaryDivergenceError when p is not an interior target.
@@ -196,7 +197,7 @@ def solve_maxent(env, oracle, p, tol=1e-8, max_iters=20000, theta_max=THETA_MAX,
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0) & (p < 1)):           # NaN fails both comparisons
         raise ValueError("target marginals must lie in (0,1)")
-    w = np.exp(_solve_dual(oracle, p, tol, max_iters, theta_max, theta0).theta)
+    w = np.exp(_solve_dual(oracle, p, tol).theta)
     return GibbsDistribution(env, list(w), oracle=oracle)
 
 
@@ -211,44 +212,43 @@ def barycentric_base_point(base):
     return qbar / len(bases)
 
 
-def is_boundary_base_point(matroid, q, tol=1e-12):
-    """True when q sits on the boundary of the base polytope.
+def is_boundary_base_point(matroid, q):
+    """True when q sits within FACE_TOL of the boundary of the base polytope.
 
     Faces correspond to coordinates at 0/1 or proper tight rank constraints;
     checked on the matroid's rank table (None when the ground set is beyond
     its budget).
     """
     q = np.asarray(q, dtype=float)
-    if np.any(q <= tol) or np.any(q >= 1.0 - tol):
+    if np.any(q <= FACE_TOL) or np.any(q >= 1.0 - FACE_TOL):
         return True
     try:
         _, ranks = matroid.rank_table()
     except EnumerationBudgetError:
         return None
     # every proper subset: the table's last column is the ground set
-    return bool(np.any(matroid.subset_sums(q)[:-1] >= ranks[:-1] - tol))
+    return bool(np.any(matroid.subset_sums(q)[:-1] >= ranks[:-1] - FACE_TOL))
 
 
-def solve_kl_projection(base, oracle, q, tol=1e-8, delta=1e-6, max_iters=20000,
-                        theta_max=THETA_MAX):
+def solve_kl_projection(base, oracle, q, tol=1e-8):
     """Tilt weights w with P_{mu_w}[e in B] = q_e (after boundary shrinking).
 
     Boundary base points are pre-shrunk toward the barycentric base point:
-    q' = (1-delta) q + delta qbar.  Returns (w, q_used, record), the record
+    q' = (1 - DELTA_SHRINK) q + DELTA_SHRINK qbar.  Returns (w, q_used, record), the record
     being the `DualState` of the solve that produced w.
     """
     q = np.asarray(q, dtype=float)
     qbar = barycentric_base_point(base)
     boundary = is_boundary_base_point(base.matroid, q)
-    target = q if boundary is False else (1 - delta) * q + delta * qbar
+    target = q if boundary is False else (1 - DELTA_SHRINK) * q + DELTA_SHRINK * qbar
     try:
-        state = _solve_dual(oracle, target, tol, max_iters, theta_max, None)
+        state = _solve_dual(oracle, target, tol)
     except BoundaryDivergenceError:
         if boundary is False:
             raise
-        target = (1 - delta) * target + delta * qbar
+        target = (1 - DELTA_SHRINK) * target + DELTA_SHRINK * qbar
         try:
-            state = _solve_dual(oracle, target, tol, max_iters, theta_max, None)
+            state = _solve_dual(oracle, target, tol)
         except BoundaryDivergenceError as exc:
             raise RuntimeError(
                 f"KL projection diverged even after delta-shrink: {exc}") from exc

@@ -97,12 +97,9 @@ def policy_step(state, e, active):
     return accepted, state
 
 
-def run_one_shot(dist, x, strategy, rng, activations=None):
-    """Play all n elements once.  Returns (accepted set, trace).
-
-    `activations`, when given, is a dict/sequence of per-element booleans;
-    otherwise each element is active with probability x_e using the stream.
-    """
+def run_one_shot(dist, x, strategy, rng):
+    """Play all n elements once, each active with probability x_e drawn from
+    the stream.  Returns (accepted set, trace)."""
     S_hat = _initial_sample(dist, rng)
     unprocessed = set(range(dist.env.n))
     history = []
@@ -111,8 +108,7 @@ def run_one_shot(dist, x, strategy, rng, activations=None):
         if e not in unprocessed:
             raise ValueError("strategy returned a processed element")
         unprocessed.remove(e)
-        active = None if activations is None else bool(activations[e])
-        S_hat, active, accepted = _replace(dist, x, S_hat, e, active, rng)
+        S_hat, active, accepted = _replace(dist, x, S_hat, e, None, rng)
         history.append((e, active, accepted))
     return (frozenset(e for (e, _, acc) in history if acc),
             [(e, 0, a, acc) for (e, a, acc) in history])

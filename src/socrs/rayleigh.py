@@ -8,6 +8,10 @@ activation vector x in b*P:
         with the coordinatewise factor s_e = x_e/(b q_e),
 giving an implicit law mu* over independent sets with marginals x/(1+b) and
 stationary caps at x.
+
+Step (iii) and the Rayleigh check's superset sums P[T subseteq B] are one
+subset transform on a dense 2^n table, `_thin` (keep = tau, drop = 1 - tau
+for the thinning; keep = drop = 1 for the superset sums).
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import numpy as np
 
 from .counting import BaseMeasure, CountingOracle
 from .dist import ExplicitDistribution
-from .env import matroid_environment
+from .env import SUBSET_TABLE_MAX_N, EnumerationBudgetError, matroid_environment
 from .maxent import DualState, dominating_base_point, kl_diagnostics, solve_kl_projection
+from .sampling import RngStream
 
 
 class NotRayleighError(RuntimeError):
@@ -58,8 +63,7 @@ class RayleighWitness:
         }
 
 
-def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, delta=1e-6,
-                  check_rayleigh=True, rng=None):
+def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, check_rayleigh=True, rng=None):
     """Chain dominate -> KL-project -> thin.  Returns a RayleighWitness."""
     x = np.asarray(x, dtype=float)
     y = x / b
@@ -70,7 +74,7 @@ def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, delta=1e-6,
     q = dominating_base_point(matroid, y)
     # enumeration keeps the Newton polish available
     oracle = CountingOracle("enumeration", base=mu0)
-    w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=tol, delta=delta)
+    w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=tol)
     # thin against the marginals the projected measure actually has (q_used,
     # the delta-shrunk targets), so mu* marginals are x/(1+b) to solver tol
     s = x / (b * q_used)
@@ -79,27 +83,37 @@ def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, delta=1e-6,
                            b=float(b), x=x, oracle=oracle, solver=solver)
 
 
+def _thin(masks, probs, n, keep, drop):
+    """Mask-indexed 2^n table of the law with mass probs[i] on the set
+    masks[i], thinned element by element: a set holding e keeps keep[e] of
+    its mass and passes drop[e] of it to the set without e."""
+    if n > SUBSET_TABLE_MAX_N:
+        raise EnumerationBudgetError(
+            f"subset table limited to n <= {SUBSET_TABLE_MAX_N} elements (n = {n})")
+    law = np.bincount(masks, weights=probs, minlength=1 << n)
+    for e in range(n):
+        # views: pair[:, 1, :] are the sets holding e, pair[:, 0, :] the same sets without e
+        pair = law.reshape(-1, 2, 1 << e)
+        pair[:, 0, :] += drop[e] * pair[:, 1, :]
+        pair[:, 1, :] *= keep[e]
+    return law
+
+
 def materialize(witness):
-    """Explicit mu* table over independent sets (enumerable instances): the
+    """Explicit mu* table over independent sets (n <= 20 elements): the
     witness oracle's tilted base law, each base thinned element by element."""
     env = witness.env()
     bases, _ = witness.oracle._family()
     probs = witness.oracle._set_probs(witness.w)
-    tau = witness.tau
-    support = {}
-    for B, p in zip(bases, probs):
-        p = float(p)
-        members = sorted(B)
-        for mask in range(1 << len(members)):
-            T = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-            pr = p
-            for e in members:
-                pr *= tau[e] if e in T else (1.0 - tau[e])
-            support[T] = support.get(T, 0.0) + pr
+    n = env.n
+    masks = np.array([sum(1 << e for e in B) for B in bases], dtype=np.int64)
+    law = _thin(masks, probs, n, witness.tau, 1.0 - witness.tau)
+    support = {frozenset(e for e in range(n) if mask >> e & 1): float(law[mask])
+               for mask in np.flatnonzero(law).tolist()}
     return ExplicitDistribution(env, support, tol=1e-9)
 
 
-def pi_conditional(witness, e, T, oracle=None):
+def pi_conditional(witness, e, T):
     """P[e in S | S_-e = T] under mu*, via thinned-mass coefficient extraction."""
     T = frozenset(T)
     if e in T:
@@ -107,23 +121,22 @@ def pi_conditional(witness, e, T, oracle=None):
     m = witness.matroid
     if not m.is_independent(T | {e}):
         return 0.0
-    oracle = oracle or witness.oracle
-    a = oracle.thinned_mass(witness.w, witness.tau, T)
-    bb = oracle.thinned_mass(witness.w, witness.tau, T | {e})
+    a = witness.oracle.thinned_mass(witness.w, witness.tau, T)
+    bb = witness.oracle.thinned_mass(witness.w, witness.tau, T | {e})
     denom = a + bb
     if float(denom) == 0.0:
         raise ValueError("conditioning on a null event")
     return bb / denom
 
 
-def rayleigh_check(measure, trials=100, rng=None, full=True):
-    """Check the Rayleigh inequality P[T in B] P[e in B] >= P[T+e in B]
-    under random log-uniform tilts w in [e^-5, e^5]^E.
+def rayleigh_check(measure, trials=100, rng=None):
+    """Check the Rayleigh inequality P[T+e in B] <= P[T in B] P[e in B] for
+    every e and every T not holding e, under the measure itself and under
+    `trials` random log-uniform tilts w in [e^-5, e^5]^E.
 
-    Checks the pairwise form always and the full (T, e) form when `full`.
-    Returns (passed, worst_violation, witness_info).
+    Returns (passed, worst_violation, witness_info); the info holds the tilt
+    and the (e, T) of the worst violation, the first T in mask order on ties.
     """
-    from .sampling import RngStream
     rng = rng or RngStream(0)
     if isinstance(measure, BaseMeasure):
         table = measure.to_table()
@@ -134,44 +147,25 @@ def rayleigh_check(measure, trials=100, rng=None, full=True):
 
     bases = sorted(table, key=lambda B: tuple(sorted(B)))
     masks = np.array([sum(1 << e for e in B) for B in bases], dtype=np.int64)
+    inc = np.array([[e in B for e in range(n)] for B in bases], dtype=float)
     logm0 = np.log(np.array([float(table[B]) for B in bases]))
-
-    worst = -np.inf
-    info = None
-    size = 1 << n
-    membership = [(masks >> e) & 1 for e in range(n)]
+    ones = np.ones(n)
+    worst, info = -np.inf, None
     for t in range(trials + 1):
-        if t == 0:
-            logw = np.zeros(n)
-        else:
-            logw = np.asarray(rng.uniform(n)) * 10.0 - 5.0
-        logp = logm0 + np.array([sum(logw[e] for e in B) for B in bases])
-        logp -= logp.max()
-        p = np.exp(logp)
-        p /= p.sum()
-        # superset sums: up[T] = P[T subseteq B]
-        up = np.zeros(size)
-        np.add.at(up, masks, p)
-        idx = np.arange(size)
+        logw = np.zeros(n) if t == 0 else np.asarray(rng.uniform(n)) * 10.0 - 5.0
+        logp = logm0 + inc @ logw
+        p = np.exp(logp - logp.max())
+        up = _thin(masks, p / p.sum(), n, ones, ones)     # up[T] = P[T subseteq B]
         for e in range(n):
-            bit = 1 << e
-            without = idx[(idx & bit) == 0]
-            up[without] += up[without | bit]
-        # check P[T] P[e] >= P[T + e] for e not in T
-        singles = np.array([up[1 << e] for e in range(n)])
-        for e in range(n):
-            bit = 1 << e
-            if full:
-                Ts = idx[(idx & bit) == 0]
-            else:  # pairwise form only: T a singleton
-                Ts = np.array([1 << f for f in range(n) if f != e], dtype=np.int64)
-                if Ts.size == 0:
-                    continue
-            viol = up[Ts | bit] - up[Ts] * singles[e]
+            pair = up.reshape(-1, 2, 1 << e)
+            # viol[hi, lo] for T = hi << (e + 1) | lo: flat order is mask order
+            viol = pair[:, 1, :] - pair[:, 0, :] * up[1 << e]
             i = int(viol.argmax())
-            if viol[i] > worst:
-                worst = float(viol[i])
+            if viol.flat[i] > worst:
+                worst = float(viol.flat[i])
+                hi, lo = divmod(i, 1 << e)
+                T = hi << (e + 1) | lo
                 info = {"tilt": np.exp(logw).tolist(), "e": e,
-                        "T": [f for f in range(n) if int(Ts[i]) >> f & 1]}
+                        "T": [f for f in range(n) if T >> f & 1]}
     passed = worst <= 1e-12
     return passed, worst, info

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _replay_py as _kernel
 from .dist import CapViolationError, ExplicitDistribution, verify_stationary_lp
-from .env import EnumerationBudgetError
+from .env import SUBSET_TABLE_MAX_N, EnumerationBudgetError
 
 KERNEL = "python"
 
@@ -20,8 +20,9 @@ KERNEL = "python"
 def mass_table(dist):
     """Dense mask-indexed mass array for an enumerable witness (n <= 20)."""
     n = dist.env.n
-    if n > 20:
-        raise EnumerationBudgetError(f"replay mass table limited to n <= 20 elements, got {n}")
+    if n > SUBSET_TABLE_MAX_N:
+        raise EnumerationBudgetError(
+            f"replay mass table limited to n <= {SUBSET_TABLE_MAX_N} elements, got {n}")
     table = dist.to_explicit()
     mass = np.zeros(1 << n)
     for S, p in table.support.items():

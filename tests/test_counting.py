@@ -335,3 +335,20 @@ def test_thinned_mass_double_matches_rational(family):
             assert _close(od.thinned_mass(wf, tauf, T), orat.thinned_mass(w, tau, T))
 
 
+
+
+@pytest.mark.parametrize("mode", ["double", "rational"])
+@pytest.mark.parametrize("family, backend", [("matching", "matching-recursion"),
+                                             ("k-uniform", "ksym-dp"),
+                                             ("spanning-trees", "matrix-tree")])
+def test_marginals_compute_z_once(family, backend, mode, monkeypatch):
+    kw, _ = _backends(family)
+    oracle = CountingOracle(backend, mode=mode, **kw)
+    w = [float(v) for v in np.random.default_rng(3).uniform(0.5, 2.0, size=oracle.n)]
+    expect = [float(oracle.marginal_probability(w, e)) for e in range(oracle.n)]
+    calls = []
+    partition = CountingOracle.partition
+    monkeypatch.setattr(CountingOracle, "partition",
+                        lambda self, v: calls.append(1) or partition(self, v))
+    assert oracle.marginals(w).tolist() == expect
+    assert len(calls) == 1

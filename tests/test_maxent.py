@@ -124,7 +124,7 @@ def test_kl_projection_boundary_target_shrinks():
     base = BaseMeasure.uniform_on_bases(m)
     oracle = CountingOracle("enumeration", base=base)
     q = np.array([1.0, 0.5, 0.5])     # vertex of the base polytope
-    w, q_used, _ = solve_kl_projection(base, oracle, q, tol=1e-10, delta=1e-6)
+    w, q_used, _ = solve_kl_projection(base, oracle, q, tol=1e-10)
     assert np.abs(q_used - q).max() > 0           # shrink happened
     assert np.abs(q_used - q).max() < 1e-5        # but barely
     assert np.abs(oracle.marginals(w) - q_used).max() < 1e-8
@@ -155,7 +155,7 @@ def test_newton_polish_goes_below_tol():
 def test_descent_fallback_reaches_tol_when_newton_fails(monkeypatch):
     monkeypatch.setattr(maxent, "_newton_polish", lambda *args, **kwargs: False)
     oracle = CountingOracle("enumeration", env=TIGHT_ENV)
-    state = maxent._solve_dual(oracle, TIGHT_P, 1e-12, 20000, maxent.THETA_MAX, None)
+    state = maxent._solve_dual(oracle, TIGHT_P, 1e-12)
     assert state.fallback and state.newton_steps == 0
     assert state.grad_norm <= 1e-12
     assert np.abs(oracle.marginals(np.exp(state.theta)) - TIGHT_P).max() <= 1e-12
@@ -173,7 +173,7 @@ def test_dual_schedule_without_exact_covariance(backend, env):
     expect = enum.marginals(np.asarray(solve_maxent(env, enum, p).w, float))
     got = enum.marginals(np.asarray(solve_maxent(env, oracle, p).w, float))
     assert np.abs(got - expect).max() < 1e-8
-    state = maxent._solve_dual(oracle, p, 1e-8, 20000, maxent.THETA_MAX, None)
+    state = maxent._solve_dual(oracle, p, 1e-8)
     assert state.newton_steps == 0 and state.descent_steps > 0
     assert state.grad_norm <= 1e-8
 
