@@ -302,7 +302,7 @@ class CountingOracle:
             return self._enum_rational(w) if self.mode == "rational" else self._tilt(w)[0]
         one, zero = self._one, self._zero
         if self.backend == "matching-recursion":
-            val = _matching_partition(self.env.meta["edges"], w, one, zero)
+            val = _matching_partition(self.env.meta["edges"], w, one)
         elif self.backend == "ksym-dp":
             val = _esym_truncated_sum(w, self.env.meta["k"], one, zero)
         elif self.backend == "matrix-tree":
@@ -337,7 +337,7 @@ class CountingOracle:
             edges = self.env.meta["edges"]
             u, v = edges[e]
             sub = {i: f for i, f in enumerate(edges) if i != e and u not in f and v not in f}
-            return self._value(w[e] * _matching_partition_sub(sub, w, one, zero))
+            return self._value(w[e] * _matching_partition_sub(sub, w, one))
         if self.backend == "ksym-dp":
             rest = w[:e] + w[e + 1:]
             return self._value(w[e] * _esym_truncated_sum(rest, self.env.meta["k"] - 1, one, zero))
@@ -442,13 +442,13 @@ class CountingOracle:
 # backend kernels
 # ---------------------------------------------------------------------------
 
-def _matching_partition(edges, w, one, zero):
+def _matching_partition(edges, w, one):
     """Matching generating polynomial via Z(G) = Z(G-e) + w_e Z(G-u-v)."""
     sub = {i: edges[i] for i in range(len(edges))}
-    return _matching_partition_sub(sub, w, one, zero)
+    return _matching_partition_sub(sub, w, one)
 
 
-def _matching_partition_sub(sub, w, one, zero):
+def _matching_partition_sub(sub, w, one):
     return _mp_rec(frozenset(sub), {i: e for i, e in sub.items()}, w, one, {})
 
 

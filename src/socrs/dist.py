@@ -155,6 +155,12 @@ class StationaryReport:
         }
 
 
+def total_variation(a, b):
+    """Total variation distance between two explicit laws, as a float."""
+    keys = set(a.support) | set(b.support)
+    return float(sum(abs(a.prob(S) - b.prob(S)) for S in keys) / 2)
+
+
 def conditional_without(dist, e, T):
     """P[e in S | S_-e = T].
 

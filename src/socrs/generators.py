@@ -13,6 +13,7 @@ import numpy as np
 
 from . import replay as replay_mod
 from .counting import CountingOracle
+from .dist import total_variation
 from .env import (matching_environment, hypergraph_matching_environment,
                   k_uniform_environment, matroid_environment, Matroid)
 from .maxent import solve_maxent, BoundaryDivergenceError
@@ -357,11 +358,12 @@ def estimate_selectability(dist, x, config):
     env = dist.env
     n = env.n
     if config.mode == "exact":
-        strategy = OrderStrategy.fixed(list(range(n)))
-        _, acc = exact_output_law(dist, x, strategy)
+        table = dist.to_explicit()
+        law, acc = exact_output_law(table, x, OrderStrategy.fixed(list(range(n))))
         ratios = [float(acc[e]) / float(x[e]) for e in range(n)]
         rec = ResultRecord("instance", config.alpha_target, min(ratios),
-                           per_element=ratios, runtime=time.time() - t0)
+                           per_element=ratios, stationarity_tv=[total_variation(law, table)],
+                           runtime=time.time() - t0)
         return rec
     rng = RngStream(config.seed, stream=1)
     orders = replay_mod.random_orders(n, config.samples, rng)

@@ -7,17 +7,20 @@ with probability q_e / x_e where q_e = P[e in S | S_-e = T], and S_hat is
 updated accordingly.  This preserves the law of S_hat at every step, which
 is what makes the output distribution independent of the arrival order.
 
-Every path -- the sampled step `_replace` and its expansion in
-`exact_output_law` -- enforces the witness cap q_e <= x_e through
-`dist.check_cap`; `replay.replay` applies the same check before its kernel.
+The witness cap q_e <= x_e is enforced on every path.  The sampled step
+`_replace` checks each cap it meets through `dist.check_cap`; the exact
+expansion `exact_output_law`, like `replay.replay`, checks them all once,
+up front, with `dist.verify_stationary_lp` and raises the first violated one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist import ExplicitDistribution, check_cap, conditional_without
-from .dist import CapViolationError  # noqa: F401  (re-exported)
+import numpy as np
+
+from .dist import (CapViolationError, ExplicitDistribution, NullConditioningError,
+                   check_cap, conditional_without, verify_stationary_lp)
 from .env import EnumerationBudgetError
 from .sampling import sample_explicit
 
@@ -143,6 +146,7 @@ def _initial_sample(dist, rng):
 # ---------------------------------------------------------------------------
 
 EXACT_ATOM_CAP = 1_000_000
+MASK_MAX_N = 63                 # sets are int64 bitmasks
 
 
 def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
@@ -153,57 +157,82 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     rounding (exact rationals when the witness table and x are rational).
 
     States are keyed by public history (what an adaptive adversary can see),
-    each holding a sub-distribution over simulated sets.  A non-adaptive
-    strategy sees no outcomes, so all of its states share the pseudo-history
-    ((e, False, False), ...) of the elements processed so far.
+    each holding a sub-distribution over simulated sets: family positions
+    and their masses.  A non-adaptive strategy sees no outcomes, so all of
+    its states share the pseudo-history ((e, False, False), ...) of the
+    elements processed so far.  Each arrival redraws e's membership of every
+    atom at once (one heat-bath step over the arrays).
     """
     if strategy.variant == "seeded-random":
         raise ValueError("exact expansion needs a deterministic strategy")
     env = dist.env
+    n = env.n
+    if n > MASK_MAX_N:
+        raise EnumerationBudgetError(
+            f"exact expansion limited to n <= {MASK_MAX_N} elements, got {n}")
     table = dist.to_explicit()
+    report = verify_stationary_lp(table, x, 0.0)
+    if report.violated_caps:
+        raise CapViolationError(*report.violated_caps[0])
     exact = table.exact and not any(isinstance(v, float) for v in x)
     zero = 0 if exact else 0.0
+    xs = list(x) if exact else [float(v) for v in x]
+    live = (lambda m: m != 0) if exact else (lambda m: m > 0)  # float: drop cap slack
     adaptive = strategy.variant == "adaptive"
-    states = {(): dict(table.support)}
-    accept_prob = [zero] * env.n
 
-    for step in range(env.n):
-        new_states = {}
-        for hist, masses in states.items():
-            unprocessed = set(range(env.n)) - {h[0] for h in hist}
+    sets = env.enumerate_feasible()
+    masks = np.array([sum(1 << e for e in S) for S in sets], dtype=np.int64)
+    order = np.argsort(masks)
+    masks, sets = masks[order], [sets[i] for i in order]
+    mu = np.array([table.support.get(S, zero) for S in sets], dtype=object if exact else float)
+    pos = np.flatnonzero(live(mu))
+    states = [((), pos, mu[pos])]
+    accept_prob = [zero] * n
+
+    for _ in range(n):
+        new_states = []
+        for hist, pos, p in states:
+            unprocessed = set(range(n)) - {h[0] for h in hist}
             e = strategy.next_element(list(hist), unprocessed, None)
             if e not in unprocessed:
                 raise ValueError("strategy returned a processed element")
-            xe = x[e]
-            buckets = {}        # by event; a non-adaptive order merges all three
-            for S, p in masses.items():
-                if p == 0:
-                    continue
-                T = S - {e}
-                q = conditional_without(table, e, T)
-                check_cap(e, T, q, xe)
-                # branches: inactive (1-x); active+accept (q); active+reject (x-q)
-                outcomes = [((e, False, False), T, (1 - xe) * p),
-                            ((e, True, True), T | {e}, q * p),
-                            ((e, True, False), T, (xe - q) * p)]
-                accept_prob[e] += q * p
-                for ev, S2, mass in outcomes:
-                    if (mass == 0) if exact else (float(mass) <= 0.0):
-                        continue
-                    bucket = buckets.setdefault(ev if adaptive else (e, False, False), {})
-                    bucket[S2] = bucket.get(S2, zero) + mass
-            new_states.update((hist + (ev,), bucket) for ev, bucket in buckets.items())
+            xe, bit = xs[e], 1 << e
+            iT = np.searchsorted(masks, masks[pos] & ~bit)
+            iTe = np.minimum(np.searchsorted(masks, masks[iT] | bit), len(masks) - 1)
+            b = np.where(masks[iTe] == masks[iT] | bit, mu[iTe], zero)  # 0 off the family
+            den = mu[iT] + b
+            null = np.flatnonzero(den == 0)
+            if len(null):
+                raise NullConditioningError(f"P[S_-e = {sorted(sets[iT[null[0]]])}] = 0")
+            q = b / den
+            accept_prob[e] += (q * p).sum()
+            # branches: inactive (1-x); active+accept (q); active+reject (x-q)
+            branches = [((e, False, False), iT, (1 - xe) * p),
+                        ((e, True, True), iTe, q * p),
+                        ((e, True, False), iT, (xe - q) * p)]
+            if not adaptive:        # a non-adaptive order merges all three
+                branches = [((e, False, False), np.concatenate([br[1] for br in branches]),
+                             np.concatenate([br[2] for br in branches]))]
+            for ev, at, mass in branches:
+                keep = live(mass)
+                if keep.any():
+                    new_states.append((hist + (ev,), *_merge(at[keep], mass[keep])))
         states = new_states
-        atoms = sum(len(v) for v in states.values())
-        if atoms > atom_cap:
+        if sum(len(s[1]) for s in states) > atom_cap:
             raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
 
-    out = {}
-    for masses in states.values():
-        for S, p in masses.items():
-            out[S] = out.get(S, zero) + p
-    law = ExplicitDistribution(env, out, tol=1e-9)
+    pos, p = _merge(np.concatenate([s[1] for s in states]),
+                    np.concatenate([s[2] for s in states]))
+    law = ExplicitDistribution(env, dict(zip([sets[i] for i in pos], p.tolist())), tol=1e-9)
     return law, accept_prob
+
+
+def _merge(at, mass):
+    """Sum the masses that share a family position: (positions, masses)."""
+    pos, inv = np.unique(at, return_inverse=True)
+    out = np.zeros(len(pos), dtype=mass.dtype)
+    np.add.at(out, inv, mass)
+    return pos, out
 
 
 # ---------------------------------------------------------------------------

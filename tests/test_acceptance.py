@@ -85,13 +85,13 @@ def test_criterion_02_bipartite_witness_and_deletion_inequality():
     # deletion inequality Z(G) Z(G-u-v) >= Z(G-u) Z(G-v), u and v on
     # opposite sides, over every subgraph of K_{a,b} with a+b <= 6
     rng = RngStream(2024)
-    one, zero = Fraction(1), Fraction(0)
+    one = Fraction(1)
 
     def Z(edges, w, dropped):
         sub = [i for i, e in enumerate(edges)
                if e[0] not in dropped and e[1] not in dropped]
         return _matching_partition([edges[i] for i in sub],
-                                   [w[i] for i in sub], one, zero)
+                                   [w[i] for i in sub], one)
 
     slack_ok = True
     budget_random = 200

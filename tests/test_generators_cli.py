@@ -7,16 +7,20 @@ import shlex
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from socrs import cli, io
-from socrs.env import check_membership
-from socrs.generators import (alpha_bipartite, alpha_hypergraph, alpha_k,
-                              alpha_rayleigh, alpha_table,
-                              bipartite_impossibility_bound, gen_instance,
-                              greedy_bound, greedy_gamma,
+from socrs.counting import CountingOracle
+from socrs.dist import GibbsDistribution
+from socrs.env import check_membership, matching_environment
+from socrs.generators import (ExperimentConfig, alpha_bipartite, alpha_hypergraph,
+                              alpha_k, alpha_rayleigh, alpha_table,
+                              bipartite_impossibility_bound, estimate_selectability,
+                              gen_instance, greedy_bound, greedy_gamma,
                               hat_graph_disconnection)
+from socrs.maxent import solve_maxent
 
 
 def test_alpha_constants_known_values():
@@ -143,6 +147,16 @@ def test_cli_lp_exact_beyond_budget_exits_two(tmp_path):
     assert not (tmp_path / "lp.json").exists()
 
 
+def test_cli_exact_estimate_beyond_63_elements_exits_two(tmp_path):
+    # a 64-edge star has only 65 matchings, but its sets need 64-bit masks
+    inst = tmp_path / "star.json"
+    inst.write_text(json.dumps({"kind": "general-matching",
+                                "edges": [[0, i] for i in range(1, 65)], "x": [1 / 64] * 64}))
+    assert cli.main(["estimate", "--mode", "exact", "--out", str(tmp_path / "est.json"),
+                     str(inst)]) == 2
+    assert not (tmp_path / "est.json").exists()
+
+
 def test_cli_gen_matroid_beyond_rank_table_exits_two():
     # 21 elements: the rank table over all 2^21 - 1 subsets is beyond budget
     assert cli.main(["gen", "random-graphic-matroid", "--params",
@@ -159,6 +173,19 @@ def test_cli_estimate_document_keys(tmp_path, mode):
     assert set(json.loads(out.read_text())) == {
         "instance_id", "alpha_target", "alpha_achieved", "per_element",
         "stationarity_tv", "intervals", "runtime"}
+
+
+def test_exact_estimate_reports_the_output_laws_distance_to_the_witness():
+    env, x, _ = gen_instance("random-graph", seed=4)
+    gibbs = solve_maxent(env, CountingOracle("enumeration", env=env), np.asarray(x) / 3)
+    rec = estimate_selectability(gibbs, x, ExperimentConfig(mode="exact"))
+    assert len(rec.stationarity_tv) == 1 and 0 <= rec.stationarity_tv[0] <= 1e-12
+    assert estimate_selectability(gibbs, x, ExperimentConfig(samples=100)).stationarity_tv == []
+    # rational witness and x: the expansion reproduces the witness exactly
+    triangle = matching_environment([(0, 1), (1, 2), (0, 2)], 3)
+    rec = estimate_selectability(GibbsDistribution(triangle, [Fraction(1, 4)] * 3),
+                                 [Fraction(1, 2)] * 3, ExperimentConfig(mode="exact"))
+    assert rec.stationarity_tv == [0.0]
 
 
 def test_cli_usage_and_input_errors(tmp_path):

@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from socrs.dist import ExplicitDistribution, GibbsDistribution
+from socrs.dist import (ExplicitDistribution, GibbsDistribution,
+                        solve_stationary_lp_exact, verify_stationary_lp)
 from socrs.env import EnumerationBudgetError, k_uniform_environment, matching_environment
 from socrs.policy import (CapViolationError, OrderStrategy, PolicyState,
                           exact_output_law, greedy_blocker_adversary,
@@ -118,6 +119,95 @@ def test_exact_expansion_rejects_seeded_random():
     dist, x = triangle_gibbs()
     with pytest.raises(ValueError):
         exact_output_law(dist, x, OrderStrategy.seeded_random())
+
+
+def reference_output_law(table, x, strategy):
+    """The expansion one atom at a time over dicts: (law support, acceptance)."""
+    n = table.env.n
+    states, acc = {(): dict(table.support)}, [0] * n
+    for _ in range(n):
+        new_states = {}
+        for hist, masses in states.items():
+            e = strategy.next_element(list(hist), set(range(n)) - {h[0] for h in hist}, None)
+            for S, p in masses.items():
+                T = S - {e}
+                a, b = table.support.get(T, 0), table.support.get(T | {e}, 0)
+                q = b / (a + b)
+                acc[e] += q * p
+                for ev, S2, m in [((e, False, False), T, (1 - x[e]) * p),
+                                  ((e, True, True), T | {e}, q * p),
+                                  ((e, True, False), T, (x[e] - q) * p)]:
+                    if m > 0:
+                        ev = ev if strategy.variant == "adaptive" else (e, False, False)
+                        bucket = new_states.setdefault(hist + (ev,), {})
+                        bucket[S2] = bucket.get(S2, 0) + m
+        states = new_states
+    law = {}
+    for masses in states.values():
+        for S, p in masses.items():
+            law[S] = law.get(S, 0) + p
+    return law, acc
+
+
+def test_exact_expansion_matches_the_reference_expansion():
+    # rational inputs must agree exactly; floats sum in another order
+    env5 = matching_environment([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5)
+    cases = [triangle_gibbs(),
+             (GibbsDistribution(env5, [0.2, 0.5, 0.3, 0.7, 0.4]), [0.3, 0.4, 0.3, 0.45, 0.35])]
+    for dist, x in cases:
+        table = dist.to_explicit()
+        for strategy in [OrderStrategy.fixed(range(dist.env.n)),
+                         OrderStrategy.fixed([2, 0, 1] + list(range(3, dist.env.n))),
+                         OrderStrategy.adaptive(target_last_adversary(1)),
+                         OrderStrategy.adaptive(greedy_blocker_adversary(dist.env, x))]:
+            law, acc = exact_output_law(dist, x, strategy)
+            ref_law, ref_acc = reference_output_law(table, x, strategy)
+            assert set(law.support) == set(ref_law)
+            if table.exact:
+                assert law.support == ref_law and acc == ref_acc
+            else:
+                assert max(abs(law.support[S] - ref_law[S]) for S in ref_law) <= 1e-15
+                assert max(abs(u - v) for u, v in zip(acc, ref_acc)) <= 1e-15
+
+
+@pytest.mark.parametrize("strategy", [OrderStrategy.fixed([1, 0]),
+                                      OrderStrategy.adaptive(target_last_adversary(0))])
+def test_exact_expansion_raises_the_verifiers_first_violated_cap(strategy):
+    # element 0 breaks its cap at T = {} (q = 0.4) and worse at T = {1}
+    # (q = 0.8).  Element 1 arrives first and, with x_1 = 1, is always
+    # active, so the expansion meets T = {1} first; the verifier lists T = {}.
+    env = k_uniform_environment(2, 2)
+    dist = ExplicitDistribution(env, {frozenset(): 0.3, frozenset({0}): 0.2,
+                                      frozenset({1}): 0.1, frozenset({0, 1}): 0.4})
+    x = [0.3, 1.0]
+    first = verify_stationary_lp(dist, x, 0.0).violated_caps[0]
+    assert first[:2] == (0, frozenset())
+    with pytest.raises(CapViolationError) as info:
+        exact_output_law(dist, x, strategy)
+    exc = info.value
+    assert (exc.e, exc.T, exc.q, exc.xe) == first
+
+
+def test_exact_expansion_of_a_witness_whose_support_is_not_downward_closed():
+    # the LP optimum (alpha = 1/2) puts mass on {1, 3} but none on {1}
+    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
+    x = [Fraction(4, 5), Fraction(4, 5), Fraction(1, 4), Fraction(1)]
+    _, witness = solve_stationary_lp_exact(env, x)
+    assert frozenset({1, 3}) in witness.support and frozenset({1}) not in witness.support
+    for strategy in [OrderStrategy.fixed([0, 1, 2, 3]), OrderStrategy.fixed([3, 2, 1, 0]),
+                     OrderStrategy.adaptive(greedy_blocker_adversary(env, x))]:
+        law, acc = exact_output_law(witness, x, strategy)
+        assert law.support == witness.support
+        assert acc == [witness.marginal(e) for e in range(4)]
+        assert all(isinstance(v, Fraction) for v in acc)
+
+
+def test_exact_expansion_beyond_63_elements_is_a_budget_error():
+    # a 64-edge star: |F| = 65, but its sets do not fit 64-bit masks
+    env = matching_environment([(0, i) for i in range(1, 65)])
+    dist = GibbsDistribution(env, [Fraction(1, 100)] * 64)
+    with pytest.raises(EnumerationBudgetError, match="n <= 63"):
+        exact_output_law(dist, [Fraction(1, 64)] * 64, OrderStrategy.fixed(range(64)))
 
 
 def test_run_one_shot_monte_carlo_law():

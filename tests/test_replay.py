@@ -1,12 +1,18 @@
 """Monte-Carlo replay: the block kernel and the row-parallel Fisher-Yates
 against scalar per-replication references, and replays against the exact law."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socrs import _replay_py
+from socrs.counting import CountingOracle
 from socrs.dist import ExplicitDistribution, GibbsDistribution, verify_stationary_lp
 from socrs.env import EnumerationBudgetError, k_uniform_environment, matching_environment
+from socrs.generators import gen_instance, wilson_interval
+from socrs.maxent import solve_maxent
 from socrs.policy import CapViolationError, OrderStrategy, exact_output_law
 from socrs.replay import (kernel_tables, mass_table, outcome_distribution,
                           random_orders, replay)
@@ -223,6 +229,26 @@ def test_replay_raises_the_verifiers_first_violated_cap():
         replay(dist, x, random_orders(2, 100, rng), rng)
     exc = info.value
     assert (exc.e, exc.T, exc.q, exc.xe) == first
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.integers(4, 7), st.data())
+def test_replay_frequencies_agree_with_the_exact_expansion(seed, n_vertices, data):
+    # max-ent witnesses at alpha = 1/3 on random matchings of at most 7 edges
+    n_edges = data.draw(st.integers(1, min(7, n_vertices * (n_vertices - 1) // 2)))
+    env, x, _ = gen_instance("random-graph", seed=seed, n_vertices=n_vertices, n_edges=n_edges)
+    gibbs = solve_maxent(env, CountingOracle("enumeration", env=env), np.asarray(x) / 3)
+    witness = gibbs.to_explicit()
+    _, acc = exact_output_law(gibbs, x, OrderStrategy.fixed(range(env.n)))
+    for e in range(env.n):
+        assert abs(acc[e] - witness.marginal(e)) <= 1e-12
+    N = 20_000
+    rng = RngStream(seed)
+    counts, _, _ = replay(gibbs, x, random_orders(env.n, N, rng), rng)
+    z = NormalDist().inv_cdf(1 - 1e-6 / (2 * env.n))      # Bonferroni over elements
+    for e in range(env.n):
+        lo, hi = wilson_interval(int(counts[e]), N, z)
+        assert lo <= acc[e] <= hi
 
 
 def test_python_kernel_still_guards_the_cap():
