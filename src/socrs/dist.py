@@ -8,7 +8,8 @@ The stationary LP (over distributions nu on the feasible family) is
 
 with the cap linearized as (1-x_e) nu(T+e) <= x_e nu(T), which is valid for
 every T including nu(T)=0 and removes the positivity side condition.  Its
-caps are the pairs (e, T) with T+e feasible; `stationary_caps` lists them.
+caps are the pairs (e, T) with T+e feasible.  Every reader takes them, and
+the one table of conditionals `stationary_conditionals`, over `env.family()`.
 
 The exact solver eliminates nu(empty) = 1 - sum_{S != empty} nu(S), so over
 z = (nu(S) for S != empty, alpha) >= 0 every row is <= with a nonnegative
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from ._rat import R, as_rational, rat_str
 from .counting import CountingOracle
@@ -64,13 +67,24 @@ class ExplicitDistribution:
     """A probability law over feasible sets, given as an explicit table."""
 
     def __init__(self, env, support, tol=1e-12):
+        support = {frozenset(S): p for S, p in support.items()}
+        for S in support:
+            if not env.is_feasible(S):
+                raise EnvironmentError_(f"support set {sorted(S)} is infeasible")
+        self._fill(env, support, tol)
+
+    @classmethod
+    def on_family(cls, env, positions, probs, tol=1e-12):
+        """The law with mass probs[i] on env.family().sets[positions[i]]: sets
+        of the enumerated family, so their feasibility is not checked again."""
+        sets = env.family().sets
+        return cls.__new__(cls)._fill(env, {sets[p]: v for p, v in zip(positions, probs)}, tol)
+
+    def _fill(self, env, support, tol):
         self.env = env
         self.support = {}
         total = 0
         for S, p in support.items():
-            S = frozenset(S)
-            if not env.is_feasible(S):
-                raise EnvironmentError_(f"support set {sorted(S)} is infeasible")
             if isinstance(p, float):
                 if p < -tol:
                     raise ValueError("negative probability")
@@ -79,13 +93,13 @@ class ExplicitDistribution:
                 raise ValueError("negative probability")
             self.support[S] = p
             total = total + p
-        exact = not any(isinstance(p, float) for p in self.support.values())
-        if exact:
+        self.exact = not any(isinstance(p, float) for p in self.support.values())
+        if self.exact:
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, not 1")
         elif abs(float(total) - 1.0) > tol:
             raise ValueError(f"probabilities sum to {float(total)}, not 1")
-        self.exact = exact
+        return self
 
     def sets(self):
         return sorted(self.support, key=lambda S: (len(S), tuple(sorted(S))))
@@ -121,13 +135,14 @@ class GibbsDistribution:
         oracle = self.oracle
         if oracle is None or oracle.backend != "enumeration" or oracle.env is not self.env:
             oracle = CountingOracle("enumeration", env=self.env)
-        sets, _ = oracle._family()
+        # the oracle lists the sets in family order
         if any(isinstance(v, float) for v in self.w):
-            probs = oracle._set_probs(self.w)
-            return ExplicitDistribution(self.env, {S: float(p) for S, p in zip(sets, probs)})
-        masses = oracle._masses_rational([as_rational(v) for v in self.w])
-        Z = sum(masses)
-        return ExplicitDistribution(self.env, {S: m / Z for S, m in zip(sets, masses)})
+            probs = [float(p) for p in oracle._set_probs(self.w)]
+        else:
+            masses = oracle._masses_rational([as_rational(v) for v in self.w])
+            Z = sum(masses)
+            probs = [m / Z for m in masses]
+        return ExplicitDistribution.on_family(self.env, range(len(probs)), probs)
 
     def marginal(self, e):
         return self.to_explicit().marginal(e)
@@ -174,23 +189,34 @@ def conditional_without(dist, e, T):
         if not dist.env.is_feasible(T | {e}):
             return 0.0 if isinstance(dist.w[e], float) else R(0)
         return dist.rho[e]
-    a = dist.prob(T)
-    b = dist.prob(T | {e})
-    denom = a + b
-    if denom == 0:
+    a, b = dist.prob(T), dist.prob(T | {e})
+    if a + b == 0:
         raise NullConditioningError(f"P[S_-e = {sorted(T)}] = 0")
-    return b / denom
+    return b / (a + b)
 
 
-def stationary_caps(sets):
-    """The caps (e, T, T+e) of the stationary LP over an enumerated family.
-
-    Each S in family order, then each e in S ascending, with T = S - e; T is
-    in the family because feasible families are downward closed.
+def stationary_conditionals(table, exact):
+    """(mu, q, null) of an explicit law over its family's positions, the
+    sentinel's row included: mu[p] is the mass of S_p and, with T = S_p - e,
+    q[p, e] = P[e in S | S_-e = T] = mu(T+e) / (mu(T) + mu(T+e)), one
+    division per cap, 0 where T+e is infeasible or where null[p, e] marks
+    mu(T) + mu(T+e) = 0.  Exact mode keeps the table's numbers in object
+    arrays; float mode converts them to floats.
     """
-    for S in sets:
-        for e in sorted(S):
-            yield e, S - {e}, S
+    fam = table.env.family()
+    dtype = object if exact else float
+    mu = np.zeros(len(fam.sets) + 1, dtype=dtype)
+    mu[[fam.index[S] for S in table.support]] = list(table.support.values())
+    null = np.repeat((mu == 0)[:, None], table.env.n, axis=1)
+    q = np.zeros(null.shape, dtype=dtype)
+    s, e, t = fam.caps
+    b, den = mu[s], mu[t] + mu[s]
+    ok = den != 0
+    cond = np.zeros(len(s), dtype=dtype)
+    cond[ok] = b[ok] / den[ok]
+    q[s, e] = q[t, e] = cond
+    null[s, e] = null[t, e] = ~ok
+    return mu, q, null
 
 
 def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
@@ -202,7 +228,7 @@ def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
     """
     env = dist.env
     try:
-        sets = env.enumerate_feasible()
+        fam = env.family()
     except EnumerationBudgetError as exc:
         raise NonEnumerableError(
             f"environment not enumerable, so its stationary caps cannot be checked: {exc}"
@@ -213,33 +239,19 @@ def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
     zero = R(0) if exact else 0.0
     xs = [as_rational(v) if exact and not isinstance(v, float) else float(v) for v in x]
 
-    marg = [zero] * env.n
-    for S, p in table.support.items():
-        for e in S:
-            marg[e] += p
+    mu, q, null = stationary_conditionals(table, exact)
+    s, e, t = fam.caps
+    marg = np.full(env.n, zero, dtype=q.dtype)
+    np.add.at(marg, e, mu[s])       # unbuffered: each sum runs in family order
+    alpha_achieved = min(float(m) / xe if isinstance(xe, float) else m / xe
+                         for m, xe in zip(marg.tolist(), xs))
 
-    alpha_achieved = None
-    for e in range(env.n):
-        ratio = float(marg[e]) / xs[e] if isinstance(xs[e], float) else marg[e] / xs[e]
-        if alpha_achieved is None or ratio < alpha_achieved:
-            alpha_achieved = ratio
-
-    violations = []
-    max_excess = zero
-    for e, T, Te in stationary_caps(sets):
-        a = table.support.get(T, zero)
-        b = table.support.get(Te, zero)
-        if a + b == 0:
-            continue  # zero-probability conditioning event: skipped
-        cond = b / (a + b)
-        excess = cond - xs[e]
-        if float(excess) > tol:
-            violations.append((e, T, cond, x[e]))
-        if excess > max_excess:
-            max_excess = excess
-    pos = {S: i for i, S in enumerate(sets)}
-    violations.sort(key=lambda v: (pos[v[1]], v[0]))
-    return StationaryReport(alpha_achieved, violations, max_excess)
+    s, e, t = fam.caps[:, ~null[s, e]]     # null conditioning events are skipped
+    excess = q[s, e] - np.array(xs, dtype=q.dtype)[e]
+    bad = np.flatnonzero(excess.astype(float) > tol)
+    violations = [(int(e[i]), fam.sets[t[i]], q.item(s[i], e[i]), x[e[i]])
+                  for i in bad[np.lexsort((e[bad], t[bad]))]]
+    return StationaryReport(alpha_achieved, violations, max(zero, *excess.tolist()))
 
 
 def addability_prob(dist, e):
@@ -247,16 +259,12 @@ def addability_prob(dist, e):
     |p_e - P[Add(e)] * rho_e| which is an exact identity for Gibbs laws."""
     if not isinstance(dist, GibbsDistribution):
         raise TypeError("addability factorization is a Gibbs identity")
-    env = dist.env
+    fam = dist.env.family()
     table = dist.to_explicit()
-    zero = R(0) if table.exact else 0.0
-    add = zero
-    for S, p in table.support.items():
-        if env.is_feasible((S - {e}) | {e}):
-            add += p
-    p_e = table.marginal(e)
-    residual = abs(p_e - add * dist.rho[e])
-    return add, residual
+    addable = fam.up[fam.down[:, e], e] != len(fam.sets)
+    add = sum((p for S, p in table.support.items() if addable[fam.index[S]]),
+              R(0) if table.exact else 0.0)
+    return add, abs(table.marginal(e) - add * dist.rho[e])
 
 
 def solve_stationary_lp_exact(env, x, budget=5000):
@@ -264,36 +272,30 @@ def solve_stationary_lp_exact(env, x, budget=5000):
 
     Returns (alpha, witness ExplicitDistribution).
     """
-    sets = env.enumerate_feasible()
+    sets = env.family().sets
     if len(sets) > budget:
         raise EnumerationBudgetError(
             f"|F| = {len(sets)} exceeds the rational simplex budget {budget}")
     x = [as_rational(v) for v in x]
-    # variables: mu_S for every S but the empty set (sets[0]), then alpha
-    col = {S: i for i, S in enumerate(sets[1:])}
+    # variables: mu_S at column (position - 1) for every S but the empty set, then alpha
     nv = len(sets)
     ALPHA = nv - 1
 
     A_ub, b_ub = [], []
     # selectability: alpha*x_e - sum_{S ni e} mu_S <= 0
     for e in range(env.n):
-        row = [R(0)] * nv
-        for S, i in col.items():
-            if e in S:
-                row[i] = R(-1)
-        row[ALPHA] = x[e]
-        A_ub.append(row)
+        A_ub.append([R(-1) if e in S else R(0) for S in sets[1:]] + [x[e]])
         b_ub.append(R(0))
     # caps: (1-x_e) mu(T+e) - x_e mu(T) <= 0, with mu(empty) = 1 - sum mu_S
-    for e, T, Te in stationary_caps(sets):
+    for s, e, t in env.family().caps.T.tolist():
         row = [R(0)] * nv
-        if T:
-            row[col[T]] -= x[e]
+        if t:
+            row[t - 1] -= x[e]
             b_ub.append(R(0))
         else:
             row[:ALPHA] = [x[e]] * ALPHA
             b_ub.append(x[e])
-        row[col[Te]] += 1 - x[e]
+        row[s - 1] += 1 - x[e]
         A_ub.append(row)
     # mu(empty) >= 0
     A_ub.append([R(1)] * ALPHA + [R(0)])
@@ -302,9 +304,9 @@ def solve_stationary_lp_exact(env, x, budget=5000):
 
     opt, z = simplex.solve_lp(c, A_ub, b_ub)
     mu = [1 - sum(z[:ALPHA])] + z[:ALPHA]
-    support = {S: Fraction(int(p.numerator), int(p.denominator))
-               for S, p in zip(sets, mu) if p != 0}
-    witness = ExplicitDistribution(env, support)
+    pos = [i for i, p in enumerate(mu) if p != 0]
+    witness = ExplicitDistribution.on_family(
+        env, pos, [Fraction(int(mu[i].numerator), int(mu[i].denominator)) for i in pos])
     return Fraction(int(opt.numerator), int(opt.denominator)), witness
 
 

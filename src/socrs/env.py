@@ -7,6 +7,7 @@ with a feasibility test for one of the supported constraint families
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ class EnumerationBudgetError(RuntimeError):
 
 ENUMERATION_CAP = 2_000_000
 # elements up to which a dense table over all 2^n subsets is built: the rank
-# table, the Rayleigh pipeline's subset transform, replay's mass table
+# table and the Rayleigh pipeline's subset transform
 SUBSET_TABLE_MAX_N = 20
 PIVOT_TOL = 1e-9        # float rank: smaller pivots are zero, within 10x ambiguous
 FACE_TOL = 1e-12        # a point this close to a face of a polytope lies on it
@@ -229,6 +230,7 @@ class Environment:
         self._feasible = feasible_fn
         self.meta = meta or {}
         self._enum_cache = None
+        self._family = None
 
     def is_feasible(self, S):
         S = frozenset(S)
@@ -260,6 +262,31 @@ class Environment:
         out.sort(key=lambda S: (len(S), tuple(sorted(S))))
         self._enum_cache = out
         return list(out)
+
+    def family(self):
+        """The enumerated family by position, built once, as a `Family`.
+
+        sets[p] is the p-th set in `enumerate_feasible` order, index its
+        inverse, and position len(sets) a sentinel for every infeasible set.
+        down[p, e] and up[p, e] are the positions of S_p - e and S_p + e (the
+        sentinel's row maps to itself).  caps = (s, e, t) lists each e in S_s
+        with S_t = S_s - e: each set in family order, then e ascending.
+        """
+        if self._family is None:
+            sets = self.enumerate_feasible()
+            index = {S: p for p, S in enumerate(sets)}
+            s, e, t = caps = np.fromiter(
+                (v for p, S in enumerate(sets) for e in sorted(S) for v in (p, e, index[S - {e}])),
+                dtype=np.int64).reshape(-1, 3).T
+            down = np.repeat(np.arange(len(sets) + 1, dtype=np.int32)[:, None], self.n, axis=1)
+            up = np.full_like(down, len(sets))
+            down[s, e] = t
+            up[t, e] = up[s, e] = s
+            self._family = Family(sets, index, down, up, caps)
+        return self._family
+
+
+Family = namedtuple("Family", "sets index down up caps")
 
 
 def _disjoint_edges(edge_vertices, S):

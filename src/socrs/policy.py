@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (CapViolationError, ExplicitDistribution, NullConditioningError,
-                   check_cap, conditional_without, verify_stationary_lp)
+                   check_cap, conditional_without, stationary_conditionals,
+                   verify_stationary_lp)
 from .env import EnumerationBudgetError
 from .sampling import sample_explicit
 
@@ -146,7 +147,6 @@ def _initial_sample(dist, rng):
 # ---------------------------------------------------------------------------
 
 EXACT_ATOM_CAP = 1_000_000
-MASK_MAX_N = 63                 # sets are int64 bitmasks
 
 
 def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
@@ -161,15 +161,13 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     and their masses.  A non-adaptive strategy sees no outcomes, so all of
     its states share the pseudo-history ((e, False, False), ...) of the
     elements processed so far.  Each arrival redraws e's membership of every
-    atom at once (one heat-bath step over the arrays).
+    atom at once: one heat-bath step over `dist.stationary_conditionals`
+    and the family's down and up tables.
     """
     if strategy.variant == "seeded-random":
         raise ValueError("exact expansion needs a deterministic strategy")
     env = dist.env
     n = env.n
-    if n > MASK_MAX_N:
-        raise EnumerationBudgetError(
-            f"exact expansion limited to n <= {MASK_MAX_N} elements, got {n}")
     table = dist.to_explicit()
     report = verify_stationary_lp(table, x, 0.0)
     if report.violated_caps:
@@ -180,11 +178,8 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     live = (lambda m: m != 0) if exact else (lambda m: m > 0)  # float: drop cap slack
     adaptive = strategy.variant == "adaptive"
 
-    sets = env.enumerate_feasible()
-    masks = np.array([sum(1 << e for e in S) for S in sets], dtype=np.int64)
-    order = np.argsort(masks)
-    masks, sets = masks[order], [sets[i] for i in order]
-    mu = np.array([table.support.get(S, zero) for S in sets], dtype=object if exact else float)
+    fam = env.family()
+    mu, q, null = stationary_conditionals(table, exact)
     pos = np.flatnonzero(live(mu))
     states = [((), pos, mu[pos])]
     accept_prob = [zero] * n
@@ -196,20 +191,17 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
             e = strategy.next_element(list(hist), unprocessed, None)
             if e not in unprocessed:
                 raise ValueError("strategy returned a processed element")
-            xe, bit = xs[e], 1 << e
-            iT = np.searchsorted(masks, masks[pos] & ~bit)
-            iTe = np.minimum(np.searchsorted(masks, masks[iT] | bit), len(masks) - 1)
-            b = np.where(masks[iTe] == masks[iT] | bit, mu[iTe], zero)  # 0 off the family
-            den = mu[iT] + b
-            null = np.flatnonzero(den == 0)
-            if len(null):
-                raise NullConditioningError(f"P[S_-e = {sorted(sets[iT[null[0]]])}] = 0")
-            q = b / den
-            accept_prob[e] += (q * p).sum()
+            xe, iT = xs[e], fam.down[pos, e]
+            iTe = fam.up[iT, e]
+            stuck = np.flatnonzero(null[pos, e])
+            if len(stuck):
+                raise NullConditioningError(f"P[S_-e = {sorted(fam.sets[iT[stuck[0]]])}] = 0")
+            qe = q[pos, e]
+            accept_prob[e] += (qe * p).sum()
             # branches: inactive (1-x); active+accept (q); active+reject (x-q)
             branches = [((e, False, False), iT, (1 - xe) * p),
-                        ((e, True, True), iTe, q * p),
-                        ((e, True, False), iT, (xe - q) * p)]
+                        ((e, True, True), iTe, qe * p),
+                        ((e, True, False), iT, (xe - qe) * p)]
             if not adaptive:        # a non-adaptive order merges all three
                 branches = [((e, False, False), np.concatenate([br[1] for br in branches]),
                              np.concatenate([br[2] for br in branches]))]
@@ -223,8 +215,7 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
 
     pos, p = _merge(np.concatenate([s[1] for s in states]),
                     np.concatenate([s[2] for s in states]))
-    law = ExplicitDistribution(env, dict(zip([sets[i] for i in pos], p.tolist())), tol=1e-9)
-    return law, accept_prob
+    return ExplicitDistribution.on_family(env, pos, p.tolist(), tol=1e-9), accept_prob
 
 
 def _merge(at, mass):

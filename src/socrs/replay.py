@@ -2,8 +2,8 @@
 
 Before the kernel runs, `replay` checks the witness's stationary caps with
 `dist.verify_stationary_lp`, the same check `verify-lp` makes, and raises
-`CapViolationError` on the first violated cap; the kernel itself is
-`_replay_py.replay_batch`.
+`CapViolationError` on the first violated cap.  The kernel is
+`_replay_py.replay_batch`; its tables run over the family's positions.
 """
 
 from __future__ import annotations
@@ -11,33 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import _replay_py as _kernel
-from .dist import CapViolationError, ExplicitDistribution, verify_stationary_lp
-from .env import SUBSET_TABLE_MAX_N, EnumerationBudgetError
+from .dist import (CapViolationError, ExplicitDistribution, stationary_conditionals,
+                   verify_stationary_lp)
 
 KERNEL = "python"
-
-
-def mass_table(dist):
-    """Dense mask-indexed mass array for an enumerable witness (n <= 20)."""
-    n = dist.env.n
-    if n > SUBSET_TABLE_MAX_N:
-        raise EnumerationBudgetError(
-            f"replay mass table limited to n <= {SUBSET_TABLE_MAX_N} elements, got {n}")
-    table = dist.to_explicit()
-    mass = np.zeros(1 << n)
-    for S, p in table.support.items():
-        mass[sum(1 << e for e in S)] = float(p)
-    return mass
-
-
-def kernel_tables(dist):
-    """The witness inputs of `replay_batch`: (n, mass, support_masks, support_cdf)."""
-    table = dist.to_explicit()
-    sets = table.sets()
-    support_masks = np.array([sum(1 << e for e in S) for S in sets], dtype=np.int64)
-    cdf = np.cumsum([float(table.support[S]) for S in sets])
-    cdf[-1] = 1.0 + 1e-12
-    return table.env.n, mass_table(table), support_masks, cdf
 
 
 def replay(dist, x, orders, rng, n_rep=None):
@@ -45,13 +22,22 @@ def replay(dist, x, orders, rng, n_rep=None):
 
     orders: either an (n_rep, n) integer array of fixed per-replication
     arrival orders, or a single permutation reused for every replication.
+    outcome_counts[p] counts the replications that end on family position p.
     """
     table = dist.to_explicit()
-    n, mass, support_masks, cdf = kernel_tables(table)
+    n = table.env.n
     x = np.asarray(x, dtype=float)
     report = verify_stationary_lp(table, x, 0.0)
     if report.violated_caps:
         raise CapViolationError(*report.violated_caps[0])
+    fam = table.env.family()
+    _, q, _ = stationary_conditionals(table, exact=False)
+    moves = np.stack([fam.down, fam.up[fam.down, np.arange(n)]], axis=-1).reshape(-1)
+    # the initial draw walks the support in sets() order, as `sample_explicit` does
+    sets = table.sets()
+    support_pos = np.array([fam.index[S] for S in sets], dtype=np.int32)
+    cdf = np.cumsum([float(table.support[S]) for S in sets])
+    cdf[-1] = 1.0 + 1e-12
 
     orders = np.asarray(orders, dtype=np.int64)
     if orders.ndim == 1:
@@ -62,25 +48,22 @@ def replay(dist, x, orders, rng, n_rep=None):
     n_rep = orders.shape[0]
 
     accept_counts = np.zeros(n, dtype=np.int64)
-    outcome_counts = np.zeros(1 << n, dtype=np.int64)
+    outcome_counts = np.zeros(len(fam.sets), dtype=np.int64)
     # one block's uniforms at a time: the stream fills row-major, so the
     # blocks' draws equal one (n_rep, 2n+1) draw while memory stays bounded
     for lo in range(0, n_rep, _kernel.BLOCK):
         block = orders[lo:lo + _kernel.BLOCK]
         u = rng.uniform((block.shape[0], 2 * n + 1))
-        _kernel.replay_batch(n, mass, support_masks, cdf, x, block, u,
+        _kernel.replay_batch(q.reshape(-1), moves, support_pos, cdf, x, block, u,
                              accept_counts, outcome_counts)
     return accept_counts, outcome_counts, n_rep
 
 
 def outcome_distribution(env, outcome_counts, n_rep):
     """Empirical output law as an ExplicitDistribution."""
-    support = {}
-    for mask, c in enumerate(outcome_counts):
-        if c:
-            S = frozenset(e for e in range(env.n) if mask >> e & 1)
-            support[S] = c / n_rep
-    return ExplicitDistribution(env, support, tol=1e-9)
+    pos = np.flatnonzero(outcome_counts)
+    return ExplicitDistribution.on_family(env, pos, (outcome_counts[pos] / n_rep).tolist(),
+                                          tol=1e-9)
 
 
 def random_orders(n, n_rep, rng):

@@ -6,6 +6,7 @@ import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from socrs.generators import (ExperimentConfig, alpha_bipartite, alpha_hypergrap
                               alpha_k, alpha_rayleigh, alpha_table,
                               bipartite_impossibility_bound, estimate_selectability,
                               gen_instance, greedy_bound, greedy_gamma,
-                              hat_graph_disconnection)
+                              hat_graph_disconnection, wilson_interval)
 from socrs.maxent import solve_maxent
 
 
@@ -147,14 +148,35 @@ def test_cli_lp_exact_beyond_budget_exits_two(tmp_path):
     assert not (tmp_path / "lp.json").exists()
 
 
-def test_cli_exact_estimate_beyond_63_elements_exits_two(tmp_path):
-    # a 64-edge star has only 65 matchings, but its sets need 64-bit masks
+def test_cli_exact_estimate_on_a_64_edge_star(tmp_path):
+    # 64 elements, more than a 64-bit set mask holds; |F| = 65
     inst = tmp_path / "star.json"
     inst.write_text(json.dumps({"kind": "general-matching",
                                 "edges": [[0, i] for i in range(1, 65)], "x": [1 / 64] * 64}))
-    assert cli.main(["estimate", "--mode", "exact", "--out", str(tmp_path / "est.json"),
-                     str(inst)]) == 2
-    assert not (tmp_path / "est.json").exists()
+    out = tmp_path / "est.json"
+    assert cli.main(["estimate", "--mode", "exact", "--alpha", "0.5", "--out", str(out),
+                     str(inst)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["per_element"]) == 64 and doc["stationarity_tv"][0] <= 1e-12
+
+
+def test_cli_mc_estimate_beyond_20_elements(tmp_path):
+    # 24 edges: the replay works on the family's positions, not on 2^n masks
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--params", '{"n_vertices": 14, "n_edges": 24}',
+              "--seed", "2", "--out", str(inst)])
+    out = tmp_path / "est.json"
+    assert cli.main(["estimate", "--alpha", "0.3", "--samples", "1000", "--out", str(out),
+                     str(inst)]) == 0
+    env, x, _ = io.parse_instance(str(inst))
+    assert env.n == 24
+    witness = solve_maxent(env, CountingOracle("enumeration", env=env),
+                           0.3 * np.asarray(x), tol=1e-8).to_explicit()
+    # the exit gate's Bonferroni level, so all 24 intervals hold together
+    z = NormalDist().inv_cdf(1 - cli.MC_GATE_LEVEL / (2 * env.n))
+    for e, ratio in enumerate(json.loads(out.read_text())["per_element"]):
+        lo, hi = wilson_interval(round(ratio * x[e] * 1000), 1000, z)
+        assert lo <= witness.marginal(e) <= hi
 
 
 def test_cli_gen_matroid_beyond_rank_table_exits_two():

@@ -202,12 +202,16 @@ def test_exact_expansion_of_a_witness_whose_support_is_not_downward_closed():
         assert all(isinstance(v, Fraction) for v in acc)
 
 
-def test_exact_expansion_beyond_63_elements_is_a_budget_error():
-    # a 64-edge star: |F| = 65, but its sets do not fit 64-bit masks
-    env = matching_environment([(0, i) for i in range(1, 65)])
-    dist = GibbsDistribution(env, [Fraction(1, 100)] * 64)
-    with pytest.raises(EnumerationBudgetError, match="n <= 63"):
-        exact_output_law(dist, [Fraction(1, 64)] * 64, OrderStrategy.fixed(range(64)))
+def test_laws_built_on_the_family_skip_feasibility_calls(monkeypatch):
+    # the witness table and the expanded law hold sets taken from the family
+    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
+    calls = []
+    real = env.is_feasible
+    monkeypatch.setattr(env, "is_feasible", lambda S: calls.append(S) or real(S))
+    dist = GibbsDistribution(env, [Fraction(1, 4)] * 5)
+    table = dist.to_explicit()
+    law, _ = exact_output_law(dist, [Fraction(1, 2)] * 5, OrderStrategy.fixed(range(5)))
+    assert calls == [] and law.support == table.support
 
 
 def test_run_one_shot_monte_carlo_law():

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from socrs import _replay_py
 from socrs.counting import CountingOracle
-from socrs.dist import ExplicitDistribution, GibbsDistribution, verify_stationary_lp
-from socrs.env import EnumerationBudgetError, k_uniform_environment, matching_environment
+from socrs.dist import (ExplicitDistribution, GibbsDistribution, stationary_conditionals,
+                        verify_stationary_lp)
+from socrs.env import k_uniform_environment, matching_environment
 from socrs.generators import gen_instance, wilson_interval
 from socrs.maxent import solve_maxent
 from socrs.policy import CapViolationError, OrderStrategy, exact_output_law
-from socrs.replay import (kernel_tables, mass_table, outcome_distribution,
-                          random_orders, replay)
+from socrs.replay import outcome_distribution, random_orders, replay
 from socrs.sampling import RngStream, tv_multinomial_sigma
 
 
@@ -33,40 +33,56 @@ def zero_mass_instance():
     return ExplicitDistribution(dist.env, support), [0.6, 0.4, 0.6, 0.4]
 
 
+def _kernel_tables(dist):
+    """replay's kernel inputs: (qt, moves, support_pos, support_cdf)."""
+    table = dist.to_explicit()
+    fam = table.env.family()
+    _, q, _ = stationary_conditionals(table, exact=False)
+    moves = np.stack([fam.down, fam.up[fam.down, np.arange(table.env.n)]], axis=-1).reshape(-1)
+    sets = table.sets()
+    cdf = np.cumsum([float(table.support[S]) for S in sets])
+    cdf[-1] = 1.0 + 1e-12
+    return q.reshape(-1), moves, np.array([fam.index[S] for S in sets]), cdf
+
+
 def _batch_inputs(dist, x, n_rep, seed):
-    n, mass, masks, cdf = kernel_tables(dist)
+    n = dist.env.n
     rng = RngStream(seed)
     orders = random_orders(n, n_rep, rng)
     u = rng.uniform((n_rep, 2 * n + 1))
-    return n, mass, masks, cdf, np.asarray(x, float), orders, u
+    return (*_kernel_tables(dist), np.asarray(x, float), orders, u)
 
 
 # -- scalar references: one replication, one swap at a time ------------------
 
-def _replay_reference(n, mass, support_masks, support_cdf, x, orders, u):
+def _replay_reference(dist, x, orders, u):
+    """Per-replication replays over frozensets and dist.prob: (accept counts,
+    {final set: count})."""
+    table = dist.to_explicit()
+    n = table.env.n
+    sets = table.sets()
     accept_counts = np.zeros(n, dtype=np.int64)
-    outcome_counts = np.zeros(1 << n, dtype=np.int64)
-    K = len(support_masks)
+    outcomes = {}
     for r in range(orders.shape[0]):
-        lo, hi = 0, K - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u[r, 0] < support_cdf[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        m = int(support_masks[lo])
+        # the first support set, in sets() order, whose CDF value exceeds u;
+        # draws beyond the last CDF value take the last set
+        S, c = sets[-1], 0.0
+        for T in sets:
+            c += float(table.support[T])
+            if u[r, 0] < c:
+                S = T
+                break
         for j in range(n):
             e = int(orders[r, j])
-            t = m & ~(1 << e)
-            tb = t | (1 << e)
-            q = mass[tb] / (mass[t] + mass[tb])
-            m = t
-            if u[r, 1 + 2 * j] < x[e] and u[r, 2 + 2 * j] < min(q / x[e], 1.0):
-                m = tb
+            T = S - {e}
+            a, b = table.prob(T), table.prob(T | {e})
+            S = T           # a null conditioning event (a + b = 0) never keeps e
+            if (a + b > 0 and u[r, 1 + 2 * j] < x[e]
+                    and u[r, 2 + 2 * j] < min(b / (a + b) / x[e], 1.0)):
+                S = T | {e}
                 accept_counts[e] += 1
-        outcome_counts[m] += 1
-    return accept_counts, outcome_counts
+        outcomes[S] = outcomes.get(S, 0) + 1
+    return accept_counts, outcomes
 
 
 def _orders_reference(n, n_rep, rng):
@@ -81,11 +97,16 @@ def _orders_reference(n, n_rep, rng):
     return orders
 
 
-def _run_kernel(n, mass, masks, cdf, xf, orders, u):
-    acc = np.zeros(n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=np.int64)
-    _replay_py.replay_batch(n, mass, masks, cdf, xf, orders, u, acc, out)
+def _run_kernel(qt, moves, support_pos, cdf, xf, orders, u):
+    acc = np.zeros(len(xf), dtype=np.int64)
+    out = np.zeros(len(qt) // len(xf) - 1, dtype=np.int64)
+    _replay_py.replay_batch(qt, moves, support_pos, cdf, xf, orders, u, acc, out)
     return acc, out
+
+
+def _by_set(env, outcome_counts):
+    sets = env.family().sets
+    return {sets[p]: c for p, c in enumerate(outcome_counts.tolist()) if c}
 
 
 def test_kernels_bit_identical():
@@ -99,20 +120,18 @@ def test_kernels_bit_identical():
         cdf, u = inputs[3], inputs[6]
         u[:len(cdf), 0] = cdf[:n_rep]
         acc, out = _run_kernel(*inputs)
-        ref_acc, ref_out = _replay_reference(*inputs)
-        assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
+        ref_acc, ref_out = _replay_reference(dist, x, inputs[5], u)
+        assert np.array_equal(acc, ref_acc) and _by_set(dist.env, out) == ref_out
         assert out.sum() == n_rep
 
 
 def test_kernel_with_one_order_broadcast_matches_reference():
     dist, x = path_instance(4)
-    n, mass, masks, cdf = kernel_tables(dist)
     order = np.array([2, 0, 3, 1], dtype=np.int64)
     acc, out, n_rep = replay(dist, x, order, RngStream(4), n_rep=1000)
-    u = RngStream(4).uniform((n_rep, 2 * n + 1))
-    ref_acc, ref_out = _replay_reference(n, mass, masks, cdf, np.asarray(x, float),
-                                         np.broadcast_to(order, (n_rep, n)), u)
-    assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
+    u = RngStream(4).uniform((n_rep, 2 * 4 + 1))
+    ref_acc, ref_out = _replay_reference(dist, x, np.broadcast_to(order, (n_rep, 4)), u)
+    assert np.array_equal(acc, ref_acc) and _by_set(dist.env, out) == ref_out
 
 
 def test_single_order_replays_without_copying_it():
@@ -149,7 +168,7 @@ def test_replay_draws_uniforms_per_block():
     ref_rng = RngStream(5)
     random_orders(8, n_rep, ref_rng)
     u = ref_rng.uniform((n_rep, 2 * 8 + 1))
-    ref_acc, ref_out = _run_kernel(*kernel_tables(dist), np.asarray(x, float), orders, u)
+    ref_acc, ref_out = _run_kernel(*_kernel_tables(dist), np.asarray(x, float), orders, u)
     assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
     assert rng.counter == ref_rng.counter
 
@@ -161,19 +180,17 @@ def test_random_orders_match_scalar_fisher_yates(n, n_rep):
                           _orders_reference(n, n_rep, RngStream(2)))
 
 
-def test_mass_table_round_trip():
-    dist, _ = path_instance(3)
-    table = dist.to_explicit()
-    mass = mass_table(table)
-    assert abs(mass.sum() - 1.0) < 1e-12
-    for S, p in table.support.items():
-        assert mass[sum(1 << e for e in S)] == float(p)
-
-
-def test_mass_table_limit_is_an_enumeration_budget_error():
-    dist = GibbsDistribution(k_uniform_environment(21, 1), [0.1] * 21)
-    with pytest.raises(EnumerationBudgetError, match="n <= 20"):
-        mass_table(dist)
+def test_replay_runs_beyond_20_elements():
+    # 21 elements: the replay holds the 22 feasible sets, not a 2^21 table
+    env = k_uniform_environment(21, 1)
+    dist = GibbsDistribution(env, [0.1] * 21)
+    N = 20_000
+    rng = RngStream(3)
+    acc, outcomes, n_rep = replay(dist, [0.1] * 21, random_orders(21, N, rng), rng)
+    assert len(outcomes) == 22 and outcomes.sum() == n_rep == N
+    p = 0.1 / 3.1                                   # each singleton's witness mass
+    for e in range(21):
+        assert abs(acc[e] / N - p) < 4 * (p * (1 - p) / N) ** 0.5 + 1e-3
 
 
 def test_replay_matches_exact_law():
