@@ -251,12 +251,15 @@ class CountingOracle:
         """
         if self._inc is None:
             sets, m0 = self._family()
-            inc = np.zeros((len(sets), self.n))
-            for i, S in enumerate(sets):
-                inc[i, list(S)] = 1.0
-            self._inc = inc
-            self._logm0 = np.array([math.log(float(v)) if float(v) > 0 else -np.inf
-                                    for v in m0])
+            if self.base is None:       # the family's own incidence; every mu0(S) = 1
+                self._inc = self.env.incidence().astype(float)
+                self._logm0 = np.zeros(len(sets))
+            else:
+                self._inc = np.zeros((len(sets), self.n))
+                for i, S in enumerate(sets):
+                    self._inc[i, list(S)] = 1.0
+                self._logm0 = np.array([math.log(float(v)) if float(v) > 0 else -np.inf
+                                        for v in m0])
         w = np.asarray(w, dtype=float)
         pos = w > 0
         if pos.all():

@@ -71,34 +71,45 @@ class ExplicitDistribution:
         for S in support:
             if not env.is_feasible(S):
                 raise EnvironmentError_(f"support set {sorted(S)} is infeasible")
-        self._fill(env, support, tol)
+        self._fill(env, list(support), list(support.values()), tol)
 
     @classmethod
     def on_family(cls, env, positions, probs, tol=1e-12):
         """The law with mass probs[i] on env.family().sets[positions[i]]: sets
         of the enumerated family, so their feasibility is not checked again."""
         sets = env.family().sets
-        return cls.__new__(cls)._fill(env, {sets[p]: v for p, v in zip(positions, probs)}, tol)
+        return cls.__new__(cls)._fill(
+            env, list(map(sets.__getitem__, np.asarray(positions).tolist())), probs, tol)
 
-    def _fill(self, env, support, tol):
+    def _fill(self, env, sets, probs, tol):
+        """Store mass probs[i] on sets[i], checked as one array.  A law with a
+        float mass is a float law: a mass below -tol raises, one in [-tol, 0)
+        becomes 0, and the total, summed in order, must lie within tol of 1.
+        Otherwise the masses are exact numbers, none negative, summing to
+        exactly 1."""
+        p = np.asarray(probs)
         self.env = env
-        self.support = {}
-        total = 0
-        for S, p in support.items():
-            if isinstance(p, float):
-                if p < -tol:
-                    raise ValueError("negative probability")
-                p = max(p, 0.0)
-            elif p < 0:
-                raise ValueError("negative probability")
-            self.support[S] = p
-            total = total + p
-        self.exact = not any(isinstance(p, float) for p in self.support.values())
+        self.exact = not p.size or p.dtype.kind != "f" and not any(
+            issubclass(t, float) for t in set(map(type, p.tolist())))
         if self.exact:
+            if (p < 0).any():
+                raise ValueError("negative probability")
+            probs = p.tolist()
+            total = sum(probs)
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {float(total)}, not 1")
+        else:
+            p = np.asarray(p, dtype=float)
+            low = p.min()
+            if low < -tol:
+                raise ValueError("negative probability")
+            if low < 0:
+                p = np.where(p < 0, 0.0, p)
+            total = float(np.cumsum(p)[-1])
+            if abs(total - 1.0) > tol:
+                raise ValueError(f"probabilities sum to {total}, not 1")
+            probs = p.tolist()
+        self.support = dict(zip(sets, probs))
         return self
 
     def sets(self):
@@ -137,7 +148,7 @@ class GibbsDistribution:
             oracle = CountingOracle("enumeration", env=self.env)
         # the oracle lists the sets in family order
         if any(isinstance(v, float) for v in self.w):
-            probs = [float(p) for p in oracle._set_probs(self.w)]
+            probs = oracle._set_probs(self.w)
         else:
             masses = oracle._masses_rational([as_rational(v) for v in self.w])
             Z = sum(masses)

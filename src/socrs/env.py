@@ -3,11 +3,15 @@
 Elements are dense integer ids 0..n-1.  An Environment bundles a ground set
 with a feasibility test for one of the supported constraint families
 (matchings on graphs, hypergraph matchings, k-uniform, matroid independence).
+Its feasible family is enumerated once, level by level as arrays, and
+indexed by position (`Environment.family()`): the incidence matrix, the
+down/up move tables and the stationary caps every exact reader works on.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 from fractions import Fraction
 from dataclasses import dataclass, field
 
@@ -23,6 +27,7 @@ class EnumerationBudgetError(RuntimeError):
 
 
 ENUMERATION_CAP = 2_000_000
+ORACLE_BLOCK = 4096     # most oracle calls between two budget checks (one set's if n is more)
 # elements up to which a dense table over all 2^n subsets is built: the rank
 # table and the Rayleigh pipeline's subset transform
 SUBSET_TABLE_MAX_N = 20
@@ -222,14 +227,22 @@ def _float_rank(M):
 # ---------------------------------------------------------------------------
 
 class Environment:
-    """n elements plus a downward-closed feasibility oracle."""
+    """n elements plus a downward-closed feasibility oracle.
 
-    def __init__(self, n, kind, feasible_fn, meta=None):
+    `edges`, when given, lists each element's vertices, for families whose
+    feasible sets are exactly the sets of vertex-disjoint elements
+    (matchings): the enumeration then filters its candidates by which
+    elements share a vertex instead of calling the oracle.
+    """
+
+    def __init__(self, n, kind, feasible_fn, meta=None, edges=None):
         self.n = n
         self.kind = kind
         self._feasible = feasible_fn
         self.meta = meta or {}
-        self._enum_cache = None
+        self._edges = edges
+        self._levels = None
+        self._inc = None
         self._family = None
 
     def is_feasible(self, S):
@@ -242,51 +255,128 @@ class Environment:
     def enumerate_feasible(self, cap=ENUMERATION_CAP):
         """All feasible sets, sorted by size then lexicographically.
 
-        Uses downward-closure: every feasible set is reachable by adding
-        elements in increasing order, pruning on the first infeasible step.
+        Built level by level on the first call and cached.  Level k+1
+        extends each level-k set S, in order, by each feasible extension
+        e > max(S), ascending, which is (size, lex) order.  By downward
+        closure S + e is feasible only if e extends S's parent too, so the
+        candidates are the parent's extensions beyond max(S); the
+        shares-a-vertex matrix filters them, or else the oracle, one call
+        per candidate.  Raises EnumerationBudgetError once the family
+        exceeds `cap`: before a level's sets are built when they are known
+        from the matrix, and after at most one block of oracle calls past
+        the cap otherwise.
         """
-        if self._enum_cache is not None and len(self._enum_cache) <= cap:
-            return list(self._enum_cache)
-        out = []
-        stack = [(frozenset(), -1)]
-        while stack:
-            S, last = stack.pop()
-            out.append(S)
-            if len(out) > cap:
-                raise EnumerationBudgetError(
-                    f"feasible family too large for enumeration (cap {cap})")
-            for e in range(last + 1, self.n):
-                S2 = S | {e}
-                if self._feasible(S2):
-                    stack.append((S2, e))
-        out.sort(key=lambda S: (len(S), tuple(sorted(S))))
-        self._enum_cache = out
-        return list(out)
+        if self._levels is None:
+            self._levels = self._enumerate(cap)
+        sets = self._levels[0]
+        if len(sets) > cap:
+            raise _budget_error(cap)
+        return list(sets)
+
+    def _enumerate(self, cap):
+        """(sets, levels): the family in order and, for each level above
+        the empty set, the positions of S - max(S) and max(S) of its sets."""
+        n = self.n
+        allow = np.arange(n) > np.arange(n)[:, None]        # allow[e, f]: f may follow e
+        if self._edges is not None:                         # and shares no vertex with e
+            rows, cols, vertex = [], [], {}
+            for e, verts in enumerate(self._edges):
+                for v in verts:
+                    rows.append(e)
+                    cols.append(vertex.setdefault(v, len(vertex)))
+            on = np.zeros((n, len(vertex)), dtype=np.float32)   # exact: counts stay small
+            on[rows, cols] = 1
+            allow &= on @ on.T == 0
+        sets, levels, lo = [frozenset()], [], 0     # lo: where the last level begins
+        ext = np.ones((1, n), dtype=bool)   # the candidates beyond max(S) of each set
+        while True:
+            if self._edges is None:
+                level = self._oracle_level(ext, sets, lo, cap)
+                rows, cols = np.nonzero(ext)
+            else:
+                if len(sets) + np.count_nonzero(ext) > cap:
+                    raise _budget_error(cap)
+                rows, cols = np.nonzero(ext)
+                level = [sets[lo + i] | {e} for i, e in zip(rows.tolist(), cols.tolist())]
+            if not level:
+                return sets, levels
+            levels.append((lo + rows, cols))
+            lo = len(sets)
+            sets += level
+            ext = ext[rows] & allow[cols]
+
+    def _oracle_level(self, ext, sets, lo, cap):
+        """The feasible S + e over the candidates `ext` marks for the sets
+        from position lo on, one oracle call each, a block of sets at a time;
+        `ext` keeps only the feasible.  Raises once the family passes cap."""
+        level, step = [], max(1, ORACLE_BLOCK // max(self.n, 1))
+        for r0 in range(0, len(ext), step):
+            block = ext[r0:r0 + step]           # a view: the answers land in ext
+            rows, cols = np.nonzero(block)
+            cand = [sets[lo + r0 + i] | {e} for i, e in zip(rows.tolist(), cols.tolist())]
+            ok = list(map(self._feasible, cand))
+            block[rows, cols] = ok
+            level += compress(cand, ok)
+            if len(sets) + len(level) > cap:
+                raise _budget_error(cap)
+        return level
+
+    def incidence(self):
+        """inc[p, e]: whether e lies in the p-th set of `enumerate_feasible`,
+        a read-only bool matrix built once, level by level from the parent
+        pointers (inc[S] = inc[S - max S] + max S), with no move tables."""
+        if self._inc is None:
+            sets = self._levels[0] if self._levels else self.enumerate_feasible()
+            inc = np.zeros((len(sets), self.n), dtype=bool)
+            lo = 1
+            for P, e in self._levels[1]:
+                hi = lo + len(P)
+                inc[lo:hi] = inc[P]
+                inc[np.arange(lo, hi), e] = True
+                lo = hi
+            inc.flags.writeable = False
+            self._inc = inc
+        return self._inc
 
     def family(self):
         """The enumerated family by position, built once, as a `Family`.
 
         sets[p] is the p-th set in `enumerate_feasible` order, index its
-        inverse, and position len(sets) a sentinel for every infeasible set.
-        down[p, e] and up[p, e] are the positions of S_p - e and S_p + e (the
-        sentinel's row maps to itself).  caps = (s, e, t) lists each e in S_s
-        with S_t = S_s - e: each set in family order, then e ascending.
+        inverse, inc the `incidence()`, and position len(sets) a sentinel
+        for every infeasible set.  down[p, e] and up[p, e] are the
+        positions of S_p - e and S_p + e (the sentinel's row maps to itself).
+        caps = (s, e, t) lists each e in S_s with S_t = S_s - e: each set in
+        family order, then e ascending.  The tables are filled level by level
+        from parent pointers: with P = S - max(S), S - max(S) is P and
+        S - a = (P - a) + max(S) for the other a in S.
         """
         if self._family is None:
             sets = self.enumerate_feasible()
-            index = {S: p for p, S in enumerate(sets)}
-            s, e, t = caps = np.fromiter(
-                (v for p, S in enumerate(sets) for e in sorted(S) for v in (p, e, index[S - {e}])),
-                dtype=np.int64).reshape(-1, 3).T
-            down = np.repeat(np.arange(len(sets) + 1, dtype=np.int32)[:, None], self.n, axis=1)
-            up = np.full_like(down, len(sets))
-            down[s, e] = t
-            up[t, e] = up[s, e] = s
-            self._family = Family(sets, index, down, up, caps)
+            inc = self.incidence()
+            N = len(sets)
+            down = np.repeat(np.arange(N + 1, dtype=np.int32)[:, None], self.n, axis=1)
+            up = np.full_like(down, N)
+            lo = 1
+            for P, e in self._levels[1]:
+                hi = lo + len(P)
+                s = np.arange(lo, hi)
+                block = np.where(inc[P], up[down[P], e[:, None]], s[:, None])
+                block[s - lo, e] = P
+                down[lo:hi] = block
+                r, a = np.nonzero(inc[lo:hi])
+                up[down[lo + r, a], a] = up[lo + r, a] = lo + r
+                lo = hi
+            s, e = np.nonzero(inc)
+            caps = np.stack([s, e, down[s, e]]).astype(np.int64)
+            self._family = Family(sets, dict(zip(sets, range(N))), down, up, caps, inc)
         return self._family
 
 
-Family = namedtuple("Family", "sets index down up caps")
+Family = namedtuple("Family", "sets index down up caps inc")
+
+
+def _budget_error(cap):
+    return EnumerationBudgetError(f"feasible family too large for enumeration (cap {cap})")
 
 
 def _disjoint_edges(edge_vertices, S):
@@ -299,11 +389,20 @@ def _disjoint_edges(edge_vertices, S):
     return True
 
 
+def _edge_environment(n, kind, edges, meta):
+    """Disjoint-edge environment over `edges` (vertex tuples); an edge
+    repeating a vertex is refused."""
+    for e, verts in enumerate(edges):
+        if len(set(verts)) != len(verts):
+            raise EnvironmentError_(f"edge {e} = {list(verts)} repeats a vertex")
+    return Environment(n, kind, lambda S: _disjoint_edges(edges, S), meta, edges=edges)
+
+
 def matching_environment(edges, n_vertices=None, sides=None):
     """Matchings of a graph.  Elements are edge indices.
 
     `sides`, when given, labels each vertex 0/1 and marks the environment
-    bipartite (every edge must cross).
+    bipartite (every edge must cross).  A loop (u, u) raises.
     """
     edges = [tuple(e) for e in edges]
     if n_vertices is None:
@@ -314,20 +413,20 @@ def matching_environment(edges, n_vertices=None, sides=None):
             if sides[u] == sides[v]:
                 raise EnvironmentError_(f"edge ({u},{v}) does not cross the bipartition")
         kind = "bipartite-matching"
-    return Environment(len(edges), kind, lambda S: _disjoint_edges(edges, S),
-                       {"edges": edges, "n_vertices": n_vertices, "sides": sides})
+    return _edge_environment(len(edges), kind, edges,
+                             {"edges": edges, "n_vertices": n_vertices, "sides": sides})
 
 
 def hypergraph_matching_environment(edges):
     """Hypergraph matchings: edges are vertex lists, feasibility is disjointness.
 
-    The rank bound L (max edge size) is derived from the edge lists.
+    The rank bound L (max edge size) is derived from the edge lists.  An
+    edge repeating a vertex raises.
     """
     edges = [tuple(sorted(e)) for e in edges]
     L = max((len(e) for e in edges), default=0)
-    return Environment(len(edges), "hypergraph-matching",
-                       lambda S: _disjoint_edges(edges, S),
-                       {"edges": edges, "L": L})
+    return _edge_environment(len(edges), "hypergraph-matching", edges,
+                             {"edges": edges, "L": L})
 
 
 def k_uniform_environment(n, k):

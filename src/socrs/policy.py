@@ -179,6 +179,7 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     adaptive = strategy.variant == "adaptive"
 
     fam = env.family()
+    size = len(fam.down)            # the family's positions and the sentinel
     mu, q, null = stationary_conditionals(table, exact)
     pos = np.flatnonzero(live(mu))
     states = [((), pos, mu[pos])]
@@ -208,21 +209,32 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
             for ev, at, mass in branches:
                 keep = live(mass)
                 if keep.any():
-                    new_states.append((hist + (ev,), *_merge(at[keep], mass[keep])))
+                    new_states.append((hist + (ev,), *_merge(at[keep], mass[keep], size)))
         states = new_states
         if sum(len(s[1]) for s in states) > atom_cap:
             raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
 
     pos, p = _merge(np.concatenate([s[1] for s in states]),
-                    np.concatenate([s[2] for s in states]))
-    return ExplicitDistribution.on_family(env, pos, p.tolist(), tol=1e-9), accept_prob
+                    np.concatenate([s[2] for s in states]), size)
+    return ExplicitDistribution.on_family(env, pos, p, tol=1e-9), accept_prob
 
 
-def _merge(at, mass):
-    """Sum the masses that share a family position: (positions, masses)."""
-    pos, inv = np.unique(at, return_inverse=True)
+def _merge(at, mass, size):
+    """Sum the masses that share a family position: (positions, masses).
+
+    Each position's masses are added in input order.  When the atoms cover
+    a sizeable share of the family's `size` positions (the one state of a
+    fixed order) the positions hit are marked in a dense array; fewer atoms
+    (an adaptive strategy's many small states) are sorted with np.unique."""
+    if 8 * len(at) < size:
+        pos, at = np.unique(at, return_inverse=True)
+    else:
+        hit = np.zeros(size, dtype=bool)
+        hit[at] = True
+        pos = np.flatnonzero(hit)
+        at = np.cumsum(hit)[at] - 1
     out = np.zeros(len(pos), dtype=mass.dtype)
-    np.add.at(out, inv, mass)
+    np.add.at(out, at, mass)
     return pos, out
 
 

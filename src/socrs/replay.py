@@ -62,8 +62,7 @@ def replay(dist, x, orders, rng, n_rep=None):
 def outcome_distribution(env, outcome_counts, n_rep):
     """Empirical output law as an ExplicitDistribution."""
     pos = np.flatnonzero(outcome_counts)
-    return ExplicitDistribution.on_family(env, pos, (outcome_counts[pos] / n_rep).tolist(),
-                                          tol=1e-9)
+    return ExplicitDistribution.on_family(env, pos, outcome_counts[pos] / n_rep, tol=1e-9)
 
 
 def random_orders(n, n_rep, rng):

@@ -33,6 +33,39 @@ def test_explicit_distribution_validation():
         ExplicitDistribution(env, {frozenset({0, 1}): 1.0})   # infeasible set
 
 
+@pytest.mark.parametrize("probs, exact, stored", [
+    ([0.25, 0.25, 0.5], False, [0.25, 0.25, 0.5]),
+    (np.array([0.5, -1e-13, 0.5 + 1e-13]), False, [0.5, 0.0, 0.5 + 1e-13]),
+    ([Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)], True,
+     [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]),
+    ([1, 0, 0], True, [1, 0, 0]),
+    ([Fraction(1, 2), 0.25, np.float64(0.25)], False, [0.5, 0.25, 0.25]),
+])
+def test_laws_on_the_family_keep_the_checks(probs, exact, stored):
+    env = triangle_env()
+    for law in (ExplicitDistribution(env, dict(zip(env.enumerate_feasible(), probs))),
+                ExplicitDistribution.on_family(env, [0, 1, 2], probs)):
+        assert law.exact is exact
+        assert list(law.support.values()) == stored
+        assert all(type(v) is (Fraction if exact else float) or type(v) is int
+                   for v in law.support.values())
+
+
+@pytest.mark.parametrize("probs, message", [
+    (np.array([0.5, -1e-9, 0.5 + 1e-9]), "negative probability"),
+    ([Fraction(3, 2), Fraction(-1, 2)], "negative probability"),
+    ([Fraction(1, 2), Fraction(1, 4)], "probabilities sum to 3/4, not 1"),
+    ([0.5, 0.25], "probabilities sum to 0.75, not 1"),
+    ([], "probabilities sum to 0, not 1"),
+])
+def test_laws_on_the_family_refuse_bad_masses(probs, message):
+    env = triangle_env()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExplicitDistribution.on_family(env, range(len(probs)), probs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExplicitDistribution(env, dict(zip(env.enumerate_feasible(), probs)))
+
+
 def test_explicit_marginal_and_order():
     env = triangle_env()
     d = ExplicitDistribution(env, {frozenset(): Fraction(1, 4),

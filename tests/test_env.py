@@ -1,15 +1,19 @@
 """Environments, matroids, and membership checks."""
 
 import itertools
+import json
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socrs.env import (ActivationVector, EnvironmentError_, Matroid,
-                       check_membership, hypergraph_matching_environment,
-                       k_uniform_environment, matching_environment,
-                       matroid_environment)
+from socrs import cli
+from socrs.env import (ORACLE_BLOCK, ActivationVector, EnumerationBudgetError,
+                       Environment, EnvironmentError_, Matroid, check_membership,
+                       hypergraph_matching_environment, k_uniform_environment,
+                       matching_environment, matroid_environment)
 
 
 def triangle_env():
@@ -40,6 +44,119 @@ def test_downward_closure_random_graphs():
         for S in fam:
             for e in S:
                 assert S - {e} in fam
+
+
+def _reference_family(env):
+    """(sets, index, down, up, caps, inc) by brute force over frozensets: each
+    level is every feasible S + e of the level below, sorted by (size, lex)."""
+    level, sets = {frozenset()}, []
+    while level:
+        sets += sorted(level, key=sorted)
+        level = {S | {e} for S in level for e in range(env.n)
+                 if e not in S and env.is_feasible(S | {e})}
+    index = {S: p for p, S in enumerate(sets)}
+    N = len(sets)
+    down = [[index[S - {e}] for e in range(env.n)] for S in sets] + [[N] * env.n]
+    up = [[index.get(S | {e}, N) for e in range(env.n)] for S in sets] + [[N] * env.n]
+    caps = [[p, e, index[S - {e}]] for p, S in enumerate(sets) for e in sorted(S)]
+    inc = [[e in S for e in range(env.n)] for S in sets]
+    return sets, index, down, up, caps, inc
+
+
+@st.composite
+def _environment_builders(draw):
+    """A zero-argument function building a fresh environment of a random kind."""
+    kind = draw(st.sampled_from(["matching", "bipartite", "hypergraph", "k-uniform",
+                                 "graphic", "uniform", "star", "oracle"]))
+    nv = draw(st.integers(2, 7))
+    if kind == "matching":
+        edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+                              .filter(lambda e: e[0] != e[1]), max_size=10))
+        return lambda: matching_environment(edges, nv)
+    if kind == "bipartite":
+        left = draw(st.integers(1, nv - 1))
+        edges = draw(st.lists(st.tuples(st.integers(0, left - 1), st.integers(left, nv - 1)),
+                              max_size=10))
+        return lambda: matching_environment(edges, nv, sides=[0] * left + [1] * (nv - left))
+    if kind == "hypergraph":
+        edges = draw(st.lists(st.sets(st.integers(0, nv + 2), min_size=1, max_size=3),
+                              max_size=9))
+        return lambda: hypergraph_matching_environment(edges)
+    if kind == "k-uniform":
+        n = draw(st.integers(0, 8))
+        k = draw(st.integers(0, n))
+        return lambda: k_uniform_environment(n, k)
+    if kind == "graphic":
+        edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)),
+                              max_size=9))
+        return lambda: matroid_environment(Matroid.graphic(nv, edges))
+    if kind == "uniform":
+        n = draw(st.integers(0, 8))
+        k = draw(st.integers(0, n))
+        return lambda: matroid_environment(Matroid.uniform(n, k))
+    if kind == "star":      # 64 elements, more than a 64-bit set mask holds
+        return lambda: matching_environment([(0, i) for i in range(1, 65)])
+    # only a custom oracle: a knapsack, downward closed
+    weights = draw(st.lists(st.integers(1, 5), max_size=8))
+    budget = draw(st.integers(0, 10))
+    return lambda: Environment(len(weights), "knapsack",
+                               lambda S: sum(weights[e] for e in S) <= budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_environment_builders())
+def test_family_matches_brute_force(build):
+    sets, index, down, up, caps, inc = _reference_family(build())
+    fam = build().family()
+    assert fam.sets == sets and fam.index == index
+    assert fam.down.tolist() == down and fam.up.tolist() == up
+    assert fam.caps.T.tolist() == caps and fam.caps.dtype == np.int64
+    assert fam.inc.dtype == bool and fam.inc.tolist() == inc
+    env = build()
+    with pytest.raises(EnumerationBudgetError):
+        env.enumerate_feasible(cap=len(sets) - 1)
+    assert env.enumerate_feasible(cap=len(sets)) == sets
+    with pytest.raises(EnumerationBudgetError):    # also once the family is cached
+        env.enumerate_feasible(cap=len(sets) - 1)
+
+
+def test_enumeration_budget_stops_before_a_large_level():
+    """K40 has 781 matchings of size <= 1 and 274,951 of size <= 2: with a
+    cap between the two, the second level's sets are never built."""
+    env = matching_environment(list(itertools.combinations(range(40), 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetError):
+            env.enumerate_feasible(cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6       # the level's frozensets alone would take about 60 MB
+
+
+def test_enumeration_budget_stops_the_oracle_within_a_block():
+    """Every pair of 200 elements is feasible (19,900 candidates on level 2):
+    the oracle is called for at most one block of them past the cap."""
+    calls = [0]
+
+    def feasible(S):
+        calls[0] += 1
+        return len(S) <= 2
+
+    with pytest.raises(EnumerationBudgetError):
+        Environment(200, "pairs", feasible).enumerate_feasible(cap=300)
+    assert calls[0] <= 300 + ORACLE_BLOCK
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "general-matching", "edges": [[0, 1], [2, 2]], "x": [0.3, 0.3]},
+    {"kind": "hypergraph-matching", "edges": [[0, 1, 1], [2, 3]], "x": [0.3, 0.3]}])
+def test_edge_repeating_a_vertex_is_refused(doc):
+    build = (matching_environment if doc["kind"] == "general-matching"
+             else hypergraph_matching_environment)
+    with pytest.raises(EnvironmentError_, match="repeats a vertex"):
+        build(doc["edges"])
+    assert cli.main(["verify-lp", "--alpha", "0.3", json.dumps(doc)]) == 2
 
 
 def test_k_uniform():
