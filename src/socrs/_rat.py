@@ -27,9 +27,9 @@ except ImportError:  # pragma: no cover
 
 
 def as_rational(v):
-    """Coerce ints, Fractions, mpqs and decimal strings to the fast rational type."""
+    """Coerce ints, floats, Fractions, mpqs and decimal strings to the fast rational type."""
     if isinstance(v, float):
-        return R(Fraction(v).numerator, Fraction(v).denominator)
+        return R(*v.as_integer_ratio())
     if isinstance(v, Fraction):
         return R(v.numerator, v.denominator)
     if isinstance(v, str):

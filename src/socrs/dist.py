@@ -44,6 +44,9 @@ class NullConditioningError(ValueError):
     """Conditioning on an event of probability zero."""
 
 
+# Most feasible sets the exact rational LP takes on.
+EXACT_LP_MAX_SETS = 5000
+
 # Float slack of the stationary cap q_e(T) <= x_e, shared by the policy, the
 # exact expansion, the replay kernels and the LP verifier.
 CAP_SLACK = 1e-9
@@ -72,14 +75,19 @@ class ExplicitDistribution:
             if not env.is_feasible(S):
                 raise EnvironmentError_(f"support set {sorted(S)} is infeasible")
         self._fill(env, list(support), list(support.values()), tol)
+        # the family positions of the support's sets, in its order; None
+        # when the law was given by its sets
+        self.positions = None
 
     @classmethod
     def on_family(cls, env, positions, probs, tol=1e-12):
         """The law with mass probs[i] on env.family().sets[positions[i]]: sets
-        of the enumerated family, so their feasibility is not checked again."""
+        of the enumerated family at distinct positions, so their feasibility
+        is not checked again and their positions are kept."""
         sets = env.family().sets
-        return cls.__new__(cls)._fill(
-            env, list(map(sets.__getitem__, np.asarray(positions).tolist())), probs, tol)
+        self = cls.__new__(cls)
+        self.positions = np.asarray(positions, dtype=np.intp)
+        return self._fill(env, list(map(sets.__getitem__, self.positions.tolist())), probs, tol)
 
     def _fill(self, env, sets, probs, tol):
         """Store mass probs[i] on sets[i], checked as one array.  A law with a
@@ -181,10 +189,26 @@ class StationaryReport:
         }
 
 
+def family_masses(table, exact):
+    """mu[p] = the explicit law's mass on S_p, over its family's positions and
+    the sentinel's (mass 0).  Exact mode keeps the table's numbers in an
+    object array; float mode converts them to floats."""
+    fam = table.env.family()
+    mu = np.zeros(len(fam.sets) + 1, dtype=object if exact else float)
+    pos = table.positions
+    if pos is None:
+        pos = [fam.index[S] for S in table.support]
+    mu[pos] = list(table.support.values())
+    return mu
+
+
 def total_variation(a, b):
-    """Total variation distance between two explicit laws, as a float."""
-    keys = set(a.support) | set(b.support)
-    return float(sum(abs(a.prob(S) - b.prob(S)) for S in keys) / 2)
+    """Total variation distance between two explicit laws on one environment,
+    as a float: exactly 0.0 for two equal exact laws."""
+    if a.env is not b.env:
+        raise ValueError("total variation needs two laws on one environment")
+    exact = a.exact and b.exact
+    return float(np.abs(family_masses(a, exact) - family_masses(b, exact)).sum() / 2)
 
 
 def conditional_without(dist, e, T):
@@ -215,15 +239,13 @@ def stationary_conditionals(table, exact):
     arrays; float mode converts them to floats.
     """
     fam = table.env.family()
-    dtype = object if exact else float
-    mu = np.zeros(len(fam.sets) + 1, dtype=dtype)
-    mu[[fam.index[S] for S in table.support]] = list(table.support.values())
+    mu = family_masses(table, exact)
     null = np.repeat((mu == 0)[:, None], table.env.n, axis=1)
-    q = np.zeros(null.shape, dtype=dtype)
+    q = np.zeros(null.shape, dtype=mu.dtype)
     s, e, t = fam.caps
     b, den = mu[s], mu[t] + mu[s]
     ok = den != 0
-    cond = np.zeros(len(s), dtype=dtype)
+    cond = np.zeros(len(s), dtype=mu.dtype)
     cond[ok] = b[ok] / den[ok]
     q[s, e] = q[t, e] = cond
     null[s, e] = null[t, e] = ~ok
@@ -273,45 +295,47 @@ def addability_prob(dist, e):
     fam = dist.env.family()
     table = dist.to_explicit()
     addable = fam.up[fam.down[:, e], e] != len(fam.sets)
-    add = sum((p for S, p in table.support.items() if addable[fam.index[S]]),
+    add = sum(family_masses(table, table.exact)[addable].tolist(),
               R(0) if table.exact else 0.0)
     return add, abs(table.marginal(e) - add * dist.rho[e])
 
 
-def solve_stationary_lp_exact(env, x, budget=5000):
-    """Exact rational optimum of the stationary LP on an enumerable family.
+def solve_stationary_lp_exact(env, x):
+    """Exact rational optimum of the stationary LP on an enumerable family
+    of at most EXACT_LP_MAX_SETS sets.
 
     Returns (alpha, witness ExplicitDistribution).
     """
     sets = env.family().sets
-    if len(sets) > budget:
+    if len(sets) > EXACT_LP_MAX_SETS:
         raise EnumerationBudgetError(
-            f"|F| = {len(sets)} exceeds the rational simplex budget {budget}")
+            f"|F| = {len(sets)} exceeds the rational simplex budget {EXACT_LP_MAX_SETS}")
     x = [as_rational(v) for v in x]
     # variables: mu_S at column (position - 1) for every S but the empty set, then alpha
     nv = len(sets)
     ALPHA = nv - 1
 
+    # entries are plain ints and x's rationals; the simplex reads each exactly
     A_ub, b_ub = [], []
     # selectability: alpha*x_e - sum_{S ni e} mu_S <= 0
     for e in range(env.n):
-        A_ub.append([R(-1) if e in S else R(0) for S in sets[1:]] + [x[e]])
-        b_ub.append(R(0))
+        A_ub.append([-1 if e in S else 0 for S in sets[1:]] + [x[e]])
+        b_ub.append(0)
     # caps: (1-x_e) mu(T+e) - x_e mu(T) <= 0, with mu(empty) = 1 - sum mu_S
     for s, e, t in env.family().caps.T.tolist():
-        row = [R(0)] * nv
+        row = [0] * nv
         if t:
-            row[t - 1] -= x[e]
-            b_ub.append(R(0))
+            row[t - 1] = -x[e]
+            b_ub.append(0)
         else:
             row[:ALPHA] = [x[e]] * ALPHA
             b_ub.append(x[e])
         row[s - 1] += 1 - x[e]
         A_ub.append(row)
     # mu(empty) >= 0
-    A_ub.append([R(1)] * ALPHA + [R(0)])
-    b_ub.append(R(1))
-    c = [R(0)] * ALPHA + [R(1)]
+    A_ub.append([1] * ALPHA + [0])
+    b_ub.append(1)
+    c = [0] * ALPHA + [1]
 
     opt, z = simplex.solve_lp(c, A_ub, b_ub)
     mu = [1 - sum(z[:ALPHA])] + z[:ALPHA]

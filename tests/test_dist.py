@@ -195,11 +195,12 @@ def test_verify_stationary_lp_only_wraps_budget_overflow():
     assert "Monte-Carlo" not in str(info.value)
 
 
-def test_budget_overruns_are_enumeration_budget_errors():
+def test_budget_overruns_are_enumeration_budget_errors(monkeypatch):
     assert issubclass(NonEnumerableError, EnumerationBudgetError)
     env = k_uniform_environment(6, 2)          # |F| = 22
+    monkeypatch.setattr(dist_mod, "EXACT_LP_MAX_SETS", 21)
     with pytest.raises(EnumerationBudgetError, match="budget 21"):
-        solve_stationary_lp_exact(env, [Fraction(1, 3)] * 6, budget=21)
+        solve_stationary_lp_exact(env, [Fraction(1, 3)] * 6)
 
 
 def test_simplex_basic():
@@ -215,6 +216,47 @@ def test_simplex_basic():
         solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(-1)])
     with pytest.raises(UnboundedLP):
         solve_lp([Fraction(1)], [[Fraction(-1)]], [Fraction(1)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simplex_matches_highs_on_random_float_lps(seed):
+    # float coefficients (2^-52-scale denominators), sparse rows, zero
+    # right-hand sides so degenerate ratio ties reach Bland's tie-break, and
+    # one positive row that keeps the LP bounded
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(3, 9), rng.integers(2, 8)
+    A = rng.uniform(-1, 1, (m, n)) * (rng.random((m, n)) < 0.7)
+    b = rng.uniform(0, 1, m) * (rng.random(m) < 0.5)
+    A = np.vstack([A, rng.uniform(0.1, 1, n)])
+    b = np.append(b, rng.uniform(0.5, 2))
+    c = rng.uniform(-1, 1, n)
+    opt, z = solve_lp(c.tolist(), A.tolist(), b.tolist())
+    assert all(v >= 0 for v in z)
+    for row, bi in zip(A.tolist(), b.tolist()):
+        assert sum(Fraction(a) * v for a, v in zip(row, z)) <= Fraction(bi)
+    assert opt == sum(Fraction(ci) * v for ci, v in zip(c.tolist(), z))
+    ref = linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert ref.status == 0 and abs(float(opt) + ref.fun) <= 1e-9
+
+
+def test_float_x_impossibility_alpha_n3_is_pinned():
+    # x read as floats 1/3 and 2/3, as the lp-exact command reads the instance
+    from socrs.generators import gen_instance
+    env, x, _ = gen_instance("bipartite-impossibility", n=3)
+    a, wit = solve_stationary_lp_exact(env, x)
+    assert f"{a.numerator}/{a.denominator}" == (
+        "893139889479996250327151401828473927908863246336/"
+        "1813344624095749984638529860172070884789575211539")
+    assert len(wit.support) == 19
+
+
+def test_impossibility_alpha_n4_is_pinned():
+    from socrs.generators import gen_instance
+    env, _, _ = gen_instance("bipartite-impossibility", n=4)
+    a, wit = solve_stationary_lp_exact(env, [Fraction(1, 4)] * 4 + [Fraction(3, 4)] * 4)
+    assert a == Fraction(64, 139)
+    assert len(wit.support) == 27
 
 
 # the n = 3 impossibility witness at x = (1/3,)*3 + (2/3,)*3, as the
