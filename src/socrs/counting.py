@@ -1,21 +1,27 @@
 """Weighted generating-polynomial oracles.
 
 A CountingOracle evaluates Z(w) = sum over the relevant set family of
-mu0(S) prod_{e in S} w_e (mu0 = 1 on environment families), per-element
-marginal sums, constrained sums (pinned include/exclude blocks via
-forward-difference interpolation), and the coefficient extraction used for
-thinned base measures.
+mu0(S) prod_{e in S} w_e (mu0 = 1 on environment families), and the same
+sum over the sets that hold all of a pinned-in block I and none of a
+pinned-out block J.  That one pinned evaluation, `_g`, gives every
+operation: partition (no pins), per-element marginal sums (one pin),
+constrained counts, and the thinned base masses (a count pinned on T at
+weights w(1 - tau) off T).  Each backend reduces the pins to a smaller
+instance of itself (self-reduction, Jerrum-Valiant-Vazirani 1986):
+  * enumeration backends filter the enumerated family;
+  * matching-recursion drops the edges of J and every edge touching I;
+  * ksym-dp drops I and J and lowers k by |I|;
+  * the determinantal backends (cauchy-binet, and matrix-tree with A the
+    reduced signed incidence matrix, so A W A^T is the reduced Laplacian)
+    take one determinant of A_R W_R A_R^T bordered by the columns A_I.
 
-Every backend and every forward difference is written once.  The precision
-mode decides only the arithmetic and the form of the result:
+The precision mode decides only the arithmetic and the form of the result:
   * "rational": exact rationals throughout; partition and marginal_sum
     return Z itself.
   * "double": floats; partition/marginal_sum return log-magnitudes (-inf
-    for zero), constrained_count/thinned_mass plain floats, since their
-    interpolation sums are signed and are taken relative to the largest
-    log term.
-The closed-form backends run their kernels in the mode's (one, zero).  The
-enumeration backends read exact masses mu0(S) w^S from one loop in rational
+    for zero), constrained_count/thinned_mass plain floats.  Determinants
+    stay in log form from slogdet on, so Z far outside float range is fine.
+The enumeration backends read exact masses mu0(S) w^S from one loop in rational
 mode; in double mode the cached incidence matrix gives all per-set
 log-masses log mu0(S) + sum_{e in S} log w_e in one matmul (-inf for sets
 holding a zero weight), and one logsumexp turns them into log Z and the
@@ -28,17 +34,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
 
 from ._rat import R, as_rational
 
 MATCHING_MEMO_CAP = 1_000_000
-
-
-class CountingOverflowError(OverflowError):
-    """Double-mode value exceeded float range; rerun in exact-rational mode."""
 
 
 class SingularRepresentationError(RuntimeError):
@@ -73,16 +74,10 @@ def det_bareiss(M):
 
 
 def det_double(M):
-    """Partial-pivot LU determinant for float matrices."""
-    A = np.array(M, dtype=float)
-    n = A.shape[0]
-    if n == 0:
-        return 1.0
-    sign, logdet = np.linalg.slogdet(A)
-    if sign == 0:
-        return 0.0
-    val = sign * math.exp(logdet)
-    return val
+    """(sign, log |det M|) of a float matrix by partial-pivot LU; the log
+    form keeps determinants far outside float range usable."""
+    sign, logdet = np.linalg.slogdet(np.asarray(M, dtype=float))
+    return float(sign), float(logdet)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +204,28 @@ class CountingOracle:
 
         self._sets = None           # enumeration cache: list of frozensets
         self._inc = None            # and its set x element incidence matrix
+        if backend in _BACKEND_MEASURE:
+            # the determinantal measure's r x n matrix A in the mode's numbers,
+            # and det(A A^T) (its log in double mode)
+            if backend == "matrix-tree":
+                m = base.matroid
+                A = np.zeros((m.meta["n_vertices"], self.n), dtype=int)
+                for e, (u, v) in enumerate(m.meta["edges"]):
+                    A[u, e] += 1
+                    A[v, e] -= 1        # a loop's column stays zero
+                A = A[1:]
+            else:
+                A = np.array(base.A, dtype=object)
+            self._A = A.astype(object if mode == "rational" else float)
+            gram = self._A @ self._A.T
+            if mode == "rational":
+                self._gram = det_bareiss(gram.tolist())
+                singular = self._gram == 0
+            else:
+                sign, self._gram = det_double(gram)
+                singular = sign <= 0
+            if singular:            # matrix-tree: the graph is disconnected
+                raise SingularRepresentationError("A A^T is singular")
 
     # -- enumeration support ---------------------------------------------
 
@@ -232,15 +249,6 @@ class CountingOracle:
                 t *= w[f]
             masses.append(t)
         return masses
-
-    def _enum_rational(self, w, e=None):
-        """Exact sum of mu0(S) w^S over the family, or over its sets holding e."""
-        sets, _ = self._family()
-        total = R(0)
-        for S, t in zip(sets, self._masses_rational(w)):
-            if e is None or e in S:
-                total += t
-        return total
 
     def _log_masses(self, w):
         """log mu0(S) + sum_{e in S} log w_e for every enumerated set S.
@@ -270,13 +278,7 @@ class CountingOracle:
 
     def _tilt(self, w):
         """(log Z, per-set probabilities) of the w-tilted family; (-inf, None) for Z = 0."""
-        logmass = self._log_masses(w)
-        m = logmass.max()
-        if m == -math.inf:
-            return -math.inf, None
-        p = np.exp(logmass - m)
-        s = p.sum()
-        return float(m) + math.log(s), p / s
+        return _log_normalise(self._log_masses(w))
 
     def _set_probs(self, w):
         lz, p = self._tilt(w)
@@ -292,40 +294,56 @@ class CountingOracle:
             raise ValueError("weight vector length mismatch")
         return [self._num(v) for v in w]
 
-    def _value(self, s, M=0):
-        """s e^M in the mode's output form: s itself in rational mode (where
-        M = 0), log(s) + M in double mode (-inf for s <= 0)."""
+    def _value(self, s):
+        """s in the mode's output form: s itself in rational mode, log(s) in
+        double mode (-inf for s <= 0)."""
         if self.mode == "rational":
             return s
-        return math.log(s) + M if s > 0 else -math.inf
+        return math.log(s) if s > 0 else -math.inf
 
-    def _g(self, w):
-        """Z(w) of mode-typed weights w, as `_value` gives it."""
+    def _g(self, w, I=(), J=()):
+        """Z(w) of mode-typed weights w summed over the sets that hold all of
+        I and none of J (disjoint), as `_value` gives it."""
+        I, J = list(I), list(J)
         if self.backend in ENUM_BACKENDS:
-            return self._enum_rational(w) if self.mode == "rational" else self._tilt(w)[0]
+            if self.mode == "rational":
+                sets, _ = self._family()
+                inside, outside = frozenset(I), frozenset(J)
+                return sum((t for S, t in zip(sets, self._masses_rational(w))
+                            if inside <= S and not outside & S), R(0))
+            logmass = self._log_masses(w)
+            if I or J:
+                logmass = logmass[self._inc[:, I].all(1) & ~self._inc[:, J].any(1)]
+            return _log_normalise(logmass)[0]
+        rest = [i for i in range(self.n) if i not in I and i not in J]
         one, zero = self._one, self._zero
-        if self.backend == "matching-recursion":
-            val = _matching_partition(self.env.meta["edges"], w, one)
-        elif self.backend == "ksym-dp":
-            val = _esym_truncated_sum(w, self.env.meta["k"], one, zero)
-        elif self.backend == "matrix-tree":
-            val = _matrix_tree_g(self.base, w, one, zero)
-        else:
-            val = _cauchy_binet_g(self.base, w, one, zero)
-        return self._value(val)
-
-    def _alternating_sum(self, terms):
-        """sum c Z(v) over the (c, v) in `terms`, as (s, M) with the sum
-        equal to s e^M: exact s and M = 0 in rational mode; in double mode M
-        is the largest log Z(v), so s stays in range (M = -inf when every
-        Z(v) is 0)."""
-        zs = [(c, self._g(v)) for c, v in terms]
-        if self.mode == "rational":
-            return sum(c * z for c, z in zs), 0
-        M = max(z for _, z in zs)
-        if M == -math.inf:
-            return 0.0, M
-        return sum(c * math.exp(z - M) for c, z in zs), M
+        w_in = one
+        for i in I:
+            w_in *= w[i]
+        if self.backend in _BACKEND_MEASURE:
+            # sum_{B >= I, B & J = {}} det(A_B)^2 w^B / det(A A^T)
+            #   = (-1)^|I| w^I det [[A_R W_R A_R^T, A_I], [A_I^T, 0]] / det(A A^T)
+            A, d = self._A, len(I)
+            K = (A[:, rest] * np.array([w[i] for i in rest], dtype=A.dtype)) @ A[:, rest].T
+            if d:
+                K = np.block([[K, A[:, I]], [A[:, I].T, np.zeros((d, d), dtype=A.dtype)]])
+            if self.mode == "rational":
+                return (-1) ** d * w_in * det_bareiss(K.tolist()) / self._gram
+            # w^I as a sum of logs: the product itself may leave float range
+            sign, logdet = det_double(K)
+            if (-1) ** d * sign <= 0 or any(w[i] <= 0 for i in I):
+                return -math.inf
+            return logdet + sum(math.log(w[i]) for i in I) - self._gram
+        if self.backend == "ksym-dp":
+            return self._value(w_in * _esym_truncated_sum(
+                [w[i] for i in rest], self.env.meta["k"] - len(I), one, zero))
+        # matching-recursion: I must be a matching; then drop every edge touching it
+        edges = self.env.meta["edges"]
+        ends = [v for i in I for v in edges[i]]
+        if len(set(ends)) < len(ends):
+            return self._value(zero)
+        free = frozenset(i for i in rest if set(ends).isdisjoint(edges[i]))
+        return self._value(w_in * _mp_rec(free, edges, w, one, {}))
 
     # -- public operations -------------------------------------------------
 
@@ -334,25 +352,7 @@ class CountingOracle:
 
     def marginal_sum(self, w, e):
         """Z restricted to sets containing e (= w_e dZ/dw_e)."""
-        w = self._weights(w)
-        one, zero = self._one, self._zero
-        if self.backend == "matching-recursion":
-            edges = self.env.meta["edges"]
-            u, v = edges[e]
-            sub = {i: f for i, f in enumerate(edges) if i != e and u not in f and v not in f}
-            return self._value(w[e] * _matching_partition_sub(sub, w, one))
-        if self.backend == "ksym-dp":
-            rest = w[:e] + w[e + 1:]
-            return self._value(w[e] * _esym_truncated_sum(rest, self.env.meta["k"] - 1, one, zero))
-        if self.backend in ENUM_BACKENDS:
-            if self.mode == "rational":
-                return self._enum_rational(w, e)
-            lz, p = self._tilt(w)
-            return self._value(0.0 if p is None else float(p @ self._inc[:, e]), lz)
-        # determinant backends: multi-affinity gives marginal = Z(w) - Z(w | w_e = 0)
-        w0 = list(w)
-        w0[e] = zero
-        return self._value(*self._alternating_sum([(1, w), (-1, w0)]))
+        return self._g(self._weights(w), [e])
 
     def _ratio(self, num, z):
         """num / z of two values in `_value`'s form, as a probability."""
@@ -377,68 +377,37 @@ class CountingOracle:
         return self._inc.T @ (self._inc * p[:, None])
 
     def constrained_count(self, w, I, J):
-        """Sum over sets containing all of I and none of J, by interpolation.
-
-        Evaluates the oracle on the (|I|+1) x (|J|+1) grid of rescaled weight
-        vectors and combines with signed binomial forward-difference
-        coefficients.  Exact-rational mode is required beyond 8 pinned
-        elements: the alternating sums are catastrophically ill-conditioned.
-        """
-        I, J = sorted(set(I)), sorted(set(J))
-        if set(I) & set(J):
+        """Sum over sets containing all of I and none of J; a plain float in
+        double mode."""
+        I, J = set(I), set(J)
+        if I & J:
             raise ValueError("include and exclude sets must be disjoint")
-        d, m = len(I), len(J)
-        if d + m > 8 and self.mode != "rational":
-            raise ValueError("more than 8 pinned elements requires rational mode")
-        w = self._weights(w)
-
-        def scaled(a, b):
-            ww = list(w)
-            for i in I:
-                ww[i] = ww[i] * (1 + a)
-            for j in J:
-                ww[j] = ww[j] * b
-            return ww
-
-        s, M = self._alternating_sum(
-            [((-1) ** (d - a) * comb(d, a) * (-1) ** (b - 1) * comb(m + 1, b), scaled(a, b))
-             for a in range(d + 1) for b in range(1, m + 2)])
-        val = s / factorial(d)
-        if self.mode == "rational":
-            return val
-        if not math.isfinite(val):
-            raise CountingOverflowError("interpolation sum overflowed; use rational mode")
-        if M > 700:
-            raise CountingOverflowError("interpolation values overflow double; use rational mode")
-        return val * math.exp(M)
+        val = self._g(self._weights(w), sorted(I), sorted(J))
+        return val if self.mode == "rational" else math.exp(val)
 
     def thinned_mass(self, w, tau, T):
-        """Value proportional to mu*(T): prod_{i in T} tau_i times the
-        degree-|T| coefficient of g along the T-block scaling, over Z(w).
-
-        The coefficient is extracted with the |T|-step forward difference at
-        nodes t = 1..|T|+1; elements outside T keep the weight w (1 - tau).
-        """
+        """mu*(T) of the base measure thinned by tau: prod_{i in T} tau_i times
+        Z over the bases holding T at weights w on T and w (1 - tau) off T,
+        over Z(w)."""
         T = sorted(set(T))
-        d = len(T)
         w = self._weights(w)
         tau = [self._num(v) for v in tau]
-
-        def wt(t):
-            return [w[i] * t if i in T else w[i] * (1 - tau[i]) for i in range(self.n)]
-
-        s, M = self._alternating_sum([((-1) ** (d - a) * comb(d, a), wt(1 + a))
-                                      for a in range(d + 1)])
-        lead = s / factorial(d)
+        wt = [v * (1 - t) for v, t in zip(w, tau)]
         tt = self._one
         for i in T:
+            wt[i] = w[i]
             tt *= tau[i]
-        if self.mode == "rational":
-            return tt * lead / self._g(w)
-        val = tt * lead * math.exp(M - self._g(w))
-        if not math.isfinite(val):
-            raise CountingOverflowError("thinned-mass extraction overflowed; use rational mode")
-        return max(val, 0.0)
+        return tt * self._ratio(self._g(wt, T), self._g(w))
+
+
+def _log_normalise(logmass):
+    """(log sum e^logmass, e^logmass / that sum); (-inf, None) when the sum is 0."""
+    m = logmass.max(initial=-math.inf)
+    if m == -math.inf:
+        return -math.inf, None
+    p = np.exp(logmass - m)
+    s = p.sum()
+    return float(m) + math.log(s), p / s
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +416,11 @@ class CountingOracle:
 
 def _matching_partition(edges, w, one):
     """Matching generating polynomial via Z(G) = Z(G-e) + w_e Z(G-u-v)."""
-    sub = {i: edges[i] for i in range(len(edges))}
-    return _matching_partition_sub(sub, w, one)
-
-
-def _matching_partition_sub(sub, w, one):
-    return _mp_rec(frozenset(sub), {i: e for i, e in sub.items()}, w, one, {})
+    return _mp_rec(frozenset(range(len(edges))), edges, w, one, {})
 
 
 def _mp_rec(key, edges, w, one, memo):
+    """Matching polynomial of the edges indexed by `key`."""
     if not key:
         return one
     if key in memo:
@@ -486,33 +451,3 @@ def _esym_truncated_sum(w, k, one, zero):
     for v in dp:
         total = total + v
     return total
-
-
-def _reduced_laplacian(base, w, zero):
-    """The weighted graph Laplacian with its first row and column dropped."""
-    m = base.matroid
-    nv = m.meta["n_vertices"]
-    L = [[zero] * nv for _ in range(nv)]
-    for e, (u, v) in enumerate(m.meta["edges"]):
-        if u == v:
-            continue
-        L[u][u] += w[e]
-        L[v][v] += w[e]
-        L[u][v] -= w[e]
-        L[v][u] -= w[e]
-    return [row[1:] for row in L[1:]]
-
-
-def _matrix_tree_g(base, w, one, zero):
-    """Normalized spanning-tree generating value det L_red(w) / #trees."""
-    det = det_double if isinstance(one, float) else det_bareiss
-    return (det(_reduced_laplacian(base, w, zero))
-            / det(_reduced_laplacian(base, [one] * len(w), zero)))
-
-
-def _cauchy_binet_g(base, w, one, zero):
-    """det(A diag(w) A^T) / det(A A^T) = sum_B mu0(B) w^B."""
-    gram = _mat_mul_t([[a * x for a, x in zip(row, w)] for row in base.A], base.A)
-    if isinstance(one, float):
-        return det_double(gram) / float(base.gram_det)
-    return det_bareiss(gram) / base.gram_det

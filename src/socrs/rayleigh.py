@@ -114,7 +114,7 @@ def materialize(witness):
 
 
 def pi_conditional(witness, e, T):
-    """P[e in S | S_-e = T] under mu*, via thinned-mass coefficient extraction."""
+    """P[e in S | S_-e = T] under mu*, from the thinned masses of T and T + e."""
     T = frozenset(T)
     if e in T:
         raise ValueError("e must not lie in T")

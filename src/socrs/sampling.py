@@ -46,7 +46,7 @@ class RngStream:
 
 
 def _clamp(p):
-    if p < -CLAMP_SLACK or p > 1.0 + CLAMP_SLACK:
+    if not -CLAMP_SLACK <= p <= 1.0 + CLAMP_SLACK:      # NaN fails it too
         raise ConditionalClampError(f"conditional {p} outside [0,1] beyond slack")
     return min(max(p, 0.0), 1.0)
 
@@ -68,16 +68,20 @@ def sample_sequential(oracle, w, rng):
     g_{J, I+k}(w) / g_{J, I}(w).  Exact in rational mode.
     """
     I, J = [], []
+    den = None
     for k in range(oracle.n):
         num = oracle.constrained_count(w, I + [k], J)
-        den = oracle.constrained_count(w, I, J)
+        if den is None:
+            den = oracle.constrained_count(w, I, J)
         if float(den) == 0.0:
             raise RuntimeError("impossible prefix: zero denominator in sequential sampler")
         p = _clamp(float(num) / float(den) if isinstance(den, float) else float(num / den))
         if float(rng.uniform()) < p:
             I.append(k)
+            den = num               # the next prefix's count is this numerator
         else:
             J.append(k)
+            den = None
     return frozenset(I)
 
 

@@ -1,4 +1,4 @@
-"""Counting oracles: backends, precision modes, interpolation."""
+"""Counting oracles: backends, precision modes, pinned counts."""
 
 import math
 from fractions import Fraction
@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socrs.counting import (BaseMeasure, CountingOracle, det_bareiss,
-                            det_double)
+from socrs.counting import (BaseMeasure, CountingOracle,
+                            SingularRepresentationError, det_bareiss, det_double)
 from socrs.env import Matroid, k_uniform_environment, matching_environment
 
 
@@ -34,7 +34,8 @@ def test_det_double_matches_bareiss():
     for _ in range(10):
         M = rng.integers(-5, 6, size=(4, 4))
         exact = det_bareiss([[Fraction(int(v)) for v in row] for row in M])
-        assert abs(det_double(M.astype(float)) - float(exact)) < 1e-8 * max(1, abs(exact))
+        sign, logdet = det_double(M.astype(float))
+        assert abs(sign * math.exp(logdet) - float(exact)) < 1e-8 * max(1, abs(exact))
 
 
 def test_partition_closed_form_path():
@@ -108,6 +109,11 @@ def test_closed_form_backends_refuse_other_measures():
         CountingOracle("cauchy-binet", base=table)
     with pytest.raises(ValueError, match="determinantal"):
         CountingOracle("cauchy-binet", base=BaseMeasure.uniform_on_bases(tri))
+    # two components: no spanning tree, so the reduced Laplacian is singular
+    forest = Matroid.graphic(4, [(0, 1), (2, 3)])
+    for mode in ("double", "rational"):
+        with pytest.raises(SingularRepresentationError):
+            CountingOracle("matrix-tree", base=BaseMeasure.uniform_on_bases(forest), mode=mode)
 
 
 def test_determinantal_marginals_match_table():
@@ -118,6 +124,16 @@ def test_determinantal_marginals_match_table():
     w = [Fraction(1), Fraction(2), Fraction(3)]
     for e in range(3):
         assert o.marginal_probability(w, e) == ot.marginal_probability(w, e)
+
+
+def test_matrix_tree_double_mode_beyond_float_range():
+    # K6 at w = e^150: Z = e^750 overflows a float, while log Z does not
+    import networkx as nx
+    m = Matroid.graphic(6, list(nx.complete_graph(6).edges()))
+    o = CountingOracle("matrix-tree", base=BaseMeasure.uniform_on_bases(m), mode="double")
+    w = [math.exp(150)] * m.n
+    assert abs(o.partition(w) - 750) < 1e-9
+    assert np.abs(o.marginals(w) - 1 / 3).max() < 1e-12      # 5 of 15 edges
 
 
 def test_multi_affinity():
@@ -152,12 +168,21 @@ def test_constrained_count_vs_enumeration():
 
 
 def test_constrained_count_pin_limit_in_double_mode():
-    env = k_uniform_environment(10, 4)
-    od = CountingOracle("ksym-dp", env=env, mode="double")
-    with pytest.raises(ValueError):
-        od.constrained_count([1.0] * 10, list(range(5)), list(range(5, 10)))
-    # rational mode handles the same request
-    orat = CountingOracle("ksym-dp", env=env, mode="rational")
+    # pinning reduces the instance, so double mode has no pin limit and
+    # agrees with rational mode at 10-12 pins
+    env = k_uniform_environment(16, 7)
+    rng = np.random.default_rng(12)
+    w = [Fraction(int(v), 8) for v in rng.integers(1, 25, size=16)]
+    wf = [float(v) for v in w]
+    for backend in ["ksym-dp", "enumeration"]:
+        od = CountingOracle(backend, env=env, mode="double")
+        orat = CountingOracle(backend, env=env, mode="rational")
+        for I, J in [(range(5), range(5, 10)), (range(3), range(3, 12)),
+                     (range(0, 12, 2), range(1, 11, 2)), (range(7), range(7, 12))]:
+            exact = orat.constrained_count(w, I, J)
+            assert exact > 0
+            assert abs(od.constrained_count(wf, I, J) - float(exact)) <= 1e-12 * float(exact)
+    orat = CountingOracle("ksym-dp", env=k_uniform_environment(10, 4), mode="rational")
     val = orat.constrained_count([Fraction(1)] * 10, [0, 1], list(range(2, 9)))
     # sets containing {0,1}, avoiding 2..8, size <= 4: {0,1} and {0,1,9}
     assert val == 2
@@ -278,6 +303,12 @@ def _backends(family):
             ["tabulated-base-measure", "cauchy-binet"])
 
 
+# a pinned-in block that no set of the family holds: |I| > k, two edges
+# sharing a vertex, a 4-cycle, more elements than the rank
+_DEPENDENT_PINS = {"k-uniform": [0, 1, 2], "matching": [0, 1],
+                   "spanning-trees": [0, 1, 2, 3], "determinantal": [0, 1, 2, 3]}
+
+
 def _close(got, exact, tol=1e-12):
     return abs(got - float(exact)) <= tol * max(1.0, abs(float(exact)))
 
@@ -316,6 +347,10 @@ def test_double_mode_matches_rational_mode(family):
                                       orat.constrained_count(w, [e], [f]))
                     if enum:
                         assert abs(M[e, f] - float(both / Z)) < 1e-12
+            I = _DEPENDENT_PINS[family]
+            for J in ([], [n - 1]):
+                assert orat.constrained_count(w, I, J) == 0
+                assert _close(od.constrained_count(wf, I, J), 0)
 
 
 @pytest.mark.parametrize("family", ["spanning-trees", "determinantal"])

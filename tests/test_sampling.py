@@ -59,6 +59,8 @@ def test_clamp_slack():
     assert _clamp(-5e-10) == 0.0
     with pytest.raises(ConditionalClampError):
         _clamp(1.0 + 1e-6)
+    with pytest.raises(ConditionalClampError):     # inf / inf from an overflowed count
+        _clamp(math.nan)
 
 
 def test_sample_explicit_frequencies():
