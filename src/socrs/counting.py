@@ -19,8 +19,10 @@ The precision mode decides only the arithmetic and the form of the result:
   * "rational": exact rationals throughout; partition and marginal_sum
     return Z itself.
   * "double": floats; partition/marginal_sum return log-magnitudes (-inf
-    for zero), constrained_count/thinned_mass plain floats.  Determinants
-    stay in log form from slogdet on, so Z far outside float range is fine.
+    for zero), constrained_count/thinned_mass plain floats, and `pinned`
+    the log of a pinned count.  Determinants stay in log form from slogdet
+    on, and ksym-dp runs its DP on w / max(w, 1), so Z far outside float
+    range is fine there; matching-recursion still sums plain floats.
 The enumeration backends read exact masses mu0(S) w^S from one loop in rational
 mode; in double mode the cached incidence matrix gives all per-set
 log-masses log mu0(S) + sum_{e in S} log w_e in one matmul (-inf for sets
@@ -329,14 +331,19 @@ class CountingOracle:
                 K = np.block([[K, A[:, I]], [A[:, I].T, np.zeros((d, d), dtype=A.dtype)]])
             if self.mode == "rational":
                 return (-1) ** d * w_in * det_bareiss(K.tolist()) / self._gram
-            # w^I as a sum of logs: the product itself may leave float range
             sign, logdet = det_double(K)
-            if (-1) ** d * sign <= 0 or any(w[i] <= 0 for i in I):
+            if (-1) ** d * sign <= 0:
                 return -math.inf
-            return logdet + sum(math.log(w[i]) for i in I) - self._gram
+            return logdet + _log_prod(w[i] for i in I) - self._gram
         if self.backend == "ksym-dp":
-            return self._value(w_in * _esym_truncated_sum(
-                [w[i] for i in rest], self.env.meta["k"] - len(I), one, zero))
+            k, ws = self.env.meta["k"] - len(I), [w[i] for i in rest]
+            if self.mode == "rational":
+                return w_in * sum(_esym(ws, k, one, zero), zero)
+            # e_j(w) = M^j e_j(w / M) with M = max(w, 1) keeps the DP in float range
+            M = max([1.0, *ws])
+            log_e = [j * math.log(M) + self._value(v)
+                     for j, v in enumerate(_esym([v / M for v in ws], k, one, zero))]
+            return _log_prod(w[i] for i in I) + _log_normalise(np.array(log_e))[0]
         # matching-recursion: I must be a matching; then drop every edge touching it
         edges = self.env.meta["edges"]
         ends = [v for i in I for v in edges[i]]
@@ -376,14 +383,26 @@ class CountingOracle:
         p = self._set_probs(w)
         return self._inc.T @ (self._inc * p[:, None])
 
-    def constrained_count(self, w, I, J):
-        """Sum over sets containing all of I and none of J; a plain float in
-        double mode."""
+    def pinned(self, w, I=(), J=()):
+        """Sum over sets containing all of I and none of J, in the form
+        `partition` returns: a log-magnitude in double mode."""
         I, J = set(I), set(J)
         if I & J:
             raise ValueError("include and exclude sets must be disjoint")
-        val = self._g(self._weights(w), sorted(I), sorted(J))
+        return self._g(self._weights(w), sorted(I), sorted(J))
+
+    def constrained_count(self, w, I, J):
+        """`pinned` as a plain number: a float in double mode, which
+        overflows past e^709."""
+        val = self.pinned(w, I, J)
         return val if self.mode == "rational" else math.exp(val)
+
+    def conditional(self, num, den):
+        """num / den of two `pinned` values as a float probability, taken
+        from the logs in double mode; ZeroDivisionError when den is zero."""
+        if den == self._value(self._zero):
+            raise ZeroDivisionError("zero pinned count")
+        return float(self._ratio(num, den))
 
     def thinned_mass(self, w, tau, T):
         """mu*(T) of the base measure thinned by tau: prod_{i in T} tau_i times
@@ -438,16 +457,22 @@ def _mp_rec(key, edges, w, one, memo):
     return val
 
 
-def _esym_truncated_sum(w, k, one, zero):
-    """Sum of elementary symmetric polynomials e_0 + ... + e_k of w."""
+def _esym(w, k, one, zero):
+    """Elementary symmetric polynomials [e_0, ..., e_k] of w; [] for k < 0."""
     if k < 0:
-        return zero
+        return []
     dp = [zero] * (k + 1)
     dp[0] = one
     for x in w:
         for j in range(min(k, len(w)), 0, -1):
             dp[j] = dp[j] + dp[j - 1] * x
-    total = zero
-    for v in dp:
-        total = total + v
-    return total
+    return dp
+
+
+def _log_prod(values):
+    """log of a product of floats as a sum of logs, since the product itself
+    may leave float range; -inf when a factor is <= 0."""
+    values = list(values)
+    if any(v <= 0 for v in values):
+        return -math.inf
+    return sum(math.log(v) for v in values)

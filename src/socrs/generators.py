@@ -353,7 +353,12 @@ def wilson_interval(successes, n, z=1.959963984540054):
 
 
 def estimate_selectability(dist, x, config):
-    """Estimate min_e P[e in S]/x_e for the simulate-then-replace policy."""
+    """Estimate min_e P[e in S]/x_e for the simulate-then-replace policy.
+
+    mode "exact" expands the output law over a fixed arrival order; otherwise
+    `config.samples` replays with uniformly random orders, drawn by `replay`
+    one block at a time, give the ratios and their Wilson intervals.
+    """
     t0 = time.time()
     env = dist.env
     n = env.n
@@ -365,9 +370,9 @@ def estimate_selectability(dist, x, config):
                            per_element=ratios, stationarity_tv=[total_variation(law, table)],
                            runtime=time.time() - t0)
         return rec
+    # random orders drawn per replay block: memory stays one block, not (samples, n)
     rng = RngStream(config.seed, stream=1)
-    orders = replay_mod.random_orders(n, config.samples, rng)
-    acc, outcomes, n_rep = replay_mod.replay(dist, x, orders, rng)
+    acc, outcomes, n_rep = replay_mod.replay(dist, x, None, rng, n_rep=config.samples)
     ratios, intervals = [], []
     for e in range(n):
         ratios.append(acc[e] / n_rep / float(x[e]))

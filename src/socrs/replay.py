@@ -4,6 +4,14 @@ Before the kernel runs, `replay` checks the witness's stationary caps with
 `dist.verify_stationary_lp`, the same check `verify-lp` makes, and raises
 `CapViolationError` on the first violated cap.  The kernel is
 `_replay_py.replay_batch`; its tables run over the family's positions.
+
+Replications run one block of `_replay_py.BLOCK` rows at a time, and with
+random arrival orders each block draws its own orders next to its own
+uniforms, so an estimate holds one block in memory however many
+replications it runs.  The draws are those of one `random_orders` call for
+every replication followed by one uniform array for the kernel: a block
+reads its kernel uniforms from a copy of the stream jumped past all the
+order draws.
 """
 
 from __future__ import annotations
@@ -20,9 +28,16 @@ KERNEL = "python"
 def replay(dist, x, orders, rng, n_rep=None):
     """Run replays and return (accept_counts, outcome_counts, n_rep).
 
-    orders: either an (n_rep, n) integer array of fixed per-replication
-    arrival orders, or a single permutation reused for every replication.
+    orders: None for a uniformly random arrival order per replication (n_rep
+    required), an (n_rep, n) integer array of fixed per-replication orders,
+    or a single permutation reused for every replication (n_rep required).
     outcome_counts[p] counts the replications that end on family position p.
+
+    Stream layout: with orders=None the stream gives the n_rep * n order
+    uniforms of `random_orders(n, n_rep, rng)` first, then the n_rep * (2n+1)
+    kernel uniforms, one (2n+1)-row per replication; with given orders only
+    the kernel uniforms.  Either way `rng` ends past every draw, exactly where
+    drawing the orders with `random_orders` and then replaying them leaves it.
     """
     table = dist.to_explicit()
     n = table.env.n
@@ -39,23 +54,33 @@ def replay(dist, x, orders, rng, n_rep=None):
     cdf = np.cumsum([float(table.support[S]) for S in sets])
     cdf[-1] = 1.0 + 1e-12
 
-    orders = np.asarray(orders, dtype=np.int64)
-    if orders.ndim == 1:
+    if orders is None:
         if n_rep is None:
-            raise ValueError("n_rep required with a single order")
-        # a read-only view: the kernel only reads order rows
-        orders = np.broadcast_to(orders, (n_rep, n))
-    n_rep = orders.shape[0]
+            raise ValueError("n_rep required with random orders")
+        # the kernel's uniforms start after every replication's order draws
+        urng = rng.jumped(n_rep * n)
+    else:
+        orders = np.asarray(orders, dtype=np.int64)
+        if orders.ndim == 1:
+            if n_rep is None:
+                raise ValueError("n_rep required with a single order")
+            # a read-only view: the kernel only reads order rows
+            orders = np.broadcast_to(orders, (n_rep, n))
+        n_rep = orders.shape[0]
+        urng = rng
 
     accept_counts = np.zeros(n, dtype=np.int64)
     outcome_counts = np.zeros(len(fam.sets), dtype=np.int64)
-    # one block's uniforms at a time: the stream fills row-major, so the
-    # blocks' draws equal one (n_rep, 2n+1) draw while memory stays bounded
+    # one block's orders and uniforms at a time: the stream fills row-major,
+    # so the blocks' draws equal one (n_rep, .) draw while memory stays bounded
     for lo in range(0, n_rep, _kernel.BLOCK):
-        block = orders[lo:lo + _kernel.BLOCK]
-        u = rng.uniform((block.shape[0], 2 * n + 1))
+        rows = min(_kernel.BLOCK, n_rep - lo)
+        block = random_orders(n, rows, rng) if orders is None else orders[lo:lo + rows]
+        u = urng.uniform((rows, 2 * n + 1))
         _kernel.replay_batch(q.reshape(-1), moves, support_pos, cdf, x, block, u,
                              accept_counts, outcome_counts)
+    if orders is None:
+        rng.advance(n_rep * (2 * n + 1))
     return accept_counts, outcome_counts, n_rep
 
 
@@ -66,7 +91,8 @@ def outcome_distribution(env, outcome_counts, n_rep):
 
 
 def random_orders(n, n_rep, rng):
-    """One uniformly random arrival order per replication."""
+    """One uniformly random arrival order per replication, as an (n_rep, n)
+    array; `replay` with orders=None draws the same orders block by block."""
     # Fisher-Yates on the stream's uniforms, swap step i = n-1..1 over a block
     # of rows at once; drawn block by block they equal one (n_rep, n) draw
     orders = np.empty((n_rep, n), dtype=np.int64)

@@ -23,7 +23,7 @@ class RngStream:
     stream ids are independent.  A stream id is an int or, for spawned
     children, a tuple of ints: the SeedSequence spawn key.  The counter
     records how many uniforms have been consumed so a stream can be
-    reconstructed mid-sequence.
+    reconstructed mid-sequence, in O(1) by `advance`.
     """
 
     def __init__(self, seed, stream=0, counter=0):
@@ -33,12 +33,24 @@ class RngStream:
         self._gen = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self._key)))
         self.counter = 0
-        if counter:
-            self.uniform(counter)
+        self.advance(counter)
 
     def uniform(self, size=None):
         self.counter += 1 if size is None else int(np.prod(size))
         return self._gen.random(size)
+
+    def advance(self, k):
+        """Skip the next k uniforms in O(1): each double that `uniform`
+        draws takes exactly one 64-bit PCG64 step."""
+        k = int(k)
+        if k < 0:
+            raise ValueError("a stream only advances forward")
+        self._gen.bit_generator.advance(k)
+        self.counter += k
+
+    def jumped(self, k):
+        """A copy of this stream k uniforms further on; this one stays put."""
+        return RngStream(self.seed, self.stream, counter=self.counter + int(k))
 
     def spawn(self, i):
         """Independent child stream: the parent's spawn key extended by i."""
@@ -65,17 +77,20 @@ def sample_explicit(dist, rng):
 
 def sample_sequential(oracle, w, rng):
     """Visit elements in ascending order; include element k with probability
-    g_{J, I+k}(w) / g_{J, I}(w).  Exact in rational mode.
+    g_{J, I+k}(w) / g_{J, I}(w).  Exact in rational mode; in double mode the
+    ratio is taken of the logs, so counts beyond float range are fine.
     """
     I, J = [], []
     den = None
     for k in range(oracle.n):
-        num = oracle.constrained_count(w, I + [k], J)
+        num = oracle.pinned(w, I + [k], J)
         if den is None:
-            den = oracle.constrained_count(w, I, J)
-        if float(den) == 0.0:
-            raise RuntimeError("impossible prefix: zero denominator in sequential sampler")
-        p = _clamp(float(num) / float(den) if isinstance(den, float) else float(num / den))
+            den = oracle.pinned(w, I, J)
+        try:
+            p = oracle.conditional(num, den)
+        except ZeroDivisionError:
+            raise RuntimeError("impossible prefix: zero denominator in sequential sampler") from None
+        p = _clamp(p)
         if float(rng.uniform()) < p:
             I.append(k)
             den = num               # the next prefix's count is this numerator

@@ -12,7 +12,8 @@ from socrs.counting import CountingOracle
 from socrs.dist import (ExplicitDistribution, GibbsDistribution, stationary_conditionals,
                         verify_stationary_lp)
 from socrs.env import k_uniform_environment, matching_environment
-from socrs.generators import gen_instance, wilson_interval
+from socrs.generators import (ExperimentConfig, estimate_selectability, gen_instance,
+                              wilson_interval)
 from socrs.maxent import solve_maxent
 from socrs.policy import CapViolationError, OrderStrategy, exact_output_law
 from socrs.replay import outcome_distribution, random_orders, replay
@@ -171,6 +172,36 @@ def test_replay_draws_uniforms_per_block():
     ref_acc, ref_out = _run_kernel(*_kernel_tables(dist), np.asarray(x, float), orders, u)
     assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
     assert rng.counter == ref_rng.counter
+
+
+@pytest.mark.parametrize("n_rep", [0, 1, _replay_py.BLOCK - 1, _replay_py.BLOCK,
+                                   _replay_py.BLOCK + 37])
+def test_random_orders_per_block_equal_one_orders_array(n_rep):
+    dist, x = path_instance(5)
+    rng = RngStream(8)
+    acc, out, n = replay(dist, x, None, rng, n_rep=n_rep)
+    ref_rng = RngStream(8)
+    ref_acc, ref_out, ref_n = replay(dist, x, random_orders(5, n_rep, ref_rng), ref_rng)
+    assert n == ref_n == n_rep
+    assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
+    assert rng.counter == ref_rng.counter == n_rep * (5 + 2 * 5 + 1)
+    # both streams sit at the same state, not only at the same count
+    assert np.array_equal(rng.uniform(4), ref_rng.uniform(4))
+
+
+def test_estimate_holds_one_block_of_random_orders():
+    import tracemalloc
+    dist, x = path_instance(8)
+    config = ExperimentConfig(seed=3, samples=1_000_000)
+    tracemalloc.start()
+    try:
+        rec = estimate_selectability(dist, x, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (samples, 8) int64 orders array alone would take 61 MB
+    assert peak < 8 * 2**20
+    assert rec.n_rep == 1_000_000 and sum(rec.accepts) > 0
 
 
 @pytest.mark.parametrize("n, n_rep", [(8, 1000), (4, _replay_py.BLOCK + 37),

@@ -27,6 +27,18 @@ def test_rng_counter_reconstruction():
     head = [float(a.uniform()) for _ in range(10)]
     mid = RngStream(9, counter=4)
     assert [float(mid.uniform()) for _ in range(6)] == head[4:]
+    # the jump skips exactly the draws: one 64-bit step per uniform
+    drawn = RngStream(9)
+    drawn.uniform(10**6)
+    assert np.array_equal(drawn.uniform(3), RngStream(9, counter=10**6).uniform(3))
+    # and costs O(1): drawing 10^12 uniforms would take 8 TB
+    far = RngStream(9, counter=10**12)
+    jumped = RngStream(9).jumped(10**12)
+    advanced = RngStream(9)
+    advanced.advance(10**12)
+    assert far.counter == jumped.counter == advanced.counter == 10**12
+    assert np.array_equal(far.uniform(3), jumped.uniform(3))
+    assert np.array_equal(far.uniform(3), advanced.uniform(6)[3:])
 
 
 def test_rng_streams_differ():
@@ -88,6 +100,26 @@ def test_sequential_sampler_matches_gibbs_law():
     ref = dist.to_explicit()
     tv = empirical_tv(samples, ref)
     assert tv <= 3 * tv_multinomial_sigma(ref, N)
+
+
+def test_sequential_sampler_beyond_float_range():
+    # counts near e^800: a plain-float count overflows past e^709, so the
+    # sampler works on the logs of pinned counts, and ksym-dp rescales its DP
+    env = k_uniform_environment(5, 2)
+    w = [math.exp(400 + e / 2) for e in range(5)]
+    enum = CountingOracle("enumeration", env=env)
+    ksym = CountingOracle("ksym-dp", env=env)
+    assert abs(enum.partition(w) - 804.66036333) < 1e-6
+    assert abs(ksym.partition(w) - enum.partition(w)) < 1e-9
+    for e in range(5):
+        assert abs(ksym.marginal_sum(w, e) - enum.marginal_sum(w, e)) < 1e-9
+    draws = {}
+    for name, oracle in [("enumeration", enum), ("ksym-dp", ksym)]:
+        rng = RngStream(21)
+        draws[name] = [sample_sequential(oracle, w, rng) for _ in range(300)]
+    assert draws["enumeration"] == draws["ksym-dp"]
+    # the sets of size < 2 carry mass below e^-400
+    assert all(len(S) == 2 for S in draws["ksym-dp"])
 
 
 def test_thin_marginals():
