@@ -29,7 +29,8 @@ log-masses log mu0(S) + sum_{e in S} log w_e in one matmul (-inf for sets
 holding a zero weight), and one logsumexp turns them into log Z and the
 normalised set probabilities that partition, marginal_sum, marginals and
 second_moments read, and that dist.GibbsDistribution.to_explicit and
-rayleigh.materialize read as explicit tables.
+rayleigh.materialize read as explicit tables.  The oracle keeps the last
+such tilt, so these reads at one weight vector share one evaluation.
 """
 
 from __future__ import annotations
@@ -206,6 +207,7 @@ class CountingOracle:
 
         self._sets = None           # enumeration cache: list of frozensets
         self._inc = None            # and its set x element incidence matrix
+        self._last_tilt = None      # (weights' bytes, _tilt's result) of the last tilt
         if backend in _BACKEND_MEASURE:
             # the determinantal measure's r x n matrix A in the mode's numbers,
             # and det(A A^T) (its log in double mode)
@@ -279,8 +281,17 @@ class CountingOracle:
         return logmass
 
     def _tilt(self, w):
-        """(log Z, per-set probabilities) of the w-tilted family; (-inf, None) for Z = 0."""
-        return _log_normalise(self._log_masses(w))
+        """(log Z, per-set probabilities) of the w-tilted family; (-inf, None)
+        for Z = 0.  The last evaluation is kept, keyed on the weights' bytes,
+        so the dual's value, marginals and second moments at one iterate
+        share one tilt; its probabilities are read-only."""
+        key = np.asarray(w, dtype=float).tobytes()
+        if self._last_tilt is None or self._last_tilt[0] != key:
+            lz, p = _log_normalise(self._log_masses(w))
+            if p is not None:
+                p.flags.writeable = False
+            self._last_tilt = key, (lz, p)
+        return self._last_tilt[1]
 
     def _set_probs(self, w):
         lz, p = self._tilt(w)
@@ -313,10 +324,10 @@ class CountingOracle:
                 inside, outside = frozenset(I), frozenset(J)
                 return sum((t for S, t in zip(sets, self._masses_rational(w))
                             if inside <= S and not outside & S), R(0))
+            if not (I or J):
+                return self._tilt(w)[0]
             logmass = self._log_masses(w)
-            if I or J:
-                logmass = logmass[self._inc[:, I].all(1) & ~self._inc[:, J].any(1)]
-            return _log_normalise(logmass)[0]
+            return _log_normalise(logmass[self._inc[:, I].all(1) & ~self._inc[:, J].any(1)])[0]
         rest = [i for i in range(self.n) if i not in I and i not in J]
         one, zero = self._one, self._zero
         w_in = one

@@ -157,9 +157,12 @@ class Matroid:
                 raise EnumerationBudgetError(
                     f"rank table limited to n <= {SUBSET_TABLE_MAX_N} elements (n = {n})")
             masks = np.arange(1, 1 << n, dtype=np.int64)
-            member = np.array([(masks >> e) & 1 for e in range(n)], dtype=bool)
-            ranks = np.array([self._rank(frozenset(e for e in range(n) if mask >> e & 1))
-                              for mask in range(1, 1 << n)], dtype=np.int64)
+            member = np.array([((masks >> e) & 1).astype(bool) for e in range(n)])
+            if self.variant == "graphic":
+                ranks = _graphic_ranks(self.meta["edges"])[1:]
+            else:
+                ranks = np.array([self._rank(frozenset(e for e in range(n) if mask >> e & 1))
+                                  for mask in range(1, 1 << n)], dtype=np.int64)
             member.flags.writeable = ranks.flags.writeable = False
             self._rank_table = member, ranks
         return self._rank_table
@@ -179,6 +182,26 @@ class Matroid:
             env = matroid_environment(self)
             self._bases = [S for S in env.enumerate_feasible() if len(S) == self.rank_total]
         return list(self._bases)
+
+
+def _graphic_ranks(edges):
+    """Rank of every edge subset of a multigraph, indexed by bitmask, built
+    one edge at a time: the masks in [2^e, 2^(e+1)) are those in [0, 2^e)
+    plus edge e, whose rank rises by one when e joins two components.  Each
+    mask keeps a component label per vertex the edges touch."""
+    n = len(edges)
+    index = {v: i for i, v in enumerate(sorted({v for edge in edges for v in edge}))}
+    ends = [(index[u], index[v]) for u, v in edges]
+    ranks = np.zeros(1 << n, dtype=np.int64)
+    labels = np.empty((1 << max(n - 1, 0), len(index)), dtype=np.min_scalar_type(len(index)))
+    labels[0] = np.arange(len(index))
+    for e, (u, v) in enumerate(ends):
+        lab = labels[:1 << e]
+        lu, lv = lab[:, u, None], lab[:, v, None]
+        ranks[1 << e:2 << e] = ranks[:1 << e] + (lu != lv)[:, 0]
+        if e + 1 < n:       # e merges u's component into v's
+            labels[1 << e:2 << e] = np.where(lab == lu, lv, lab)
+    return ranks
 
 
 def _rational_rank(M):

@@ -11,7 +11,8 @@ stationary caps at x.
 
 Step (iii) and the Rayleigh check's superset sums P[T subseteq B] are one
 subset transform on a dense 2^n table, `_thin` (keep = tau, drop = 1 - tau
-for the thinning; keep = drop = 1 for the superset sums).
+for the thinning; keep = drop = 1 for the superset sums).  The check runs
+it on a (tilts, 2^n) array, one block of tilts at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .dist import ExplicitDistribution
 from .env import SUBSET_TABLE_MAX_N, EnumerationBudgetError, matroid_environment
 from .maxent import DualState, dominating_base_point, kl_diagnostics, solve_kl_projection
 from .sampling import RngStream
+
+
+# doubles per block of Rayleigh-check tilts: each tilt takes a 2^n table
+TILT_BLOCK_DOUBLES = 1 << 20
 
 
 class NotRayleighError(RuntimeError):
@@ -84,19 +89,25 @@ def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, check_rayleigh=True, rng=Non
 
 
 def _thin(masks, probs, n, keep, drop):
-    """Mask-indexed 2^n table of the law with mass probs[i] on the set
-    masks[i], thinned element by element: a set holding e keeps keep[e] of
-    its mass and passes drop[e] of it to the set without e."""
+    """Mask-indexed 2^n table of the law with mass probs[..., i] on the set
+    masks[i] (distinct masks), thinned element by element: a set holding e
+    keeps keep[e] of its mass and passes drop[e] of it to the set without e.
+    Leading axes of probs are separate laws, transformed together."""
+    _check_table_size(n)
+    law = np.zeros(probs.shape[:-1] + (1 << n,))
+    law[..., masks] = probs
+    for e in range(n):
+        # views: pair[..., 1, :] are the sets holding e, pair[..., 0, :] the same sets without e
+        pair = law.reshape(probs.shape[:-1] + (-1, 2, 1 << e))
+        pair[..., 0, :] += drop[e] * pair[..., 1, :]
+        pair[..., 1, :] *= keep[e]
+    return law
+
+
+def _check_table_size(n):
     if n > SUBSET_TABLE_MAX_N:
         raise EnumerationBudgetError(
             f"subset table limited to n <= {SUBSET_TABLE_MAX_N} elements (n = {n})")
-    law = np.bincount(masks, weights=probs, minlength=1 << n)
-    for e in range(n):
-        # views: pair[:, 1, :] are the sets holding e, pair[:, 0, :] the same sets without e
-        pair = law.reshape(-1, 2, 1 << e)
-        pair[:, 0, :] += drop[e] * pair[:, 1, :]
-        pair[:, 1, :] *= keep[e]
-    return law
 
 
 def materialize(witness):
@@ -135,7 +146,10 @@ def rayleigh_check(measure, trials=100, rng=None):
     `trials` random log-uniform tilts w in [e^-5, e^5]^E.
 
     Returns (passed, worst_violation, witness_info); the info holds the tilt
-    and the (e, T) of the worst violation, the first T in mask order on ties.
+    and the (e, T) of the worst violation: the first tilt, then the first e,
+    then the first T in mask order on ties.  The tilts are drawn as one
+    (trials, n) block of uniforms and evaluated TILT_BLOCK_DOUBLES >> n at a
+    time, each block's superset sums in one subset transform.
     """
     rng = rng or RngStream(0)
     if isinstance(measure, BaseMeasure):
@@ -144,28 +158,39 @@ def rayleigh_check(measure, trials=100, rng=None):
     else:
         table = {frozenset(B): v for B, v in measure.items()}
         n = 1 + max((e for B in table for e in B), default=-1)
+    _check_table_size(n)
+    if n == 0:
+        return True, -np.inf, None
 
     bases = sorted(table, key=lambda B: tuple(sorted(B)))
     masks = np.array([sum(1 << e for e in B) for B in bases], dtype=np.int64)
-    inc = np.array([[e in B for e in range(n)] for B in bases], dtype=float)
+    inc = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
     logm0 = np.log(np.array([float(table[B]) for B in bases]))
+    logw = np.vstack([np.zeros(n), rng.uniform((trials, n)) * 10.0 - 5.0])
     ones = np.ones(n)
     worst, info = -np.inf, None
-    for t in range(trials + 1):
-        logw = np.zeros(n) if t == 0 else np.asarray(rng.uniform(n)) * 10.0 - 5.0
-        logp = logm0 + inc @ logw
-        p = np.exp(logp - logp.max())
-        up = _thin(masks, p / p.sum(), n, ones, ones)     # up[T] = P[T subseteq B]
+    block = max(1, TILT_BLOCK_DOUBLES >> n)
+    for t0 in range(0, trials + 1, block):
+        # a mat-vec per tilt: one product over the block may round differently
+        logp = np.array([logm0 + inc @ lw for lw in logw[t0:t0 + block]])
+        p = np.exp(logp - logp.max(axis=1, keepdims=True))
+        up = _thin(masks, p / p.sum(axis=1, keepdims=True), n, ones, ones)  # up[t, T] = P[T subseteq B]
+        k = len(p)
+        best = np.empty((k, n))         # best[t, e]: largest violation at (t, e)
+        where = np.empty((k, n), dtype=np.int64)
         for e in range(n):
-            pair = up.reshape(-1, 2, 1 << e)
-            # viol[hi, lo] for T = hi << (e + 1) | lo: flat order is mask order
-            viol = pair[:, 1, :] - pair[:, 0, :] * up[1 << e]
-            i = int(viol.argmax())
-            if viol.flat[i] > worst:
-                worst = float(viol.flat[i])
-                hi, lo = divmod(i, 1 << e)
-                T = hi << (e + 1) | lo
-                info = {"tilt": np.exp(logw).tolist(), "e": e,
-                        "T": [f for f in range(n) if T >> f & 1]}
+            pair = up.reshape(k, -1, 2, 1 << e)
+            # viol[t, hi, lo] for T = hi << (e + 1) | lo: flat order is mask order
+            viol = (pair[:, :, 1, :] - pair[:, :, 0, :] * up[:, 1 << e, None, None]).reshape(k, -1)
+            where[:, e] = viol.argmax(axis=1)
+            best[:, e] = viol[np.arange(k), where[:, e]]
+        i = int(best.argmax())
+        if best.flat[i] > worst:
+            worst = float(best.flat[i])
+            t, e = divmod(i, n)
+            hi, lo = divmod(int(where.flat[i]), 1 << e)
+            T = hi << (e + 1) | lo
+            info = {"tilt": np.exp(logw[t0 + t]).tolist(), "e": e,
+                    "T": [f for f in range(n) if T >> f & 1]}
     passed = worst <= 1e-12
     return passed, worst, info

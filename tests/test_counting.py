@@ -387,3 +387,24 @@ def test_marginals_compute_z_once(family, backend, mode, monkeypatch):
                         lambda self, v: calls.append(1) or partition(self, v))
     assert oracle.marginals(w).tolist() == expect
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", ["matching", "spanning-trees"])
+def test_last_tilt_memo_matches_fresh_oracles(family):
+    kw, _ = _backends(family)
+    oracle = CountingOracle("enumeration", **kw)
+    rng = np.random.default_rng(5)
+    w1, w2 = (np.exp(rng.uniform(-1.0, 1.0, size=oracle.n)) for _ in range(2))
+
+    def evaluate(o, w):
+        return [o.partition(w), o.marginals(w), o.second_moments(w),
+                o.pinned(w, [0], [1]), o.partition(w)]
+
+    for w in (w1, w2, w1):
+        got, expect = evaluate(oracle, w), evaluate(CountingOracle("enumeration", **kw), w)
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+    p = oracle._set_probs(w1)
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0] = 0.0

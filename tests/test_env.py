@@ -287,3 +287,24 @@ def test_membership_general_matching_undetermined():
     assert rep.status in ("inside", "undetermined")
     rep2 = check_membership(env, [0.8, 0.8, 0.8])   # vertex loads exceed 1
     assert rep2.status == "outside"
+
+
+def test_graphic_rank_table_matches_rank_oracle():
+    rng = np.random.default_rng(2)
+    for _ in range(25):
+        nv, ne = int(rng.integers(1, 7)), int(rng.integers(0, 11))
+        # loops and parallel edges included
+        edges = [tuple(map(int, rng.integers(0, nv, size=2))) for _ in range(ne)]
+        m = Matroid.graphic(nv, edges)
+        member, ranks = m.rank_table()
+        assert ranks.tolist() == [m.rank(np.flatnonzero(member[:, i]).tolist())
+                                  for i in range(ranks.size)]
+        assert not ranks.flags.writeable
+
+
+def test_graphic_rank_table_does_not_call_the_rank_oracle():
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]     # K6: 15 edges
+    m = Matroid.graphic(6, edges)
+    m._rank = None
+    _, ranks = m.rank_table()
+    assert ranks[-1] == 5 and ranks.max() == 5

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from socrs import rayleigh
 from socrs.counting import BaseMeasure, CountingOracle
 from socrs.dist import verify_stationary_lp
 from socrs.env import EnumerationBudgetError, Matroid
@@ -96,6 +97,88 @@ def test_rayleigh_check_negative_control():
     ok, worst, info = rayleigh_check(bad, trials=20, rng=RngStream(2))
     assert not ok and worst > 0.2
     assert info["e"] in (0, 1)
+
+
+def _reference_rayleigh_check(measure, trials, rng):
+    """rayleigh_check one tilt and one element at a time: the strict `>`
+    keeps the first tilt, then the first e, then the first T in mask order."""
+    if isinstance(measure, BaseMeasure):
+        table, n = measure.to_table(), measure.matroid.n
+    else:
+        table = {frozenset(B): v for B, v in measure.items()}
+        n = 1 + max((e for B in table for e in B), default=-1)
+    bases = sorted(table, key=lambda B: tuple(sorted(B)))
+    masks = np.array([sum(1 << e for e in B) for B in bases], dtype=np.int64)
+    inc = np.array([[e in B for e in range(n)] for B in bases], dtype=float)
+    logm0 = np.log(np.array([float(table[B]) for B in bases]))
+    worst, info = -np.inf, None
+    for t in range(trials + 1):
+        logw = np.zeros(n) if t == 0 else np.asarray(rng.uniform(n)) * 10.0 - 5.0
+        logp = logm0 + inc @ logw
+        p = np.exp(logp - logp.max())
+        up = _thin(masks, p / p.sum(), n, np.ones(n), np.ones(n))
+        for e in range(n):
+            pair = up.reshape(-1, 2, 1 << e)
+            viol = pair[:, 1, :] - pair[:, 0, :] * up[1 << e]
+            i = int(viol.argmax())
+            if viol.flat[i] > worst:
+                worst = float(viol.flat[i])
+                hi, lo = divmod(i, 1 << e)
+                T = hi << (e + 1) | lo
+                info = {"tilt": np.exp(logw).tolist(), "e": e,
+                        "T": [f for f in range(n) if T >> f & 1]}
+    return worst <= 1e-12, worst, info
+
+
+def _u42_concentrated():
+    # mass on the disjoint pairs {0,1} and {2,3} of U(4,2): 0 and 1 positively correlated
+    table = {frozenset({0, 1}): 0.48, frozenset({2, 3}): 0.48,
+             frozenset({0, 2}): 0.01, frozenset({0, 3}): 0.01,
+             frozenset({1, 2}): 0.01, frozenset({1, 3}): 0.01}
+    return BaseMeasure.explicit(Matroid.uniform(4, 2), table)
+
+
+RAYLEIGH_MEASURES = {
+    "triangle": lambda: triangle()[1],
+    "determinantal": lambda: BaseMeasure.determinantal([[1, 0, 1, 1], [0, 1, 1, -1]]),
+    "correlated-pair": lambda: {frozenset(): 0.5, frozenset({0, 1}): 0.5},
+    "u42-concentrated": _u42_concentrated,
+    "zero-mass-base": lambda: {frozenset({0, 1}): 0.0, frozenset({1, 2}): 0.5,
+                               frozenset({0, 2}): 0.5},
+    "hat-graph": lambda: BaseMeasure.uniform_on_bases(
+        gen_instance("hat-graph", n=2, terminal_edge=True)[0].meta["matroid"]),
+    "empty-ground-set": lambda: {frozenset(): 1.0},
+    "no-mass": lambda: {frozenset({0}): 0.0, frozenset({1}): 0.0},
+}
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+@pytest.mark.parametrize("block", [None, 1 << 3, 1 << 5])
+@pytest.mark.parametrize("trials", [0, 1, 23])
+@pytest.mark.parametrize("name", sorted(RAYLEIGH_MEASURES))
+def test_rayleigh_check_matches_per_tilt_reference(name, trials, block, monkeypatch):
+    # small caps split the tilts into blocks of 1 to 8
+    if block is not None:
+        monkeypatch.setattr(rayleigh, "TILT_BLOCK_DOUBLES", block)
+    measure = RAYLEIGH_MEASURES[name]()
+    for seed in (0, 7):
+        ref_rng, rng = RngStream(seed), RngStream(seed)
+        expect = _reference_rayleigh_check(measure, trials, ref_rng)
+        assert rayleigh_check(measure, trials=trials, rng=rng) == expect
+        assert rng.counter == ref_rng.counter
+
+
+def test_rayleigh_check_memory_is_blocked():
+    # 101 tilts of a 2^16 table take 53 MB at once, more with the violations
+    mu0 = BaseMeasure.uniform_on_bases(Matroid.uniform(16, 2))
+    tracemalloc.start()
+    try:
+        ok, _, _ = rayleigh_check(mu0, trials=100, rng=RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 48 << 20
 
 
 def test_build_witness_rejects_non_rayleigh_base():
