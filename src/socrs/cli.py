@@ -42,12 +42,12 @@ def _out(args, doc):
         print(text)
 
 
-def _load_env(args):
-    return io.parse_instance(args.instance)
-
-
-def _oracle(env):
-    return CountingOracle("enumeration", env=env)
+def _maxent_witness(args, env, x):
+    """The max-entropy Gibbs witness with marginals alpha x (alpha = 1 when
+    --alpha is not given)."""
+    alpha = args.alpha if args.alpha is not None else 1.0
+    return solve_maxent(env, CountingOracle("enumeration", env=env), alpha * np.asarray(x),
+                        tol=args.tol)
 
 
 def _matroid_of(env):
@@ -64,11 +64,9 @@ def cmd_gen(args):
 
 
 def cmd_solve_maxent(args):
-    env, x, scale = _load_env(args)
-    alpha = args.alpha if args.alpha is not None else 1.0
-    p = alpha * np.asarray(x)
+    env, x, scale = io.parse_instance(args.instance)
     try:
-        gibbs = solve_maxent(env, _oracle(env), p, tol=args.tol)
+        gibbs = _maxent_witness(args, env, x)
     except BoundaryDivergenceError as exc:
         _out(args, {"status": "divergence", "detail": str(exc)})
         return 1
@@ -78,7 +76,7 @@ def cmd_solve_maxent(args):
 
 
 def cmd_kl_project(args):
-    env, x, scale = _load_env(args)
+    env, x, scale = io.parse_instance(args.instance)
     m = _matroid_of(env)
     wit = build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x), tol=args.tol,
                         check_rayleigh=False)
@@ -89,7 +87,7 @@ def cmd_kl_project(args):
 
 
 def cmd_dominate(args):
-    env, x, scale = _load_env(args)
+    env, x, scale = io.parse_instance(args.instance)
     m = _matroid_of(env)
     q = dominating_base_point(m, np.asarray(x))
     _out(args, {"q": list(map(float, q)), "sum": float(np.sum(q)),
@@ -98,7 +96,7 @@ def cmd_dominate(args):
 
 
 def cmd_build_rayleigh(args):
-    env, x, scale = _load_env(args)
+    env, x, scale = io.parse_instance(args.instance)
     m = _matroid_of(env)
     mu0 = BaseMeasure.uniform_on_bases(m)
     witness = build_witness(m, mu0, np.asarray(x), b=scale, tol=args.tol,
@@ -114,9 +112,8 @@ def cmd_build_rayleigh(args):
 
 
 def cmd_run_policy(args):
-    env, x, scale = _load_env(args)
-    gibbs = solve_maxent(env, _oracle(env), (args.alpha or 1.0) * np.asarray(x),
-                         tol=args.tol)
+    env, x, scale = io.parse_instance(args.instance)
+    gibbs = _maxent_witness(args, env, x)
     rng = RngStream(args.seed)
     strategy = OrderStrategy.seeded_random()
     accepted, trace = run_one_shot(gibbs, x, strategy, rng)
@@ -127,9 +124,8 @@ def cmd_run_policy(args):
 
 
 def cmd_run_recurring(args):
-    env, x, scale = _load_env(args)
-    gibbs = solve_maxent(env, _oracle(env), (args.alpha or 1.0) * np.asarray(x),
-                         tol=args.tol)
+    env, x, scale = io.parse_instance(args.instance)
+    gibbs = _maxent_witness(args, env, x)
     rng = RngStream(args.seed)
     if args.replay:
         events = [(e, r, a) for (e, r, a, _) in io.read_trace(args.replay)]
@@ -148,9 +144,9 @@ def cmd_run_recurring(args):
 
 
 def cmd_estimate(args):
-    env, x, scale = _load_env(args)
+    env, x, scale = io.parse_instance(args.instance)
     alpha = args.alpha
-    gibbs = solve_maxent(env, _oracle(env), (alpha or 1.0) * np.asarray(x), tol=args.tol)
+    gibbs = _maxent_witness(args, env, x)
     config = generators.ExperimentConfig(seed=args.seed, samples=args.samples,
                                          alpha_target=alpha, mode=args.mode)
     rec = generators.estimate_selectability(gibbs, x, config)
@@ -166,16 +162,16 @@ def cmd_estimate(args):
 
 
 def cmd_verify_lp(args):
-    env, x, scale = _load_env(args)
+    env, x, scale = io.parse_instance(args.instance)
     alpha = args.alpha if args.alpha is not None else 1.0
-    gibbs = solve_maxent(env, _oracle(env), alpha * np.asarray(x), tol=args.tol)
+    gibbs = _maxent_witness(args, env, x)
     report = verify_stationary_lp(gibbs, x, alpha)
     _out(args, report.to_doc())
     return 0 if report.passes(alpha, tol=EXACT_SLACK) else 1
 
 
 def cmd_lp_exact(args):
-    env, x, scale = _load_env(args)
+    env, x, scale = io.parse_instance(args.instance)
     alpha, witness = solve_stationary_lp_exact(env, x)
     _out(args, {"alpha": rat_str(alpha), "alpha_float": float(alpha),
                 "support_size": len(witness.support)})

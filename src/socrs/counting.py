@@ -8,10 +8,12 @@ operation: partition (no pins), per-element marginal sums (one pin),
 constrained counts, and the thinned base masses (a count pinned on T at
 weights w(1 - tau) off T).  Each backend reduces the pins to a smaller
 instance of itself (self-reduction, Jerrum-Valiant-Vazirani 1986):
-  * enumeration backends filter the enumerated family;
+  * enumeration filters the enumerated family: an environment's feasible
+    sets, or a base measure's `family` (any kind);
   * matching-recursion drops the edges of J and every edge touching I;
   * ksym-dp drops I and J and lowers k by |I|;
-  * the determinantal backends (cauchy-binet, and matrix-tree with A the
+  * the determinantal backends (cauchy-binet on a determinantal measure,
+    and matrix-tree on a uniform measure of a graphic matroid, with A the
     reduced signed incidence matrix, so A W A^T is the reduced Laplacian)
     take one determinant of A_R W_R A_R^T bordered by the columns A_I.
 
@@ -23,8 +25,8 @@ The precision mode decides only the arithmetic and the form of the result:
     the log of a pinned count.  Determinants stay in log form from slogdet
     on, and ksym-dp runs its DP on w / max(w, 1), so Z far outside float
     range is fine there; matching-recursion still sums plain floats.
-The enumeration backends read exact masses mu0(S) w^S from one loop in rational
-mode; in double mode the cached incidence matrix gives all per-set
+The enumeration backend reads exact masses mu0(S) w^S from one loop in rational
+mode; in double mode the family's incidence matrix gives all per-set
 log-masses log mu0(S) + sum_{e in S} log w_e in one matmul (-inf for sets
 holding a zero weight), and one logsumexp turns them into log Z and the
 normalised set probabilities that partition, marginal_sum, marginals and
@@ -90,8 +92,9 @@ def det_double(M):
 class BaseMeasure:
     """A full-support probability measure on the bases of a matroid.
 
-    kinds: "explicit-table" (normalized mass table), "determinantal"
-    (mu0(B) proportional to det(A_B)^2), "uniform-spanning-tree".
+    kinds: "explicit-table" (a given mass table, normalized), "determinantal"
+    (mu0(B) proportional to det(A_B)^2) and "uniform" (equal masses).  Every
+    reader takes the one base family that `family` builds.
     """
 
     def __init__(self, kind, matroid, table=None, A=None):
@@ -99,7 +102,8 @@ class BaseMeasure:
         self.matroid = matroid
         self.A = None               # determinantal: A and det(A A^T)
         self.gram_det = None
-        self.table = None           # uniform-spanning-tree: built on the first mass()
+        self.table = None           # uniform: filled with the family
+        self._family = None
         if kind == "explicit-table":
             total = sum(table.values())
             # normalization is exact when the masses are rationals
@@ -109,21 +113,14 @@ class BaseMeasure:
             self.gram_det = det_bareiss(_mat_mul_t(self.A, self.A))
             if self.gram_det == 0:
                 raise SingularRepresentationError("A A^T is singular")
-        elif kind == "uniform-spanning-tree":
-            if matroid.variant != "graphic":
-                raise ValueError("uniform-spanning-tree needs a graphic matroid")
-        else:
+        elif kind != "uniform":
             raise ValueError(f"unknown base measure kind {kind}")
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def uniform_on_bases(matroid):
-        if matroid.variant == "graphic":
-            return BaseMeasure("uniform-spanning-tree", matroid)
-        bases = matroid.bases()
-        return BaseMeasure("explicit-table", matroid,
-                           table={B: R(1, len(bases)) for B in bases})
+        return BaseMeasure("uniform", matroid)
 
     @staticmethod
     def determinantal(A):
@@ -135,10 +132,15 @@ class BaseMeasure:
     def explicit(matroid, table):
         return BaseMeasure("explicit-table", matroid, table=table)
 
-    def enumerate_bases(self):
-        if self.kind == "explicit-table":
-            return sorted(self.table, key=lambda B: tuple(sorted(B)))
-        return self.matroid.bases()
+    def family(self):
+        """`family_of` the bases (the table's, else the matroid's) at their
+        exact masses, one `mass` per base; built on the first call."""
+        if self._family is None:
+            bases = self.matroid.bases() if self.table is None else self.table
+            if self.kind == "uniform":
+                self.table = dict.fromkeys(bases, R(1, len(bases)))
+            self._family = family_of({B: self.mass(B) for B in bases}, self.matroid.n)
+        return self._family
 
     def mass(self, B):
         """Normalized mu0(B)."""
@@ -148,12 +150,20 @@ class BaseMeasure:
             sub = [[row[c] for c in cols] for row in self.A]
             return det_bareiss(_mat_mul_t(sub, sub)) / self.gram_det
         if self.table is None:
-            bases = self.matroid.bases()
-            self.table = {T: R(1, len(bases)) for T in bases}
+            self.family()           # a uniform measure's table comes with its family
         return self.table.get(B, 0)
 
     def to_table(self):
-        return {B: self.mass(B) for B in self.enumerate_bases()}
+        return dict(zip(*self.family()[:2]))
+
+
+def family_of(table, n):
+    """(the sets of a {set: mass} table in lexicographic order, their masses,
+    the read-only bool set x element incidence over n elements)."""
+    sets = sorted(table, key=sorted)
+    inc = np.array([[e in S for e in range(n)] for S in sets], dtype=bool).reshape(len(sets), n)
+    inc.flags.writeable = False
+    return sets, [table[S] for S in sets], inc
 
 
 def _mat_mul_t(A, B):
@@ -165,12 +175,9 @@ def _mat_mul_t(A, B):
 # the oracle
 # ---------------------------------------------------------------------------
 
-# backends that evaluate by summing over an enumerated (set, mu0) family
-ENUM_BACKENDS = ("enumeration", "tabulated-base-measure")
 _ENV_BACKENDS = {"enumeration", "matching-recursion", "ksym-dp"}
-_BASE_BACKENDS = {"matrix-tree", "cauchy-binet", *ENUM_BACKENDS}
 # the base-measure kind each closed-form backend evaluates
-_BACKEND_MEASURE = {"matrix-tree": "uniform-spanning-tree", "cauchy-binet": "determinantal"}
+_BACKEND_MEASURE = {"matrix-tree": "uniform", "cauchy-binet": "determinantal"}
 
 
 class CountingOracle:
@@ -188,7 +195,7 @@ class CountingOracle:
             self._num, self._one, self._zero = float, 1.0, 0.0
 
         if base is not None:
-            if backend not in _BASE_BACKENDS:
+            if backend != "enumeration" and backend not in _BACKEND_MEASURE:
                 raise ValueError(f"backend {backend} not valid for base measures")
             need = _BACKEND_MEASURE.get(backend)
             if need is not None and base.kind != need:
@@ -213,6 +220,8 @@ class CountingOracle:
             # and det(A A^T) (its log in double mode)
             if backend == "matrix-tree":
                 m = base.matroid
+                if m.variant != "graphic":
+                    raise ValueError("matrix-tree needs a graphic matroid")
                 A = np.zeros((m.meta["n_vertices"], self.n), dtype=int)
                 for e, (u, v) in enumerate(m.meta["edges"]):
                     A[u, e] += 1
@@ -236,8 +245,7 @@ class CountingOracle:
     def _family(self):
         if self._sets is None:
             if self.base is not None:
-                self._sets = self.base.enumerate_bases()
-                self._weights0 = [self.base.mass(B) for B in self._sets]
+                self._sets, self._weights0, _ = self.base.family()
             else:
                 self._sets = self.env.enumerate_feasible()
                 self._weights0 = [R(1)] * len(self._sets)
@@ -262,14 +270,12 @@ class CountingOracle:
         weights on every step.
         """
         if self._inc is None:
-            sets, m0 = self._family()
             if self.base is None:       # the family's own incidence; every mu0(S) = 1
                 self._inc = self.env.incidence().astype(float)
-                self._logm0 = np.zeros(len(sets))
+                self._logm0 = np.zeros(len(self._inc))
             else:
-                self._inc = np.zeros((len(sets), self.n))
-                for i, S in enumerate(sets):
-                    self._inc[i, list(S)] = 1.0
+                _, m0, inc = self.base.family()
+                self._inc = inc.astype(float)
                 self._logm0 = np.array([math.log(float(v)) if float(v) > 0 else -np.inf
                                         for v in m0])
         w = np.asarray(w, dtype=float)
@@ -318,7 +324,7 @@ class CountingOracle:
         """Z(w) of mode-typed weights w summed over the sets that hold all of
         I and none of J (disjoint), as `_value` gives it."""
         I, J = list(I), list(J)
-        if self.backend in ENUM_BACKENDS:
+        if self.backend == "enumeration":
             if self.mode == "rational":
                 sets, _ = self._family()
                 inside, outside = frozenset(I), frozenset(J)
@@ -383,14 +389,14 @@ class CountingOracle:
         return self._ratio(self.marginal_sum(w, e), self.partition(w))
 
     def marginals(self, w):
-        if self.backend in ENUM_BACKENDS and self.mode == "double":
+        if self.backend == "enumeration" and self.mode == "double":
             p = self._set_probs(w)          # builds self._inc on the first call
             return self._inc.T @ p
         z = self.partition(w)
         return np.array([float(self._ratio(self.marginal_sum(w, e), z)) for e in range(self.n)])
 
     def second_moments(self, w):
-        """Matrix M with M[e,f] = P[e in S and f in S]; enumeration backends only."""
+        """Matrix M with M[e,f] = P[e in S and f in S]; the enumeration backend only."""
         p = self._set_probs(w)
         return self._inc.T @ (self._inc * p[:, None])
 

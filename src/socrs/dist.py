@@ -340,9 +340,7 @@ def solve_stationary_lp_exact(env, x):
     opt, z = simplex.solve_lp(c, A_ub, b_ub)
     mu = [1 - sum(z[:ALPHA])] + z[:ALPHA]
     pos = [i for i, p in enumerate(mu) if p != 0]
-    witness = ExplicitDistribution.on_family(
-        env, pos, [Fraction(int(mu[i].numerator), int(mu[i].denominator)) for i in pos])
-    return Fraction(int(opt.numerator), int(opt.denominator)), witness
+    return opt, ExplicitDistribution.on_family(env, pos, [mu[i] for i in pos])
 
 
 def symmetric_uniform_bound(n, k, q):

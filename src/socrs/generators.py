@@ -231,27 +231,14 @@ def _scaled_random_x(rng, env):
 
 def hat_graph_disconnection(n):
     """P[u, v disconnected] under the uniform distribution on forests of the
-    n-hat graph, by exhaustive forest enumeration.  Equals 3/(n+3)."""
-    env, _, _ = gen_instance("hat-graph", n=n)
-    m = env.meta["matroid"]
-    edges = m.meta["edges"]
-    forests = env.enumerate_feasible()
+    n-hat graph, by exhaustive forest enumeration.  Equals 3/(n+3).
 
-    def connected_uv(S):
-        parent = list(range(m.meta["n_vertices"]))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in S:
-            u, v = edges[e]
-            parent[find(u)] = find(v)
-        return find(0) == find(1)
-
-    bad = sum(1 for S in forests if not connected_uv(S))
+    The forests are those of the graph with its terminal edge t = (u, v) that
+    avoid t, and a forest S joins u and v exactly when t does not raise its rank."""
+    env, _, _ = gen_instance("hat-graph", n=n, terminal_edge=True)
+    m, t = env.meta["matroid"], 2 * n
+    forests = [S for S in env.enumerate_feasible() if t not in S]
+    bad = sum(1 for S in forests if m.rank(S | {t}) > len(S))
     return Fraction(bad, len(forests))
 
 

@@ -3,8 +3,8 @@ dominating base points.
 
 The dual objective is h(theta) = log Z(e^theta) - <theta, p>; its gradient is
 the marginal mismatch.  Gradient descent with Armijo backtracking and the
-diagonal preconditioner p_e(1-p_e) runs until |grad| <= 1e-2 on enumeration
-backends; from there Newton steps on the exact covariance, with the same
+diagonal preconditioner p_e(1-p_e) runs until |grad| <= 1e-2 on the enumeration
+backend; from there Newton steps on the exact covariance, with the same
 backtracking on h, meet the tolerance with a margin (Singh-Vishnoi 2014,
 Straszak-Vishnoi 2019: second-order steps once the iterate is in the
 well-conditioned region).  When Newton fails, descent to the tolerance takes
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import ENUM_BACKENDS
 from .dist import GibbsDistribution
 from .env import FACE_TOL, EnumerationBudgetError
 
@@ -28,7 +27,7 @@ THETA_MAX = 60.0
 MAX_DESCENT_STEPS = 20000
 NEWTON_MAX_STEPS = 60
 DELTA_SHRINK = 1e-6
-# |grad| at which the first descent pass stops: enumeration backends hand over
+# |grad| at which the first descent pass stops: the enumeration backend hands over
 # to Newton, the others descend on to tol from there
 NEWTON_HANDOFF = 1e-2
 DESCENT_COARSE = 1e-6
@@ -168,7 +167,7 @@ def _solve_dual(oracle, target, tol):
     """DualState whose theta has |grad h(theta)| <= tol for the dual of
     marginal target `target`.
 
-    Descends to max(tol, 1e-2) on enumeration backends and polishes with
+    Descends to max(tol, 1e-2) on the enumeration backend and polishes with
     Newton on the exact covariance (`_newton_polish`); on other backends it
     descends to max(tol, 1e-6).  When the gradient is still above tol after
     that (Newton failed, or the other backends' coarse pass ended), descent
@@ -176,7 +175,7 @@ def _solve_dual(oracle, target, tol):
     """
     p = np.asarray(target, dtype=float)
     state = DualState(theta=np.zeros(p.size))
-    enum = oracle.backend in ENUM_BACKENDS
+    enum = oracle.backend == "enumeration"
     _descend(oracle, p, state, max(tol, NEWTON_HANDOFF if enum else DESCENT_COARSE))
     ok = state.grad_norm <= tol
     if enum and not ok:
@@ -202,14 +201,8 @@ def solve_maxent(env, oracle, p, tol=1e-8):
 
 
 def barycentric_base_point(base):
-    """Average of the enumerated base indicators (a relative-interior point)."""
-    bases = base.enumerate_bases()
-    n = base.matroid.n
-    qbar = np.zeros(n)
-    for B in bases:
-        for e in B:
-            qbar[e] += 1.0
-    return qbar / len(bases)
+    """Average of the base indicators (a relative-interior point)."""
+    return base.family()[2].mean(axis=0)
 
 
 def is_boundary_base_point(matroid, q):

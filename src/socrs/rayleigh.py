@@ -9,6 +9,9 @@ activation vector x in b*P:
 giving an implicit law mu* over independent sets with marginals x/(1+b) and
 stationary caps at x.
 
+Every step reads mu0's one base family (`BaseMeasure.family`, built once); the
+check tabulates a plain {set: mass} dict the same way (`counting.family_of`).
+
 Step (iii) and the Rayleigh check's superset sums P[T subseteq B] are one
 subset transform on a dense 2^n table, `_thin` (keep = tau, drop = 1 - tau
 for the thinning; keep = drop = 1 for the superset sums).  The check runs
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import BaseMeasure, CountingOracle
+from .counting import BaseMeasure, CountingOracle, family_of
 from .dist import ExplicitDistribution
 from .env import SUBSET_TABLE_MAX_N, EnumerationBudgetError, matroid_environment
 from .maxent import DualState, dominating_base_point, kl_diagnostics, solve_kl_projection
@@ -114,10 +117,9 @@ def materialize(witness):
     """Explicit mu* table over independent sets (n <= 20 elements): the
     witness oracle's tilted base law, each base thinned element by element."""
     env = witness.env()
-    bases, _ = witness.oracle._family()
     probs = witness.oracle._set_probs(witness.w)
     n = env.n
-    masks = np.array([sum(1 << e for e in B) for B in bases], dtype=np.int64)
+    masks = witness.base.family()[2] @ (1 << np.arange(n))
     law = _thin(masks, probs, n, witness.tau, 1.0 - witness.tau)
     support = {frozenset(e for e in range(n) if mask >> e & 1): float(law[mask])
                for mask in np.flatnonzero(law).tolist()}
@@ -153,19 +155,18 @@ def rayleigh_check(measure, trials=100, rng=None):
     """
     rng = rng or RngStream(0)
     if isinstance(measure, BaseMeasure):
-        table = measure.to_table()
         n = measure.matroid.n
     else:
-        table = {frozenset(B): v for B, v in measure.items()}
-        n = 1 + max((e for B in table for e in B), default=-1)
+        measure = {frozenset(B): v for B, v in measure.items()}
+        n = 1 + max((e for B in measure for e in B), default=-1)
     _check_table_size(n)
     if n == 0:
         return True, -np.inf, None
 
-    bases = sorted(table, key=lambda B: tuple(sorted(B)))
-    masks = np.array([sum(1 << e for e in B) for B in bases], dtype=np.int64)
-    inc = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-    logm0 = np.log(np.array([float(table[B]) for B in bases]))
+    _, masses, inc = family_of(measure, n) if isinstance(measure, dict) else measure.family()
+    masks = inc @ (1 << np.arange(n))
+    inc = inc.astype(float)
+    logm0 = np.log(np.array([float(v) for v in masses]))
     logw = np.vstack([np.zeros(n), rng.uniform((trials, n)) * 10.0 - 5.0])
     ones = np.ones(n)
     worst, info = -np.inf, None

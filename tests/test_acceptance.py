@@ -411,7 +411,7 @@ def test_criterion_11_counting_interpolation():
             ok &= oracle.constrained_count(w, I, J) == direct
         # thinned masses against the summed-out definition
         base = BaseMeasure.uniform_on_bases(m)
-        ob = CountingOracle("tabulated-base-measure", base=base, mode="rational")
+        ob = CountingOracle("enumeration", base=base, mode="rational")
         tau = [Fraction(1 + int(rng.uniform() * 8), 10) for _ in range(n)]
         table = base.to_table()
         Z = sum(mu * math.prod([Fraction(1)] + [w[e] for e in B])
@@ -441,7 +441,7 @@ def test_criterion_11_counting_interpolation():
                 A[v - 1][j] = -1
         det_base = BaseMeasure.determinantal(A)
         w = [Fraction(1 + int(rng.uniform() * 9), 4) for _ in edges]
-        za = CountingOracle("tabulated-base-measure", base=base, mode="rational").partition(w)
+        za = CountingOracle("enumeration", base=base, mode="rational").partition(w)
         zb = CountingOracle("matrix-tree", base=base, mode="rational").partition(w)
         zc = CountingOracle("cauchy-binet", base=det_base, mode="rational").partition(w)
         ok &= za == zb == zc

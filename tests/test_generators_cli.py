@@ -264,6 +264,17 @@ def test_cli_x_outside_unit_interval_exits_two(command, x, e, bad):
     assert cli.main([command, *flags, json.dumps(dict(_TRIANGLE, x=x))]) == 2
 
 
+@pytest.mark.parametrize("argv", [["solve-maxent"], ["verify-lp"], ["estimate", "--mode", "mc"],
+                                  ["estimate", "--mode", "exact"], ["run-policy"],
+                                  ["run-recurring"]], ids=" ".join)
+def test_cli_alpha_zero_exits_two(argv, tmp_path):
+    # alpha = 0 asks for marginals 0: an input error, not a solve at alpha = 1
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--seed", "1", "--params",
+              '{"n_vertices": 5, "n_edges": 6}', "--out", str(inst)])
+    assert cli.main([*argv, "--alpha", "0", "--out", str(tmp_path / "o.json"), str(inst)]) == 2
+
+
 def test_readme_command_block_runs(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## Command line.*?```\n(.*?)```", readme, re.S).group(1)

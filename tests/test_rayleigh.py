@@ -181,6 +181,28 @@ def test_rayleigh_check_memory_is_blocked():
     assert peak < 48 << 20
 
 
+def test_readers_share_one_base_family(monkeypatch):
+    # the Rayleigh check, the KL oracle, the barycentric point and materialize
+    # all read one family: the bases enumerated once, each mass taken once
+    calls = []
+    bases, mass = Matroid.bases, BaseMeasure.mass
+    monkeypatch.setattr(Matroid, "bases", lambda self: calls.append(None) or bases(self))
+    monkeypatch.setattr(BaseMeasure, "mass",
+                        lambda self, B: calls.append(frozenset(B)) or mass(self, B))
+    env, x, _ = gen_instance("hat-graph", n=2, terminal_edge=True)
+    m = env.meta["matroid"]
+    materialize(build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x)))
+    assert calls.count(None) == 1
+    assert len(calls) == 1 + len(set(calls) - {None}) == 1 + 8
+    # a determinantal measure: one Bareiss mass per base for both readers
+    base = BaseMeasure.determinantal([[1, 0, 1, 1], [0, 1, 1, -1]])
+    calls.clear()
+    rayleigh_check(base, trials=3)
+    CountingOracle("enumeration", base=base).marginals(np.ones(4))
+    assert calls.count(None) == 1
+    assert len(calls) == 1 + len(set(calls) - {None}) == 1 + 6
+
+
 def test_build_witness_rejects_non_rayleigh_base():
     # concentrate mass on the disjoint pairs {0,1} and {2,3} of U(4,2):
     # elements 0 and 1 become positively correlated
