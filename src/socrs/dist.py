@@ -306,23 +306,24 @@ def solve_stationary_lp_exact(env, x):
 
     Returns (alpha, witness ExplicitDistribution).
     """
-    sets = env.family().sets
-    if len(sets) > EXACT_LP_MAX_SETS:
+    fam = env.family()
+    if len(fam.sets) > EXACT_LP_MAX_SETS:
         raise EnumerationBudgetError(
-            f"|F| = {len(sets)} exceeds the rational simplex budget {EXACT_LP_MAX_SETS}")
+            f"|F| = {len(fam.sets)} exceeds the rational simplex budget {EXACT_LP_MAX_SETS}")
     x = [as_rational(v) for v in x]
+    stay = [1 - v for v in x]
     # variables: mu_S at column (position - 1) for every S but the empty set, then alpha
-    nv = len(sets)
+    nv = len(fam.sets)
     ALPHA = nv - 1
 
     # entries are plain ints and x's rationals; the simplex reads each exactly
     A_ub, b_ub = [], []
     # selectability: alpha*x_e - sum_{S ni e} mu_S <= 0
-    for e in range(env.n):
-        A_ub.append([-1 if e in S else 0 for S in sets[1:]] + [x[e]])
+    for e, row in enumerate((-fam.inc[1:].T.astype(int)).tolist()):
+        A_ub.append(row + [x[e]])
         b_ub.append(0)
     # caps: (1-x_e) mu(T+e) - x_e mu(T) <= 0, with mu(empty) = 1 - sum mu_S
-    for s, e, t in env.family().caps.T.tolist():
+    for s, e, t in fam.caps.T.tolist():
         row = [0] * nv
         if t:
             row[t - 1] = -x[e]
@@ -330,7 +331,7 @@ def solve_stationary_lp_exact(env, x):
         else:
             row[:ALPHA] = [x[e]] * ALPHA
             b_ub.append(x[e])
-        row[s - 1] += 1 - x[e]
+        row[s - 1] += stay[e]
         A_ub.append(row)
     # mu(empty) >= 0
     A_ub.append([1] * ALPHA + [0])

@@ -240,6 +240,136 @@ def test_simplex_matches_highs_on_random_float_lps(seed):
     assert ref.status == 0 and abs(float(opt) + ref.fun) <= 1e-9
 
 
+@pytest.mark.parametrize("c, A_ub, b_ub, expected", [
+    ([1, 2], [], [], UnboundedLP),                       # m = 0, c > 0
+    ([0, -1], [], [], (0, [0, 0])),                      # m = 0, c <= 0
+    ([], [[], []], [1, 2], (0, [])),                     # n = 0
+    ([1, 2], [[0, 0], [1, 1]], [1, 3], (6, [0, 3])),     # an all-zero row
+    ([1, 2], [[0, 0], [1, 1]], [0, 3], (6, [0, 3])),     # ... with a zero rhs
+    ([1, 0, 1], [[1, 0, 2], [3, 0, 1]], [4, 6],          # an all-zero column
+     (Fraction(14, 5), [Fraction(8, 5), 0, Fraction(6, 5)])),
+    ([1, 1, 1], [[1, 0, 2], [3, 0, 1]], [4, 6], UnboundedLP),
+    # x2 is bounded by row 1 until x1 enters on row 0; then its column is
+    # nonpositive and its reduced cost negative
+    ([1, 1], [[1, -1], [-1, 1]], [1, 0], UnboundedLP),
+])
+def test_simplex_edge_cases_are_pinned(c, A_ub, b_ub, expected):
+    for solve in (solve_lp, _full_tableau_lp):
+        if expected is UnboundedLP:
+            with pytest.raises(UnboundedLP, match="LP is unbounded"):
+                solve(c, A_ub, b_ub)
+        else:
+            assert solve(c, A_ub, b_ub) == expected
+
+
+@pytest.mark.parametrize("b, text", [(-1, "-1"), (-0.5, "-0.5"), (Fraction(-1, 3), "-1/3")])
+def test_simplex_refuses_a_negative_rhs_with_its_message(b, text):
+    with pytest.raises(ValueError) as info:
+        solve_lp([1, 1], [[1, 2], [3, 1]], [4, b])
+    assert str(info.value) == f"b_ub[1] = {text} is negative: the slack basis is infeasible"
+
+
+def _full_tableau_lp(c, A_ub, b_ub, late=None):
+    """Reference for solve_lp: the same Bland simplex on the full integer
+    tableau, n structural then m slack columns, each basic column kept as a
+    unit vector.  If late is a list, it gets one flag per pivot: whether
+    Bland's entering variable is not the first one with a negative reduced
+    cost in the condensed column order, where each leaving variable takes
+    the entering variable's column."""
+    from socrs.simplex import _int_row, _ratio, _reduce
+    n, m = len(c), len(A_ub)
+    total = n + m
+    T = []
+    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
+        t, den = _int_row([*row, b])
+        t[n:n] = [0] * m
+        t[n + i] = den
+        T.append(_reduce(t))
+    basis = list(range(n, total))
+    obj, _ = _int_row(c)
+    obj = [-v for v in obj] + [0] * (m + 1)
+    order = list(range(n))
+    while (col := next((j for j in range(total) if obj[j] < 0), None)) is not None:
+        if late is not None:
+            late.append(next(v for v in order if obj[v] < 0) != col)
+        row = None
+        for i in range(m):
+            a = T[i][col]
+            if a > 0:
+                if row is None:
+                    row, rb, ra = i, T[i][total], a
+                    continue
+                lhs, rhs = T[i][total] * ra, rb * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[row]):
+                    row, rb, ra = i, T[i][total], a
+        if row is None:
+            raise UnboundedLP("LP is unbounded")
+        pr = T[row]
+        p = pr[col]
+        for i in range(m):
+            f = T[i][col]
+            if i != row and f != 0:
+                T[i] = _reduce([p * a - f * b for a, b in zip(T[i], pr)])
+        f = obj[col]
+        obj = _reduce([p * a - f * b for a, b in zip(obj, pr)])
+        order[order.index(col)] = basis[row]
+        basis[row] = col
+    z = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            z[basis[i]] = Fraction(T[i][total], T[i][basis[i]])
+    return sum((Fraction(*_ratio(ci)) * zi for ci, zi in zip(c, z)), Fraction(0)), z
+
+
+def test_simplex_matches_the_full_tableau_on_stationary_lps(monkeypatch):
+    from socrs.generators import gen_instance
+    lps = []
+    real = dist_mod.simplex.solve_lp
+    monkeypatch.setattr(dist_mod.simplex, "solve_lp",
+                        lambda c, A, b: lps.append((c, A, b)) or real(c, A, b))
+    solve_stationary_lp_exact(*gen_instance("bipartite-impossibility", n=3)[:2])
+    for seed in (1, 2):
+        for name, n_vertices in (("random-bipartite", 5), ("random-graph", 4)):
+            env, x, _ = gen_instance(name, seed=seed, n_vertices=n_vertices, n_edges=6)
+            solve_stationary_lp_exact(env, x)
+    assert len(lps) == 5
+    for c, A, b in lps:
+        assert real(c, A, b) == _full_tableau_lp(c, A, b)
+
+
+def test_simplex_matches_the_full_tableau_on_degenerate_lps():
+    # small integer LPs with mostly zero right-hand sides and c = 1, so
+    # the optimum is a face and the pivot order decides the vertex; after
+    # some pivots Bland's entering variable is not in the first column
+    late_lps = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(4, 8), rng.integers(4, 8)
+        A = rng.integers(-1, 3, (m, n)) * (rng.random((m, n)) < 0.6)
+        b = rng.integers(1, 3, m) * (rng.random(m) < 0.25)
+        A, b = np.vstack([A, np.ones(n, dtype=int)]).tolist(), b.tolist() + [2]
+        c = [1] * n
+        late = []
+        assert solve_lp(c, A, b) == _full_tableau_lp(c, A, b, late), seed
+        late_lps += any(late)
+    assert late_lps >= 5
+
+
+@pytest.mark.parametrize("name, n_vertices, alpha, support", [
+    ("random-bipartite", 5, "21671228627311809223098795484526457706803317702656/"
+                            "38236057037506980588024628463016375338063823182013", 13),
+    ("random-graph", 4, "81129638414606681695789005144064/"
+                        "162754579467636372439892821351467", 10),
+])
+def test_float_x_random_lp_alpha_is_pinned(name, n_vertices, alpha, support):
+    # seed 1, x read as floats, as the lp-exact command reads the instance
+    from socrs.generators import gen_instance
+    env, x, _ = gen_instance(name, seed=1, n_vertices=n_vertices, n_edges=6)
+    a, wit = solve_stationary_lp_exact(env, x)
+    assert f"{a.numerator}/{a.denominator}" == alpha
+    assert len(wit.support) == support
+
+
 def test_float_x_impossibility_alpha_n3_is_pinned():
     # x read as floats 1/3 and 2/3, as the lp-exact command reads the instance
     from socrs.generators import gen_instance
