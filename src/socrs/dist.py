@@ -8,8 +8,12 @@ The stationary LP (over distributions nu on the feasible family) is
 
 with the cap linearized as (1-x_e) nu(T+e) <= x_e nu(T), which is valid for
 every T including nu(T)=0 and removes the positivity side condition.  Its
-caps are the pairs (e, T) with T+e feasible.  Every reader takes them, and
-the one table of conditionals `stationary_conditionals`, over `env.family()`.
+caps are the pairs (e, T) with T+e feasible.  Every reader of an explicit
+law takes them, and the one table of conditionals `stationary_conditionals`,
+over `env.family()`.  A Gibbs law nu(S) ~ w^S needs neither: its
+conditional is rho_e = w_e / (1 + w_e) at every such T, so its caps are
+rho_e <= x_e for each element some feasible set holds, and its marginals
+are sums over the family's incidence matrix.
 
 The exact solver eliminates nu(empty) = 1 - sum_{S != empty} nu(S), so over
 z = (nu(S) for S != empty, alpha) >= 0 every row is <= with a nonnegative
@@ -118,6 +122,7 @@ class ExplicitDistribution:
                 raise ValueError(f"probabilities sum to {total}, not 1")
             probs = p.tolist()
         self.support = dict(zip(sets, probs))
+        self._conditionals = {}     # stationary_conditionals' arrays, by mode
         return self
 
     def sets(self):
@@ -135,7 +140,9 @@ class ExplicitDistribution:
 
 
 class GibbsDistribution:
-    """Hard-core law on the feasible family: nu(S) proportional to prod w_e."""
+    """Hard-core law on the feasible family: nu(S) proportional to prod w_e.
+
+    The law is exact (rational) when no weight is a float."""
 
     def __init__(self, env, w, oracle=None):
         if any(float(v) <= 0 for v in w):
@@ -146,25 +153,43 @@ class GibbsDistribution:
 
     @property
     def rho(self):
-        return [v / (1 + v) for v in self.w]
+        """rho_e = w_e / (1 + w_e), exact for an exact law."""
+        return [v / (1 + v) for v in (map(as_rational, self.w) if self.exact else self.w)]
 
-    def to_explicit(self):
-        """The explicit table, read from an enumeration oracle over self.env
-        (self.oracle when it is one, so its cached incidence matrix is reused)."""
+    @property
+    def exact(self):
+        return not any(isinstance(v, float) for v in self.w)
+
+    def _set_probs(self):
+        """nu(S) of every set in family order, read from an enumeration
+        oracle over self.env (self.oracle when it is one, so its cached
+        incidence matrix is reused): floats from the oracle's tilt, or the
+        exact masses over their sum."""
         oracle = self.oracle
         if oracle is None or oracle.backend != "enumeration" or oracle.env is not self.env:
             oracle = CountingOracle("enumeration", env=self.env)
-        # the oracle lists the sets in family order
-        if any(isinstance(v, float) for v in self.w):
-            probs = oracle._set_probs(self.w)
-        else:
-            masses = oracle._masses_rational([as_rational(v) for v in self.w])
-            Z = sum(masses)
-            probs = [m / Z for m in masses]
+        if not self.exact:
+            return oracle._set_probs(self.w)
+        masses = oracle._masses_rational([as_rational(v) for v in self.w])
+        Z = sum(masses)
+        return [m / Z for m in masses]
+
+    def to_explicit(self):
+        """The explicit table over the family's positions."""
+        probs = self._set_probs()
         return ExplicitDistribution.on_family(self.env, range(len(probs)), probs)
 
+    def _marginals(self):
+        """P[e in S] for every e, as a list: each sum runs over the sets in
+        family order, the additions an explicit table's verification makes."""
+        probs = np.asarray(self._set_probs())
+        s, e = np.nonzero(self.env.incidence())
+        marg = np.full(self.env.n, R(0) if self.exact else 0.0, dtype=probs.dtype)
+        np.add.at(marg, e, probs[s])    # unbuffered: each sum runs in family order
+        return marg.tolist()
+
     def marginal(self, e):
-        return self.to_explicit().marginal(e)
+        return self._marginals()[e]
 
 
 @dataclass
@@ -236,8 +261,12 @@ def stationary_conditionals(table, exact):
     q[p, e] = P[e in S | S_-e = T] = mu(T+e) / (mu(T) + mu(T+e)), one
     division per cap, 0 where T+e is infeasible or where null[p, e] marks
     mu(T) + mu(T+e) = 0.  Exact mode keeps the table's numbers in object
-    arrays; float mode converts them to floats.
+    arrays; float mode converts them to floats.  Built once per law and
+    mode, so the arrays are read-only.
     """
+    cached = table._conditionals.get(exact)
+    if cached is not None:
+        return cached
     fam = table.env.family()
     mu = family_masses(table, exact)
     null = np.repeat((mu == 0)[:, None], table.env.n, axis=1)
@@ -249,42 +278,63 @@ def stationary_conditionals(table, exact):
     cond[ok] = b[ok] / den[ok]
     q[s, e] = q[t, e] = cond
     null[s, e] = null[t, e] = ~ok
+    for a in (mu, q, null):
+        a.flags.writeable = False
+    table._conditionals[exact] = mu, q, null
     return mu, q, null
 
 
 def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
     """Exhaustively check selectability at alpha and all stationary caps.
 
-    Pairs (e,T) with P[S_-e = T] = 0 are skipped.  Violations are listed by
-    the family position of T, then by e.  Exact over the enumerated
-    support; raises for non-enumerable environments.
+    An explicit law is checked cap by cap over `stationary_conditionals`:
+    pairs (e,T) with P[S_-e = T] = 0 are skipped, and violations are listed
+    by the family position of T, then by e.  A Gibbs law is checked in
+    closed form, with no table: q_e(T) = rho_e for every T with T+e
+    feasible, so its caps are rho_e <= x_e for each element some feasible
+    set holds, and a violated one is listed once, with T = empty, in
+    element order.  Either way alpha comes from P[e in S] summed over the
+    sets in family order, so both give the same bits for one law.  Exact
+    over the enumerated family; raises for non-enumerable environments.
     """
     env = dist.env
+    gibbs = isinstance(dist, GibbsDistribution)
     try:
-        fam = env.family()
+        if gibbs:
+            capped = np.flatnonzero(env.incidence().any(axis=0)).tolist()
+        else:
+            fam = env.family()
     except EnumerationBudgetError as exc:
         raise NonEnumerableError(
             f"environment not enumerable, so its stationary caps cannot be checked: {exc}"
         ) from exc
 
-    table = dist.to_explicit()
-    exact = table.exact
+    exact = dist.exact
     zero = R(0) if exact else 0.0
     xs = [as_rational(v) if exact and not isinstance(v, float) else float(v) for v in x]
 
-    mu, q, null = stationary_conditionals(table, exact)
-    s, e, t = fam.caps
-    marg = np.full(env.n, zero, dtype=q.dtype)
-    np.add.at(marg, e, mu[s])       # unbuffered: each sum runs in family order
-    alpha_achieved = min(float(m) / xe if isinstance(xe, float) else m / xe
-                         for m, xe in zip(marg.tolist(), xs))
+    if gibbs:
+        marg = dist._marginals()
+        rho = dist.rho if exact else [float(v) for v in dist.rho]
+        excess = [rho[e] - xs[e] for e in capped]
+        violations = [(e, frozenset(), rho[e], x[e])
+                      for e, d in zip(capped, excess) if float(d) > tol]
+    else:
+        mu, q, null = stationary_conditionals(dist.to_explicit(), exact)
+        s, e, t = fam.caps
+        marg = np.full(env.n, zero, dtype=q.dtype)
+        np.add.at(marg, e, mu[s])       # unbuffered: each sum runs in family order
+        marg = marg.tolist()
 
-    s, e, t = fam.caps[:, ~null[s, e]]     # null conditioning events are skipped
-    excess = q[s, e] - np.array(xs, dtype=q.dtype)[e]
-    bad = np.flatnonzero(excess.astype(float) > tol)
-    violations = [(int(e[i]), fam.sets[t[i]], q.item(s[i], e[i]), x[e[i]])
-                  for i in bad[np.lexsort((e[bad], t[bad]))]]
-    return StationaryReport(alpha_achieved, violations, max(zero, *excess.tolist()))
+        s, e, t = fam.caps[:, ~null[s, e]]     # null conditioning events are skipped
+        excess = q[s, e] - np.array(xs, dtype=q.dtype)[e]
+        bad = np.flatnonzero(excess.astype(float) > tol)
+        violations = [(int(e[i]), fam.sets[t[i]], q.item(s[i], e[i]), x[e[i]])
+                      for i in bad[np.lexsort((e[bad], t[bad]))]]
+        excess = excess.tolist()
+    alpha_achieved = min(float(m) / xe if isinstance(xe, float) else m / xe
+                         for m, xe in zip(marg, xs))
+    return StationaryReport(alpha_achieved, violations, max([zero, *excess]))
 
 
 def addability_prob(dist, e):

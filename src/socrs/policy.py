@@ -10,7 +10,8 @@ is what makes the output distribution independent of the arrival order.
 The witness cap q_e <= x_e is enforced on every path.  The sampled step
 `_replace` checks each cap it meets through `dist.check_cap`; the exact
 expansion `exact_output_law`, like `replay.replay`, checks them all once,
-up front, with `dist.verify_stationary_lp` and raises the first violated one.
+up front, with `dist.verify_stationary_lp` on the witness's table, raises
+the first violated one, and then reads the conditionals that check built.
 """
 
 from __future__ import annotations
@@ -222,17 +223,17 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
 def _merge(at, mass, size):
     """Sum the masses that share a family position: (positions, masses).
 
-    Each position's masses are added in input order.  When the atoms cover
-    a sizeable share of the family's `size` positions (the one state of a
-    fixed order) the positions hit are marked in a dense array; fewer atoms
-    (an adaptive strategy's many small states) are sorted with np.unique."""
-    if 8 * len(at) < size:
-        pos, at = np.unique(at, return_inverse=True)
-    else:
-        hit = np.zeros(size, dtype=bool)
-        hit[at] = True
-        pos = np.flatnonzero(hit)
-        at = np.cumsum(hit)[at] - 1
+    Each position's masses are added in input order.  When float masses,
+    all positive, cover a sizeable share of the family's `size` positions
+    (the one state of a fixed order) one bincount sums them over every
+    position, and the positions hit are those with a nonzero sum.  Fewer
+    atoms (an adaptive strategy's many small states) and exact masses are
+    sorted with np.unique."""
+    if 8 * len(at) >= size and mass.dtype != object:
+        sums = np.bincount(at, weights=mass, minlength=size)
+        pos = np.flatnonzero(sums)
+        return pos, sums[pos]
+    pos, at = np.unique(at, return_inverse=True)
     out = np.zeros(len(pos), dtype=mass.dtype)
     np.add.at(out, at, mass)
     return pos, out

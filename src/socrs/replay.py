@@ -1,9 +1,10 @@
 """Vectorized Monte-Carlo replays of the simulate-then-replace policy.
 
-Before the kernel runs, `replay` checks the witness's stationary caps with
-`dist.verify_stationary_lp`, the same check `verify-lp` makes, and raises
-`CapViolationError` on the first violated cap.  The kernel is
-`_replay_py.replay_batch`; its tables run over the family's positions.
+Before the kernel runs, `replay` checks the caps of the witness's table
+with `dist.verify_stationary_lp` and raises `CapViolationError` on the
+first violated cap; the kernel then reads the conditionals that check built.
+The kernel is `_replay_py.replay_batch`; its tables run over the family's
+positions.
 
 Replications run one block of `_replay_py.BLOCK` rows at a time, and with
 random arrival orders each block draws its own orders next to its own

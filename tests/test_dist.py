@@ -13,8 +13,9 @@ from socrs.dist import (ExplicitDistribution, GibbsDistribution,
                         NonEnumerableError, NullConditioningError, addability_prob,
                         conditional_without, solve_stationary_lp_exact,
                         symmetric_uniform_bound, verify_stationary_lp)
-from socrs.env import (Environment, EnumerationBudgetError,
-                       k_uniform_environment, matching_environment)
+from socrs.env import (Environment, EnumerationBudgetError, Matroid,
+                       hypergraph_matching_environment, k_uniform_environment,
+                       matching_environment, matroid_environment)
 from socrs.maxent import solve_maxent
 from socrs.simplex import UnboundedLP, solve_lp
 
@@ -193,6 +194,112 @@ def test_verify_stationary_lp_only_wraps_budget_overflow():
     assert isinstance(info.value.__cause__, EnumerationBudgetError)
     # the replay harness needs the same enumeration, so it is not offered
     assert "Monte-Carlo" not in str(info.value)
+
+
+@st.composite
+def small_environments(draw):
+    """k-uniform, graph and hypergraph matchings and graphic matroids on at
+    most 7 elements."""
+    kind = draw(st.sampled_from(["k-uniform", "matching", "hypergraph", "graphic"]))
+    if kind == "k-uniform":
+        n = draw(st.integers(1, 7))
+        return k_uniform_environment(n, draw(st.integers(1, n)))
+    nv = draw(st.integers(2, 5))
+    vertex = st.integers(0, nv - 1)
+    if kind == "hypergraph":
+        edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=3, unique=True),
+                              min_size=1, max_size=7))
+        return hypergraph_matching_environment(edges)
+    # graphic matroids keep loops, which no feasible set holds
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda uv: kind == "graphic"
+                                                          or uv[0] != uv[1]),
+                          min_size=1, max_size=7))
+    if kind == "matching":
+        return matching_environment(edges, nv)
+    return matroid_environment(Matroid.graphic(nv, edges))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_environments(), st.booleans(), st.booleans(), st.data())
+def test_gibbs_verify_in_closed_form_equals_the_table_check(env, rational, breaks, data):
+    # x_e = rho_e * f_e, with every f_e >= 11/10 on a passing witness and some
+    # f_e = 1/2 on a breaking one, so no cap lies within float rounding of x_e
+    fracs = st.fractions(Fraction(1, 20), Fraction(3), max_denominator=20)
+    w = data.draw(st.lists(fracs, min_size=env.n, max_size=env.n))
+    f = data.draw(st.lists(st.fractions(Fraction(11, 10), Fraction(2), max_denominator=10),
+                           min_size=env.n, max_size=env.n))
+    if breaks:
+        low = data.draw(st.sets(st.integers(0, env.n - 1), min_size=1))
+        f = [Fraction(1, 2) if e in low else v for e, v in enumerate(f)]
+    if not rational:
+        w = list(map(float, w))
+    g = GibbsDistribution(env, w)
+    x = [min(r * v, 1) for r, v in zip(g.rho, f)]
+    alpha = Fraction(1, 3) if rational else 1 / 3
+
+    closed = verify_stationary_lp(g, x, alpha)
+    table = verify_stationary_lp(g.to_explicit(), x, alpha)
+    assert type(closed.alpha_achieved) is type(table.alpha_achieved)
+    assert closed.alpha_achieved == table.alpha_achieved     # bit for bit in floats
+    bad = [v[0] for v in closed.violated_caps]
+    assert bad == sorted(set(bad)) and {v[0] for v in table.violated_caps} == set(bad)
+    assert all(v[1] == frozenset() and v[2] == g.rho[v[0]] for v in closed.violated_caps)
+    if rational or not breaks:
+        assert closed.max_cap_excess == table.max_cap_excess
+        assert type(closed.max_cap_excess) is type(table.max_cap_excess)
+    if not breaks:
+        assert not bad and closed.passes(0.0)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_gibbs_verify_reads_no_family_and_no_table(rational, monkeypatch):
+    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)], 5)
+    if rational:
+        g = GibbsDistribution(env, [Fraction(1, 4)] * 6)
+    else:
+        g = solve_maxent(env, CountingOracle("enumeration", env=env),
+                         np.array([0.25, 0.2, 0.15, 0.3, 0.1, 0.2]), tol=1e-10)
+    calls = []
+    for owner, name in [(Environment, "family"), (GibbsDistribution, "to_explicit"),
+                        (dist_mod, "stationary_conditionals")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    rep = verify_stationary_lp(g, [0.99] * 6, 0.1)      # every rho_e < 1
+    assert calls == [] and rep.violated_caps == []
+    assert [g.marginal(e) for e in range(6)] == g._marginals() and calls == []
+
+
+@pytest.mark.parametrize("w", [[Fraction(1, 2), Fraction(1), 2], [0.5, 1.0, 2.0]])
+def test_gibbs_marginals_are_the_tables_family_order_sums(w):
+    # path 0-1-2-3: feasible sets {}, {0}, {1}, {2}, {0, 2}; an int weight
+    # still makes an exact law
+    env = matching_environment([(0, 1), (1, 2), (2, 3)], 4)
+    g = GibbsDistribution(env, w)
+    tab = g.to_explicit()
+    for e in range(3):
+        m = g.marginal(e)
+        assert type(m) is type(tab.marginal(e)) and m == tab.marginal(e)
+    if g.exact:
+        Z = 1 + Fraction(1, 2) + 1 + 2 + 1
+        assert [g.marginal(e) for e in range(3)] == [Fraction(3, 2) / Z, 1 / Z, 3 / Z]
+
+
+def test_verify_on_a_family_without_caps():
+    # two loops: no feasible set holds an element, so there is no cap
+    env = matroid_environment(Matroid.graphic(2, [(0, 0), (1, 1)]))
+    g = GibbsDistribution(env, [0.5, 0.5])
+    for law in (g, g.to_explicit()):
+        rep = verify_stationary_lp(law, [0.5, 0.5], 0.0)
+        assert rep.violated_caps == [] and rep.max_cap_excess == 0.0
+        assert rep.alpha_achieved == 0.0
+
+
+def test_gibbs_rho_is_exact_for_int_weights():
+    g = GibbsDistribution(triangle_env(), [1, 2, Fraction(1, 2)])
+    assert g.rho == [Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)]
+    assert all(type(r) is Fraction for r in g.rho)
+    assert conditional_without(g, 0, frozenset()) == Fraction(1, 2)
 
 
 def test_budget_overruns_are_enumeration_budget_errors(monkeypatch):
@@ -455,8 +562,9 @@ def test_lp_round_trip_on_random_instance():
 
 def test_symmetric_uniform_bound_known_value():
     assert symmetric_uniform_bound(4, 2, Fraction(1, 2)) == Fraction(8, 11)
-    # k = n means everything fits: bound 1
-    assert symmetric_uniform_bound(3, 3, Fraction(1, 2)) == 1
+    # k = n means everything fits: bound 1, though n q = 3/2 is not k
+    with pytest.warns(UserWarning, match="n\\*q = k"):
+        assert symmetric_uniform_bound(3, 3, Fraction(1, 2)) == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -465,5 +573,9 @@ def test_symmetric_uniform_bound_known_value():
 def test_symmetric_bound_in_unit_interval(k, n, q):
     if k > n:
         return
-    b = symmetric_uniform_bound(n, k, q)
+    if n * q == k:
+        b = symmetric_uniform_bound(n, k, q)
+    else:
+        with pytest.warns(UserWarning, match="n\\*q = k"):
+            b = symmetric_uniform_bound(n, k, q)
     assert 0 < b <= 1

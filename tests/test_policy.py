@@ -10,10 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from socrs import dist as dist_mod
 from socrs.dist import (ExplicitDistribution, GibbsDistribution,
                         solve_stationary_lp_exact, verify_stationary_lp)
 from socrs.env import EnumerationBudgetError, k_uniform_environment, matching_environment
-from socrs.policy import (CapViolationError, OrderStrategy, PolicyState,
+from socrs.policy import (CapViolationError, OrderStrategy, PolicyState, _merge,
                           exact_output_law, greedy_blocker_adversary,
                           policy_step, run_one_shot, run_recurring,
                           target_last_adversary)
@@ -200,6 +201,49 @@ def test_exact_expansion_of_a_witness_whose_support_is_not_downward_closed():
         assert law.support == witness.support
         assert acc == [witness.marginal(e) for e in range(4)]
         assert all(isinstance(v, Fraction) for v in acc)
+
+
+def merge_reference(at, mass):
+    """_merge by sorting: each position's masses summed in input order."""
+    pos, inv = np.unique(at, return_inverse=True)
+    out = np.zeros(len(pos), dtype=mass.dtype)
+    np.add.at(out, inv, mass)
+    return pos, out
+
+
+@pytest.mark.parametrize("size", [79, 80, 81, 4000])
+@pytest.mark.parametrize("exact", [False, True])
+def test_merge_is_bit_identical_to_the_add_at_reference(size, exact):
+    # ten atoms on six positions, three on each of two: a hit share of
+    # 10/size, just above 1/8 at size 79 (the dense branch), just below at
+    # 81 (np.unique).  1e16 + 1 + 1 is 1e16 in floats but 1 + 1 + 1e16 is
+    # not, so a sum taken out of input order shows.
+    rng = np.random.default_rng(size)
+    at = rng.choice(size, 6, replace=False)[[0, 1, 0, 1, 0, 1, 2, 3, 4, 5]]
+    mass = np.array([1e16, 0.3, 1.0, 0.7, 1.0, 1e16, 0.1, 0.2, 0.4, 0.5])
+    if exact:
+        mass = np.array([Fraction(v) / 3 for v in mass.tolist()], dtype=object)
+    pos, out = _merge(at, mass, size)
+    ref_pos, ref = merge_reference(at, mass)
+    assert np.array_equal(pos, ref_pos) and out.dtype == mass.dtype
+    if exact:
+        assert out.tolist() == ref.tolist()
+    else:
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_exact_expansion_builds_the_conditionals_once(monkeypatch):
+    # the verifier's conditionals are the ones the expansion reads
+    calls = []
+    real = dist_mod.family_masses
+    monkeypatch.setattr(dist_mod, "family_masses",
+                        lambda *a: calls.append(a) or real(*a))
+    dist, x = triangle_gibbs(w=0.25, x=0.5)
+    law, acc = exact_output_law(dist, x, OrderStrategy.fixed(range(3)))
+    assert len(calls) == 1
+    table = calls[0][0]
+    assert dist_mod.stationary_conditionals(table, False)[1].flags.writeable is False
+    assert len(calls) == 1
 
 
 def test_laws_built_on_the_family_skip_feasibility_calls(monkeypatch):

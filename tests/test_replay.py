@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socrs import _replay_py
+from socrs import dist as dist_mod
 from socrs.counting import CountingOracle
 from socrs.dist import (ExplicitDistribution, GibbsDistribution, stationary_conditionals,
                         verify_stationary_lp)
@@ -261,6 +262,17 @@ def test_replay_rejects_cap_violating_witness():
     orders = random_orders(3, 100, rng)
     with pytest.raises(CapViolationError):
         replay(dist, [0.2] * 3, orders, rng)
+
+
+def test_replay_builds_the_conditionals_once(monkeypatch):
+    calls = []
+    real = dist_mod.family_masses
+    monkeypatch.setattr(dist_mod, "family_masses",
+                        lambda *a: calls.append(a) or real(*a))
+    dist, x = path_instance(3)
+    rng = RngStream(1)
+    replay(dist, x, random_orders(3, 100, rng), rng)
+    assert len(calls) == 1
 
 
 def test_replay_raises_the_verifiers_first_violated_cap():
