@@ -23,16 +23,21 @@ The precision mode decides only the arithmetic and the form of the result:
   * "double": floats; partition/marginal_sum return log-magnitudes (-inf
     for zero), constrained_count/thinned_mass plain floats, and `pinned`
     the log of a pinned count.  Determinants stay in log form from slogdet
-    on, and ksym-dp runs its DP on w / max(w, 1), so Z far outside float
-    range is fine there; matching-recursion still sums plain floats.
-The enumeration backend reads exact masses mu0(S) w^S from one loop in rational
-mode; in double mode the family's incidence matrix gives all per-set
-log-masses log mu0(S) + sum_{e in S} log w_e in one matmul (-inf for sets
-holding a zero weight), and one logsumexp turns them into log Z and the
-normalised set probabilities that partition, marginal_sum, marginals and
-second_moments read, and that dist.GibbsDistribution.to_explicit and
-rayleigh.materialize read as explicit tables.  The oracle keeps the last
-such tilt, so these reads at one weight vector share one evaluation.
+    on, ksym-dp runs its DP on w / max(w, 1), and matching-recursion runs
+    on log-weights with a two-term log-sum-exp, so Z far outside float
+    range is fine on every backend.
+Marginals and second moments P[e, f in S] are ratios of pinned counts to
+one Z: n + 1 evaluations for the marginals and n(n + 1)/2 more for the
+second moments, on every backend but double-mode enumeration, which reads
+both off its set probabilities.  The enumeration backend reads exact
+masses mu0(S) w^S from one loop in rational mode; in double mode the
+family's incidence matrix gives all per-set log-masses log mu0(S) +
+sum_{e in S} log w_e in one matmul (-inf for sets holding a zero weight),
+and one logsumexp turns them into log Z and the normalised set
+probabilities that partition, marginal_sum, marginals and second_moments
+read, and that dist.GibbsDistribution.to_explicit and rayleigh.materialize
+read as explicit tables.  The oracle keeps the last such tilt, so these
+reads at one weight vector share one evaluation.
 """
 
 from __future__ import annotations
@@ -367,7 +372,10 @@ class CountingOracle:
         if len(set(ends)) < len(ends):
             return self._value(zero)
         free = frozenset(i for i in rest if set(ends).isdisjoint(edges[i]))
-        return self._value(w_in * _mp_rec(free, edges, w, one, {}))
+        if self.mode == "rational":
+            return w_in * _mp_rec(free, edges, w, one, {}, False)
+        logw = [math.log(v) if v > 0 else -math.inf for v in w]
+        return sum(logw[i] for i in I) + _mp_rec(free, edges, logw, 0.0, {}, True)
 
     # -- public operations -------------------------------------------------
 
@@ -396,9 +404,17 @@ class CountingOracle:
         return np.array([float(self._ratio(self.marginal_sum(w, e), z)) for e in range(self.n)])
 
     def second_moments(self, w):
-        """Matrix M with M[e,f] = P[e in S and f in S]; the enumeration backend only."""
-        p = self._set_probs(w)
-        return self._inc.T @ (self._inc * p[:, None])
+        """Matrix M with M[e,f] = P[e in S and f in S]."""
+        if self.backend == "enumeration" and self.mode == "double":
+            p = self._set_probs(w)
+            return self._inc.T @ (self._inc * p[:, None])
+        w = self._weights(w)
+        z = self._g(w)
+        M = np.empty((self.n, self.n))
+        for e in range(self.n):
+            for f in range(e, self.n):
+                M[e, f] = M[f, e] = float(self._ratio(self._g(w, sorted({e, f})), z))
+        return M
 
     def pinned(self, w, I=(), J=()):
         """Sum over sets containing all of I and none of J, in the form
@@ -452,11 +468,12 @@ def _log_normalise(logmass):
 
 def _matching_partition(edges, w, one):
     """Matching generating polynomial via Z(G) = Z(G-e) + w_e Z(G-u-v)."""
-    return _mp_rec(frozenset(range(len(edges))), edges, w, one, {})
+    return _mp_rec(frozenset(range(len(edges))), edges, w, one, {}, False)
 
 
-def _mp_rec(key, edges, w, one, memo):
-    """Matching polynomial of the edges indexed by `key`."""
+def _mp_rec(key, edges, w, one, memo, log):
+    """Matching polynomial of the edges indexed by `key`; with `log` set, w
+    holds log-weights, `one` is 0.0 and the result is the polynomial's log."""
     if not key:
         return one
     if key in memo:
@@ -465,13 +482,23 @@ def _mp_rec(key, edges, w, one, memo):
     u, v = edges[e]
     rest = key - {e}
     # delete e
-    val = _mp_rec(rest, edges, w, one, memo)
+    val = _mp_rec(rest, edges, w, one, memo, log)
     # take e: drop everything touching u or v
     rest2 = frozenset(i for i in rest if u not in edges[i] and v not in edges[i])
-    val = val + w[e] * _mp_rec(rest2, edges, w, one, memo)
+    take = _mp_rec(rest2, edges, w, one, memo, log)
+    val = _log_add(val, w[e] + take) if log else val + w[e] * take
     if len(memo) < MATCHING_MEMO_CAP:
         memo[key] = val
     return val
+
+
+def _log_add(a, b):
+    """log(e^a + e^b) of two floats, either of them possibly -inf."""
+    if a < b:
+        a, b = b, a
+    if b == -math.inf:
+        return a
+    return a + math.log1p(math.exp(b - a))
 
 
 def _esym(w, k, one, zero):

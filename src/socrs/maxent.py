@@ -2,15 +2,14 @@
 dominating base points.
 
 The dual objective is h(theta) = log Z(e^theta) - <theta, p>; its gradient is
-the marginal mismatch.  Gradient descent with Armijo backtracking and the
-diagonal preconditioner p_e(1-p_e) runs until |grad| <= 1e-2 on the enumeration
-backend; from there Newton steps on the exact covariance, with the same
-backtracking on h, meet the tolerance with a margin (Singh-Vishnoi 2014,
-Straszak-Vishnoi 2019: second-order steps once the iterate is in the
-well-conditioned region).  When Newton fails, descent to the tolerance takes
-over.  Backends without an exact covariance descend to max(tol, 1e-6) and
-then to the tolerance.  A descent pass stops after MAX_DESCENT_STEPS steps,
-the polish after NEWTON_MAX_STEPS; |theta| > THETA_MAX is divergence.
+the marginal mismatch.  One schedule runs on every counting backend: gradient
+descent with Armijo backtracking and the diagonal preconditioner p_e(1-p_e)
+until |grad| <= 1e-2, then Newton steps on the covariance from the oracle's
+second moments, with the same backtracking on h, to the tolerance with a
+margin (Singh-Vishnoi 2014, Straszak-Vishnoi 2019: second-order steps once
+the iterate is in the well-conditioned region).  When Newton fails, descent
+to the tolerance takes over.  A descent pass stops after MAX_DESCENT_STEPS
+steps, the polish after NEWTON_MAX_STEPS; |theta| > THETA_MAX is divergence.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ THETA_MAX = 60.0
 MAX_DESCENT_STEPS = 20000
 NEWTON_MAX_STEPS = 60
 DELTA_SHRINK = 1e-6
-# |grad| at which the first descent pass stops: the enumeration backend hands over
-# to Newton, the others descend on to tol from there
+# |grad| at which descent hands over to Newton
 NEWTON_HANDOFF = 1e-2
-DESCENT_COARSE = 1e-6
 # Newton aims this far below tol: its steps from |grad| <= 1e-2 can otherwise
 # stop just under tol, leaving marginals only tol-accurate; converging
 # quadratically, it buys the margin with one step more or none
@@ -124,8 +121,9 @@ def _descend(oracle, p, state, tol):
 
 
 def _newton_polish(oracle, p, state, tol):
-    """Damped Newton from state.theta on an enumerable oracle's exact
-    covariance; updates `state` and returns whether |grad| <= tol was met.
+    """Damped Newton from state.theta on the covariance M - marg marg^T of
+    the oracle's second moments M; updates `state` and returns whether
+    |grad| <= tol was met.
 
     Steps until |grad| <= NEWTON_MARGIN * tol, or until |grad| <= tol and a
     step no longer lowers it.  Stops early when the Hessian solve raises or
@@ -167,20 +165,15 @@ def _solve_dual(oracle, target, tol):
     """DualState whose theta has |grad h(theta)| <= tol for the dual of
     marginal target `target`.
 
-    Descends to max(tol, 1e-2) on the enumeration backend and polishes with
-    Newton on the exact covariance (`_newton_polish`); on other backends it
-    descends to max(tol, 1e-6).  When the gradient is still above tol after
-    that (Newton failed, or the other backends' coarse pass ended), descent
-    to tol runs from the last iterate and the record's `fallback` is set.
+    Descends to max(tol, NEWTON_HANDOFF) and polishes with Newton
+    (`_newton_polish`).  When the gradient is still above tol after that,
+    descent to tol runs from the last iterate and the record's `fallback`
+    is set.
     """
     p = np.asarray(target, dtype=float)
     state = DualState(theta=np.zeros(p.size))
-    enum = oracle.backend == "enumeration"
-    _descend(oracle, p, state, max(tol, NEWTON_HANDOFF if enum else DESCENT_COARSE))
-    ok = state.grad_norm <= tol
-    if enum and not ok:
-        ok = _newton_polish(oracle, p, state, tol)
-    if not ok:
+    _descend(oracle, p, state, max(tol, NEWTON_HANDOFF))
+    if state.grad_norm > tol and not _newton_polish(oracle, p, state, tol):
         state.fallback = True
         _descend(oracle, p, state, tol)
     if state.grad_norm > tol:

@@ -80,7 +80,7 @@ def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, check_rayleigh=True, rng=Non
         if not ok:
             raise NotRayleighError(f"base measure fails the Rayleigh inequality by {worst}")
     q = dominating_base_point(matroid, y)
-    # enumeration keeps the Newton polish available
+    # materialize reads this oracle's tilted base law, set by set
     oracle = CountingOracle("enumeration", base=mu0)
     w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=tol)
     # thin against the marginals the projected measure actually has (q_used,

@@ -250,16 +250,6 @@ def test_marginals_sum_rule():
     assert abs(marg.sum() - expect) < 1e-12
 
 
-def test_second_moments_diagonal_is_marginal():
-    env = k_uniform_environment(4, 2)
-    o = CountingOracle("enumeration", env=env, mode="double")
-    w = [0.5, 1.5, 0.8, 1.2]
-    M = o.second_moments(w)
-    marg = o.marginals(w)
-    assert np.allclose(np.diag(M), marg, atol=1e-12)
-    assert np.allclose(M, M.T, atol=1e-15)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(3)),
                 min_size=2, max_size=5))
@@ -330,7 +320,6 @@ def test_double_mode_matches_rational_mode(family):
     for backend in backends:
         od = CountingOracle(backend, mode="double", **kw)
         orat = CountingOracle(backend, mode="rational", **kw)
-        enum = backend == "enumeration"
         n = od.n
         for trial in range(4):
             w = [Fraction(int(v), 8) for v in rng.integers(1, 25, size=n)]
@@ -340,7 +329,7 @@ def test_double_mode_matches_rational_mode(family):
             Z = orat.partition(w)
             assert abs(od.partition(wf) - math.log(Z)) < 1e-12
             marg = od.marginals(wf)
-            M = od.second_moments(wf) if enum else None
+            M = od.second_moments(wf)
             for e in range(n):
                 ms = orat.marginal_sum(w, e)
                 got = od.marginal_sum(wf, e)
@@ -355,12 +344,37 @@ def test_double_mode_matches_rational_mode(family):
                     if e != f:
                         assert _close(od.constrained_count(wf, [e], [f]),
                                       orat.constrained_count(w, [e], [f]))
-                    if enum:
-                        assert abs(M[e, f] - float(both / Z)) < 1e-12
+                    assert abs(M[e, f] - float(both / Z)) < 1e-12
             I = _DEPENDENT_PINS[family]
             for J in ([], [n - 1]):
                 assert orat.constrained_count(w, I, J) == 0
                 assert _close(od.constrained_count(wf, I, J), 0)
+
+
+@pytest.mark.parametrize("family", ["k-uniform", "matching", "spanning-trees", "determinantal"])
+def test_second_moments_diagonal_is_marginal(family):
+    kw, backends = _backends(family)
+    for backend in backends:
+        o = CountingOracle(backend, mode="double", **kw)
+        w = [0.5, 1.5, 0.8, 1.2, 0.7]
+        M = o.second_moments(w)
+        marg = o.marginals(w)
+        assert np.allclose(np.diag(M), marg, atol=1e-12)
+        assert np.allclose(M, M.T, atol=1e-15)
+
+
+@pytest.mark.parametrize("family", ["spanning-trees", "determinantal"])
+def test_closed_form_second_moments_read_no_bases(family, monkeypatch):
+    kw, (_, backend) = _backends(family)
+    oracle = CountingOracle(backend, mode="double", **kw)
+    w = [0.5, 1.5, 0.8, 1.2, 0.7]
+    expect = CountingOracle("enumeration", mode="double", **kw).second_moments(w)
+
+    def family_called(self):
+        raise AssertionError("second_moments enumerated the bases")
+
+    monkeypatch.setattr(BaseMeasure, "family", family_called)
+    assert np.abs(oracle.second_moments(w) - expect).max() < 1e-12
 
 
 @pytest.mark.parametrize("family", ["spanning-trees", "determinantal"])

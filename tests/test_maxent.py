@@ -18,6 +18,7 @@ from socrs.maxent import (BoundaryDivergenceError, barycentric_base_point,
                           is_boundary_base_point, solve_kl_projection,
                           solve_maxent)
 from socrs.rayleigh import build_witness, materialize
+from test_counting import _backends
 
 
 def test_gradient_matches_finite_differences():
@@ -161,21 +162,34 @@ def test_descent_fallback_reaches_tol_when_newton_fails(monkeypatch):
     assert np.abs(oracle.marginals(np.exp(state.theta)) - TIGHT_P).max() <= 1e-12
 
 
-@pytest.mark.parametrize("backend, env", [
-    ("matching-recursion", matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)),
-    ("ksym-dp", k_uniform_environment(5, 2))], ids=["matching-recursion", "ksym-dp"])
-def test_dual_schedule_without_exact_covariance(backend, env):
-    # no second moments on these backends: descent alone, to max(tol, 1e-6)
-    # and then to tol, and no Newton step
-    p = np.array([0.12, 0.21, 0.08, 0.17, 0.3])
-    enum = CountingOracle("enumeration", env=env)
-    oracle = CountingOracle(backend, env=env)
-    expect = enum.marginals(np.asarray(solve_maxent(env, enum, p).w, float))
-    got = enum.marginals(np.asarray(solve_maxent(env, oracle, p).w, float))
-    assert np.abs(got - expect).max() < 1e-8
-    state = maxent._solve_dual(oracle, p, 1e-8)
-    assert state.newton_steps == 0 and state.descent_steps > 0
-    assert state.grad_norm <= 1e-8
+@pytest.mark.parametrize("family", ["k-uniform", "matching", "spanning-trees", "determinantal"])
+def test_one_dual_schedule_on_every_backend(family):
+    # descent, then Newton on the backend's own second moments: ksym-dp,
+    # matching-recursion, matrix-tree and cauchy-binet
+    kw, (_, backend) = _backends(family)
+    enum = CountingOracle("enumeration", **kw)
+    rng = np.random.default_rng(7)
+    p = enum.marginals(np.exp(rng.uniform(-1.5, 1.5, size=enum.n)))
+    expect = enum.marginals(np.exp(maxent._solve_dual(enum, p, 1e-9).theta))
+    state = maxent._solve_dual(CountingOracle(backend, **kw), p, 1e-9)
+    assert state.newton_steps > 0 and not state.fallback
+    assert state.grad_norm <= 1e-9
+    assert np.abs(enum.marginals(np.exp(state.theta)) - expect).max() < 1e-8
+
+
+def test_matrix_tree_kl_projection_reaches_tol():
+    # the delta-shrunk 2-hat target: descent alone stalls here at
+    # |grad| ~ 3e-6, so the matrix-tree solve needs its Newton steps
+    env, x, b = parse_instance(gen_instance("hat-graph", n=2, terminal_edge=True)[2])
+    m = env.meta["matroid"]
+    base = BaseMeasure.uniform_on_bases(m)
+    q = dominating_base_point(m, np.asarray(x) / b)
+    w, q_used, state = solve_kl_projection(base, CountingOracle("matrix-tree", base=base),
+                                           q, tol=1e-9)
+    assert state.newton_steps > 0 and state.grad_norm <= 1e-9
+    assert np.any(q_used != q)
+    enum = CountingOracle("enumeration", base=base)
+    assert np.abs(enum.marginals(w) - q_used).max() <= 1e-12
 
 
 def test_kl_projection_near_boundary_hands_over_to_newton():

@@ -120,6 +120,21 @@ def test_sequential_sampler_beyond_float_range():
     assert draws["enumeration"] == draws["ksym-dp"]
     # the sets of size < 2 carry mass below e^-400
     assert all(len(S) == 2 for S in draws["ksym-dp"])
+    # matching-recursion runs on log-weights: the 4-edge path's count is
+    # 3 e^800, which a plain-float recursion returns as inf
+    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
+    w = [math.exp(400)] * 4
+    enum = CountingOracle("enumeration", env=env)
+    rec = CountingOracle("matching-recursion", env=env)
+    assert abs(enum.partition(w) - (800 + math.log(3))) < 1e-9
+    assert abs(rec.partition(w) - enum.partition(w)) < 1e-9
+    for e in range(4):
+        assert abs(rec.marginal_sum(w, e) - enum.marginal_sum(w, e)) < 1e-9
+    for name, oracle in [("enumeration", enum), ("matching-recursion", rec)]:
+        rng = RngStream(21)
+        draws[name] = [sample_sequential(oracle, w, rng) for _ in range(300)]
+    assert draws["enumeration"] == draws["matching-recursion"]
+    assert all(len(S) == 2 for S in draws["matching-recursion"])
 
 
 def test_thin_marginals():
