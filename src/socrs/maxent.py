@@ -224,13 +224,14 @@ def solve_kl_projection(base, oracle, q, tol=1e-8):
     being the `DualState` of the solve that produced w.
     """
     q = np.asarray(q, dtype=float)
-    qbar = barycentric_base_point(base)
     boundary = is_boundary_base_point(base.matroid, q)
-    target = q if boundary is False else (1 - DELTA_SHRINK) * q + DELTA_SHRINK * qbar
+    # qbar enumerates the bases, so only a shrunk target reads it
+    qbar = None if boundary is False else barycentric_base_point(base)
+    target = q if qbar is None else (1 - DELTA_SHRINK) * q + DELTA_SHRINK * qbar
     try:
         state = _solve_dual(oracle, target, tol)
     except BoundaryDivergenceError:
-        if boundary is False:
+        if qbar is None:
             raise
         target = (1 - DELTA_SHRINK) * target + DELTA_SHRINK * qbar
         try:

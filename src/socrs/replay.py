@@ -2,17 +2,23 @@
 
 Before the kernel runs, `replay` checks the caps of the witness's table
 with `dist.verify_stationary_lp` and raises `CapViolationError` on the
-first violated cap; the kernel then reads the conditionals that check built.
-The kernel is `_replay_py.replay_batch`; its tables run over the family's
-positions.
+first violated cap; fixed orders must be permutations of the elements.
+`_replay_py.kernel_tables` then turns the conditionals that check built into
+the kernel's acceptance and move tables over the family's positions, once
+per replay, and `_replay_py.replay_batch` runs the blocks and counts the
+final positions.  Every order is a permutation, so an element is accepted
+exactly when it is in its replication's final set: the accepts are the
+outcome counts times the family's incidence matrix, taken once per replay.
 
-Replications run one block of `_replay_py.BLOCK` rows at a time, and with
-random arrival orders each block draws its own orders next to its own
+Replications run one block of `_replay_py.BLOCK` = 4096 rows at a time, and
+with random arrival orders each block draws its own orders next to its own
 uniforms, so an estimate holds one block in memory however many
-replications it runs.  The draws are those of one `random_orders` call for
-every replication followed by one uniform array for the kernel: a block
-reads its kernel uniforms from a copy of the stream jumped past all the
-order draws.
+replications it runs.  A block of orders is drawn as an (n, rows) array, the
+layout the kernel steps through, and `random_orders` hands it over as its
+(rows, n) transpose without a copy.  The draws are those of one
+`random_orders` call for every replication followed by one uniform array for
+the kernel: a block reads its kernel uniforms from a copy of the stream
+jumped past all the order draws.
 """
 
 from __future__ import annotations
@@ -61,16 +67,11 @@ def replay(dist, x, orders, rng, n_rep=None):
         # the kernel's uniforms start after every replication's order draws
         urng = rng.jumped(n_rep * n)
     else:
-        orders = np.asarray(orders, dtype=np.int64)
-        if orders.ndim == 1:
-            if n_rep is None:
-                raise ValueError("n_rep required with a single order")
-            # a read-only view: the kernel only reads order rows
-            orders = np.broadcast_to(orders, (n_rep, n))
+        orders = _fixed_orders(orders, n, n_rep)
         n_rep = orders.shape[0]
         urng = rng
 
-    accept_counts = np.zeros(n, dtype=np.int64)
+    acc2, moves2n, sp2n = _kernel.kernel_tables(q.reshape(-1), moves, support_pos, x)
     outcome_counts = np.zeros(len(fam.sets), dtype=np.int64)
     # one block's orders and uniforms at a time: the stream fills row-major,
     # so the blocks' draws equal one (n_rep, .) draw while memory stays bounded
@@ -78,11 +79,32 @@ def replay(dist, x, orders, rng, n_rep=None):
         rows = min(_kernel.BLOCK, n_rep - lo)
         block = random_orders(n, rows, rng) if orders is None else orders[lo:lo + rows]
         u = urng.uniform((rows, 2 * n + 1))
-        _kernel.replay_batch(q.reshape(-1), moves, support_pos, cdf, x, block, u,
-                             accept_counts, outcome_counts)
+        _kernel.replay_batch(acc2, moves2n, sp2n, cdf, x, block, u, outcome_counts)
     if orders is None:
         rng.advance(n_rep * (2 * n + 1))
-    return accept_counts, outcome_counts, n_rep
+    return outcome_counts @ fam.inc, outcome_counts, n_rep
+
+
+def _fixed_orders(orders, n, n_rep):
+    """Given orders as an (n_rep, n) array whose rows are permutations of
+    range(n), else ValueError; a single order is broadcast, not copied."""
+    orders = np.asarray(orders, dtype=np.int64)
+    single = orders.ndim == 1
+    if single:
+        if n_rep is None:
+            raise ValueError("n_rep required with a single order")
+        orders = orders[None]
+    elif orders.ndim != 2 or n_rep not in (None, len(orders)):
+        raise ValueError(f"orders of shape {orders.shape} with n_rep = {n_rep}: "
+                         "expected one order or an (n_rep, n) array")
+    if orders.shape[1] != n:
+        raise ValueError(f"orders of {orders.shape[1]} elements for {n} elements")
+    # block by block, so that the check holds one block of sorted rows
+    for lo in range(0, len(orders), _kernel.BLOCK):
+        if (np.sort(orders[lo:lo + _kernel.BLOCK], axis=1) != np.arange(n)).any():
+            raise ValueError("every order must be a permutation of the elements")
+    # a read-only view: the kernel only reads order rows
+    return np.broadcast_to(orders[0], (n_rep, n)) if single else orders
 
 
 def outcome_distribution(env, outcome_counts, n_rep):
@@ -93,19 +115,22 @@ def outcome_distribution(env, outcome_counts, n_rep):
 
 def random_orders(n, n_rep, rng):
     """One uniformly random arrival order per replication, as an (n_rep, n)
-    array; `replay` with orders=None draws the same orders block by block."""
-    # Fisher-Yates on the stream's uniforms, swap step i = n-1..1 over a block
-    # of rows at once; drawn block by block they equal one (n_rep, n) draw
-    orders = np.empty((n_rep, n), dtype=np.int64)
-    orders[:] = np.arange(n, dtype=np.int64)
-    for lo in range(0, n_rep, _kernel.BLOCK):
-        block = orders[lo:lo + _kernel.BLOCK]
-        ub = rng.uniform(block.shape)
-        flat = block.reshape(-1)            # a view: the block's rows are contiguous
-        row = np.arange(block.shape[0]) * n
-        for i in range(n - 1, 0, -1):
-            j = row + (ub[:, i] * (i + 1)).astype(np.int64)
-            swapped = flat[j]
-            flat[j] = flat[row + i]
-            flat[row + i] = swapped
-    return orders
+    array: Fisher-Yates on the stream's (n_rep, n) uniforms, swap step
+    i = n-1..1 over all rows at once, into an (n, n_rep) array whose
+    transpose is returned without a copy.  The stream fills row-major, so
+    `replay` with orders=None, which calls this once per block, draws the
+    same orders as one call for every replication."""
+    ub = rng.uniform((n_rep, n))
+    block = np.empty((n, n_rep), dtype=np.int64)
+    block[:] = np.arange(n, dtype=np.int64)[:, None]
+    flat = block.reshape(-1)
+    # flat index of step i's swap partner in every column, all steps at once
+    swap = (np.ascontiguousarray(ub.T[1:]) * np.arange(2.0, n + 1)[:, None]).astype(np.int64)
+    swap *= n_rep
+    swap += np.arange(n_rep)
+    for i in range(n - 1, 0, -1):
+        j = swap[i - 1]
+        swapped = flat[j]
+        flat[j] = block[i]
+        block[i] = swapped
+    return block.T

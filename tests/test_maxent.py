@@ -192,6 +192,41 @@ def test_matrix_tree_kl_projection_reaches_tol():
     assert np.abs(enum.marginals(w) - q_used).max() <= 1e-12
 
 
+def test_interior_kl_projection_reads_no_bases(monkeypatch):
+    # the diamond graph at its uniform spanning-tree marginals: an interior
+    # target is not shrunk, so the matrix-tree projection enumerates no bases
+    m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    q = barycentric_base_point(BaseMeasure.uniform_on_bases(m))
+    assert is_boundary_base_point(m, q) is False
+    calls = []
+    real = BaseMeasure.family
+    monkeypatch.setattr(BaseMeasure, "family", lambda self: calls.append(1) or real(self))
+    base = BaseMeasure.uniform_on_bases(m)
+    w, q_used, _ = solve_kl_projection(base, CountingOracle("matrix-tree", base=base), q,
+                                       tol=1e-10)
+    assert calls == [] and np.array_equal(q_used, q)
+    assert np.abs(CountingOracle("matrix-tree", base=base).marginals(w) - q).max() < 1e-9
+
+
+@pytest.mark.parametrize("instance", ["triangle-vertex", "2-hat"])
+def test_shrunk_kl_projection_targets_the_barycentric_mix(instance):
+    # boundary targets, the rayleigh-witness 2-hat graph among them, shrink
+    # toward the barycentric point bit for bit as they always did
+    if instance == "triangle-vertex":
+        m = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
+        q = np.array([1.0, 0.5, 0.5])
+    else:
+        env, x, b = parse_instance(gen_instance("hat-graph", n=2, terminal_edge=True)[2])
+        m = env.meta["matroid"]
+        q = dominating_base_point(m, np.asarray(x) / b)
+    base = BaseMeasure.uniform_on_bases(m)
+    oracle = CountingOracle("enumeration", base=base)
+    w, q_used, _ = solve_kl_projection(base, oracle, q)
+    shrunk = (1 - maxent.DELTA_SHRINK) * q + maxent.DELTA_SHRINK * barycentric_base_point(base)
+    assert np.array_equal(q_used, shrunk)
+    assert np.array_equal(w, np.exp(maxent._solve_dual(oracle, shrunk, 1e-8).theta))
+
+
 def test_kl_projection_near_boundary_hands_over_to_newton():
     # the delta-shrunk 2-hat target: descent to |grad| <= 1e-6 alone runs
     # 20,000 steps here

@@ -1,6 +1,7 @@
 """Monte-Carlo replay: the block kernel and the row-parallel Fisher-Yates
 against scalar per-replication references, and replays against the exact law."""
 
+import functools
 from statistics import NormalDist
 
 import numpy as np
@@ -36,7 +37,8 @@ def zero_mass_instance():
 
 
 def _kernel_tables(dist):
-    """replay's kernel inputs: (qt, moves, support_pos, support_cdf)."""
+    """What replay hands the kernel: (qt, moves, support_pos) for
+    `kernel_tables`, and the support CDF."""
     table = dist.to_explicit()
     fam = table.env.family()
     _, q, _ = stationary_conditionals(table, exact=False)
@@ -99,11 +101,13 @@ def _orders_reference(n, n_rep, rng):
     return orders
 
 
-def _run_kernel(qt, moves, support_pos, cdf, xf, orders, u):
-    acc = np.zeros(len(xf), dtype=np.int64)
+def _run_kernel(env, qt, moves, support_pos, cdf, xf, orders, u):
+    """The kernel's outcome counts over one call, and the accepts read off
+    them as `replay` reads them, by the family's incidence matrix."""
     out = np.zeros(len(qt) // len(xf) - 1, dtype=np.int64)
-    _replay_py.replay_batch(qt, moves, support_pos, cdf, xf, orders, u, acc, out)
-    return acc, out
+    acc2, moves2n, sp2n = _replay_py.kernel_tables(qt, moves, support_pos, xf)
+    _replay_py.replay_batch(acc2, moves2n, sp2n, cdf, xf, orders, u, out)
+    return out @ env.family().inc, out
 
 
 def _by_set(env, outcome_counts):
@@ -121,7 +125,7 @@ def test_kernels_bit_identical():
         # initial draws exactly on every CDF step, the last (1 + 1e-12) included
         cdf, u = inputs[3], inputs[6]
         u[:len(cdf), 0] = cdf[:n_rep]
-        acc, out = _run_kernel(*inputs)
+        acc, out = _run_kernel(dist.env, *inputs)
         ref_acc, ref_out = _replay_reference(dist, x, inputs[5], u)
         assert np.array_equal(acc, ref_acc) and _by_set(dist.env, out) == ref_out
         assert out.sum() == n_rep
@@ -170,13 +174,14 @@ def test_replay_draws_uniforms_per_block():
     ref_rng = RngStream(5)
     random_orders(8, n_rep, ref_rng)
     u = ref_rng.uniform((n_rep, 2 * 8 + 1))
-    ref_acc, ref_out = _run_kernel(*_kernel_tables(dist), np.asarray(x, float), orders, u)
+    ref_acc, ref_out = _run_kernel(dist.env, *_kernel_tables(dist), np.asarray(x, float), orders, u)
     assert np.array_equal(acc, ref_acc) and np.array_equal(out, ref_out)
     assert rng.counter == ref_rng.counter
 
 
 @pytest.mark.parametrize("n_rep", [0, 1, _replay_py.BLOCK - 1, _replay_py.BLOCK,
-                                   _replay_py.BLOCK + 37])
+                                   _replay_py.BLOCK + 37, 2 * _replay_py.BLOCK - 1,
+                                   2 * _replay_py.BLOCK, 2 * _replay_py.BLOCK + 37])
 def test_random_orders_per_block_equal_one_orders_array(n_rep):
     dist, x = path_instance(5)
     rng = RngStream(8)
@@ -205,7 +210,7 @@ def test_estimate_holds_one_block_of_random_orders():
     assert rec.n_rep == 1_000_000 and sum(rec.accepts) > 0
 
 
-@pytest.mark.parametrize("n, n_rep", [(8, 1000), (4, _replay_py.BLOCK + 37),
+@pytest.mark.parametrize("n, n_rep", [(8, 1000), (4, 2 * _replay_py.BLOCK + 37),
                                       (1, 10), (5, 1), (3, 0)])
 def test_random_orders_match_scalar_fisher_yates(n, n_rep):
     assert np.array_equal(random_orders(n, n_rep, RngStream(2)),
@@ -312,11 +317,103 @@ def test_replay_frequencies_agree_with_the_exact_expansion(seed, n_vertices, dat
 
 
 def test_python_kernel_still_guards_the_cap():
-    # replay_batch called directly, without replay's check_cap pass
+    # the kernel's tables built directly, without replay's check_cap pass
     dist, _ = path_instance(3, w=1.0, x=0.2)
-    inputs = _batch_inputs(dist, [0.2] * 3, 100, 1)
+    qt, moves, support_pos, _, xf, _, _ = _batch_inputs(dist, [0.2] * 3, 100, 1)
     with pytest.raises(ValueError, match="stationary caps"):
-        _run_kernel(*inputs)
+        _replay_py.kernel_tables(qt, moves, support_pos, xf)
+
+
+@pytest.mark.parametrize("excess", [0.0, 0.5 * dist_mod.CAP_SLACK])
+def test_kernel_clips_the_acceptance_ratio_at_the_cap(excess):
+    # x_e at q_e's largest value (ratio exactly 1 there) or just below it,
+    # within CAP_SLACK (ratio above 1, clipped to 1): both match the reference
+    dist, _ = path_instance(4)
+    qt = _kernel_tables(dist)[0]
+    x = qt.reshape(-1, 4).max(axis=0) - excess
+    inputs = _batch_inputs(dist, x, 3000, 11)
+    acc2 = _replay_py.kernel_tables(*inputs[:3], inputs[4])[0]
+    assert (acc2 == 1.0).any()
+    acc, out = _run_kernel(dist.env, *inputs)
+    ref_acc, ref_out = _replay_reference(dist, x, inputs[5], inputs[6])
+    assert np.array_equal(acc, ref_acc) and _by_set(dist.env, out) == ref_out
+    assert acc.sum() > 0
+
+
+def test_kernel_tables_built_once_per_replay(monkeypatch):
+    tables, batches = [], []
+    real_tables, real_batch = _replay_py.kernel_tables, _replay_py.replay_batch
+    monkeypatch.setattr(_replay_py, "kernel_tables",
+                        lambda *a: tables.append(1) or real_tables(*a))
+    monkeypatch.setattr(_replay_py, "replay_batch",
+                        lambda *a: batches.append(1) or real_batch(*a))
+    dist, x = path_instance(4)
+    replay(dist, x, None, RngStream(1), n_rep=2 * _replay_py.BLOCK + 1)
+    assert len(tables) == 1 and len(batches) == 3
+
+
+@pytest.mark.parametrize("orders, n_rep", [
+    ([[0, 0, 1]] * 4, None),        # not a permutation: element 0 twice
+    ([[0, 1, 2]] * 4, 5),           # n_rep disagrees with the rows given
+    ([[0, 1]] * 4, None),           # too narrow
+    ([2, 0, 1, 3], 4),              # a single order too wide
+    ([[[0, 1, 2]]], None)])         # neither one order nor a table of them
+def test_replay_rejects_bad_fixed_orders_before_drawing(orders, n_rep):
+    dist, x = path_instance(3)
+    rng = RngStream(1)
+    with pytest.raises(ValueError):
+        replay(dist, x, orders, rng, n_rep=n_rep)
+    assert rng.counter == 0
+
+
+# accepts and outcome counts of one seeded `estimate --mode mc`, recorded
+# before the replay kernel moved to per-replay tables: the rebuilt kernel
+# keeps every count
+MC_PINNED_ACCEPTS = [8670, 6639, 1488, 3398, 9976, 4098, 10721, 9855]
+MC_PINNED_OUTCOMES = [51022, 7266, 5538, 1217, 2785, 7061, 3079, 8097, 8068, 376,
+                      1028, 758, 343, 62, 209, 175, 1129, 501, 1286]
+
+
+def test_mc_estimate_counts_are_pinned():
+    env, x, _ = gen_instance("random-graph", seed=7, n_vertices=6, n_edges=8)
+    gibbs = solve_maxent(env, CountingOracle("enumeration", env=env), 0.3 * np.asarray(x),
+                         tol=1e-8)
+    config = ExperimentConfig(seed=7, samples=100_000, alpha_target=0.3, mode="mc")
+    assert [int(a) for a in estimate_selectability(gibbs, x, config).accepts] == MC_PINNED_ACCEPTS
+    acc, out, _ = replay(gibbs, x, None, RngStream(7, stream=1), n_rep=100_000)
+    assert acc.tolist() == MC_PINNED_ACCEPTS and out.tolist() == MC_PINNED_OUTCOMES
+
+
+_BLOCK_N_REP = 4096 + 37
+
+
+@functools.cache
+def _block_reference(mode):
+    """(orders argument, kernel uniforms, reference counts) of a replay of
+    _BLOCK_N_REP rows, for random, fixed and one broadcast order."""
+    dist, x = path_instance(4)
+    rng = RngStream(13)
+    if mode == "random":
+        arg, orders = None, _orders_reference(4, _BLOCK_N_REP, rng)
+    elif mode == "fixed":
+        arg = orders = _orders_reference(4, _BLOCK_N_REP, RngStream(14))
+    else:
+        arg = np.array([3, 1, 0, 2])
+        orders = np.broadcast_to(arg, (_BLOCK_N_REP, 4))
+    u = rng.uniform((_BLOCK_N_REP, 2 * 4 + 1))
+    return arg, _replay_reference(dist, x, orders, u)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 8192])
+@pytest.mark.parametrize("mode", ["random", "fixed", "single"])
+def test_replay_bit_identical_for_every_block_size(monkeypatch, block, mode):
+    arg, (ref_acc, ref_out) = _block_reference(mode)
+    monkeypatch.setattr(_replay_py, "BLOCK", block)
+    dist, x = path_instance(4)
+    acc, out, n_rep = replay(dist, x, arg, RngStream(13),
+                             n_rep=None if mode == "fixed" else _BLOCK_N_REP)
+    assert n_rep == _BLOCK_N_REP
+    assert np.array_equal(acc, ref_acc) and _by_set(dist.env, out) == ref_out
 
 
 def test_replay_reproducible():
