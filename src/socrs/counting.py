@@ -257,7 +257,14 @@ class CountingOracle:
         return self._sets, self._weights0
 
     def _masses_rational(self, w):
-        """Exact mu0(S) w^S for every enumerated set S, in family order."""
+        """Exact mu0(S) w^S for every enumerated set S, in family order.
+        With no base measure mu0(S) = 1, and w^S = w^P w_m along the
+        family's parent pointers (P = S - m, m = max(S)): no set is read."""
+        if self.base is None:
+            masses = [R(1)]
+            for P, m in self.env.family().levels:
+                masses += [masses[p] * w[e] for p, e in zip(P.tolist(), m.tolist())]
+            return masses
         sets, m0 = self._family()
         masses = []
         for S, mu in zip(sets, m0):

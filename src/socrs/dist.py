@@ -71,14 +71,21 @@ def check_cap(e, T, q, xe):
 
 
 class ExplicitDistribution:
-    """A probability law over feasible sets, given as an explicit table."""
+    """A probability law over feasible sets, given as an explicit table.
+
+    `support` maps each set to its mass.  A law built on the family's
+    positions (`on_family`) keeps those positions and their masses as
+    arrays and builds `support` on its first read; the exact readers
+    (`family_masses` and all that reads it) work on the arrays alone.
+    """
 
     def __init__(self, env, support, tol=1e-12):
         support = {frozenset(S): p for S, p in support.items()}
         for S in support:
             if not env.is_feasible(S):
                 raise EnvironmentError_(f"support set {sorted(S)} is infeasible")
-        self._fill(env, list(support), list(support.values()), tol)
+        self._fill(env, list(support.values()), tol)
+        self._support = dict(zip(support, self.masses.tolist()))
         # the family positions of the support's sets, in its order; None
         # when the law was given by its sets
         self.positions = None
@@ -88,17 +95,18 @@ class ExplicitDistribution:
         """The law with mass probs[i] on env.family().sets[positions[i]]: sets
         of the enumerated family at distinct positions, so their feasibility
         is not checked again and their positions are kept."""
-        sets = env.family().sets
         self = cls.__new__(cls)
         self.positions = np.asarray(positions, dtype=np.intp)
-        return self._fill(env, list(map(sets.__getitem__, self.positions.tolist())), probs, tol)
+        self._support = None
+        return self._fill(env, probs, tol)
 
-    def _fill(self, env, sets, probs, tol):
-        """Store mass probs[i] on sets[i], checked as one array.  A law with a
-        float mass is a float law: a mass below -tol raises, one in [-tol, 0)
-        becomes 0, and the total, summed in order, must lie within tol of 1.
-        Otherwise the masses are exact numbers, none negative, summing to
-        exactly 1."""
+    def _fill(self, env, probs, tol):
+        """Store the masses probs, checked as one array, as `masses`.  A law
+        with a float mass is a float law: a mass below -tol raises, one in
+        [-tol, 0) becomes 0, the total, summed in order, must lie within tol
+        of 1, and `masses` is a float array.  Otherwise the masses are exact
+        numbers, none negative, summing to exactly 1, kept as they are in an
+        object array."""
         p = np.asarray(probs)
         self.env = env
         self.exact = not p.size or p.dtype.kind != "f" and not any(
@@ -110,6 +118,7 @@ class ExplicitDistribution:
             total = sum(probs)
             if total != 1:
                 raise ValueError(f"probabilities sum to {total}, not 1")
+            p = np.array(probs, dtype=object)
         else:
             p = np.asarray(p, dtype=float)
             low = p.min()
@@ -120,10 +129,28 @@ class ExplicitDistribution:
             total = float(np.cumsum(p)[-1])
             if abs(total - 1.0) > tol:
                 raise ValueError(f"probabilities sum to {total}, not 1")
-            probs = p.tolist()
-        self.support = dict(zip(sets, probs))
+        self.masses = p
         self._conditionals = {}     # stationary_conditionals' arrays, by mode
         return self
+
+    @property
+    def support(self):
+        """{set: mass}; for a law on positions, built from the enumerated
+        family's sets on the first read."""
+        if self._support is None:
+            # through enumerate_feasible, so that a traced run counts the
+            # sets this builds
+            sets = self.env.enumerate_feasible()
+            self._support = dict(zip(map(sets.__getitem__, self.positions.tolist()),
+                                     self.masses.tolist()))
+        return self._support
+
+    def family_positions(self):
+        """The family positions of the support's sets, in its order."""
+        if self.positions is not None:
+            return self.positions
+        index = self.env.family().index
+        return np.array([index[S] for S in self.support], dtype=np.intp)
 
     def sets(self):
         return sorted(self.support, key=lambda S: (len(S), tuple(sorted(S))))
@@ -177,7 +204,7 @@ class GibbsDistribution:
     def to_explicit(self):
         """The explicit table over the family's positions."""
         probs = self._set_probs()
-        return ExplicitDistribution.on_family(self.env, range(len(probs)), probs)
+        return ExplicitDistribution.on_family(self.env, np.arange(len(probs)), probs)
 
     def _marginals(self):
         """P[e in S] for every e, as a list: each sum runs over the sets in
@@ -219,11 +246,8 @@ def family_masses(table, exact):
     the sentinel's (mass 0).  Exact mode keeps the table's numbers in an
     object array; float mode converts them to floats."""
     fam = table.env.family()
-    mu = np.zeros(len(fam.sets) + 1, dtype=object if exact else float)
-    pos = table.positions
-    if pos is None:
-        pos = [fam.index[S] for S in table.support]
-    mu[pos] = list(table.support.values())
+    mu = np.zeros(len(fam) + 1, dtype=object if exact else float)
+    mu[table.family_positions()] = table.masses
     return mu
 
 
@@ -344,10 +368,11 @@ def addability_prob(dist, e):
         raise TypeError("addability factorization is a Gibbs identity")
     fam = dist.env.family()
     table = dist.to_explicit()
-    addable = fam.up[fam.down[:, e], e] != len(fam.sets)
-    add = sum(family_masses(table, table.exact)[addable].tolist(),
-              R(0) if table.exact else 0.0)
-    return add, abs(table.marginal(e) - add * dist.rho[e])
+    zero = R(0) if table.exact else 0.0
+    mu = family_masses(table, table.exact)
+    add = sum(mu[fam.up[fam.down[:, e], e] != len(fam)].tolist(), zero)
+    marg = sum(mu[:-1][fam.inc[:, e]].tolist(), zero)
+    return add, abs(marg - add * dist.rho[e])
 
 
 def solve_stationary_lp_exact(env, x):
@@ -357,13 +382,13 @@ def solve_stationary_lp_exact(env, x):
     Returns (alpha, witness ExplicitDistribution).
     """
     fam = env.family()
-    if len(fam.sets) > EXACT_LP_MAX_SETS:
+    if len(fam) > EXACT_LP_MAX_SETS:
         raise EnumerationBudgetError(
-            f"|F| = {len(fam.sets)} exceeds the rational simplex budget {EXACT_LP_MAX_SETS}")
+            f"|F| = {len(fam)} exceeds the rational simplex budget {EXACT_LP_MAX_SETS}")
     x = [as_rational(v) for v in x]
     stay = [1 - v for v in x]
     # variables: mu_S at column (position - 1) for every S but the empty set, then alpha
-    nv = len(fam.sets)
+    nv = len(fam)
     ALPHA = nv - 1
 
     # entries are plain ints and x's rationals; the simplex reads each exactly

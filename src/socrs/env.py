@@ -3,17 +3,19 @@
 Elements are dense integer ids 0..n-1.  An Environment bundles a ground set
 with a feasibility test for one of the supported constraint families
 (matchings on graphs, hypergraph matchings, k-uniform, matroid independence).
-Its feasible family is enumerated once, level by level as arrays, and
-indexed by position (`Environment.family()`): the incidence matrix, the
-down/up move tables and the stationary caps every exact reader works on.
+Its feasible family is enumerated once, level by level, as parent pointers
+(`Environment.family()`), and indexed by position: the incidence matrix,
+the down/up move tables and the stationary caps every exact reader works on
+are built from those pointers, and so are the family's sets as frozensets,
+but only when something reads them.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from itertools import compress
-from fractions import Fraction
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -264,8 +266,6 @@ class Environment:
         self._feasible = feasible_fn
         self.meta = meta or {}
         self._edges = edges
-        self._levels = None
-        self._inc = None
         self._family = None
 
     def is_feasible(self, S):
@@ -275,30 +275,39 @@ class Environment:
                 raise EnvironmentError_(f"element {e} out of range [0,{self.n})")
         return self._feasible(S)
 
-    def enumerate_feasible(self, cap=ENUMERATION_CAP):
-        """All feasible sets, sorted by size then lexicographically.
+    def enumerate_feasible(self, cap=None):
+        """All feasible sets, sorted by size then lexicographically: the
+        enumerated family's `sets`."""
+        return list(self.family(cap).sets)
 
-        Built level by level on the first call and cached.  Level k+1
+    def incidence(self):
+        """The enumerated family's incidence matrix `Family.inc`."""
+        return self.family().inc
+
+    def family(self, cap=None):
+        """The enumerated family by position, as a `Family` whose tables
+        (sets, index, inc, down, up, caps) are built on their first read.
+
+        Enumerated level by level on the first call and cached.  Level k+1
         extends each level-k set S, in order, by each feasible extension
         e > max(S), ascending, which is (size, lex) order.  By downward
         closure S + e is feasible only if e extends S's parent too, so the
         candidates are the parent's extensions beyond max(S); the
         shares-a-vertex matrix filters them, or else the oracle, one call
-        per candidate.  Raises EnumerationBudgetError once the family
-        exceeds `cap`: before a level's sets are built when they are known
-        from the matrix, and after at most one block of oracle calls past
-        the cap otherwise.
+        per candidate set (which the family then keeps as its sets).
+        Raises EnumerationBudgetError once the family exceeds `cap`
+        (ENUMERATION_CAP when None, read at call time): before a level is
+        built when it is known from the matrix, and after at most one block
+        of oracle calls past the cap otherwise.
         """
-        if self._levels is None:
-            self._levels = self._enumerate(cap)
-        sets = self._levels[0]
-        if len(sets) > cap:
+        cap = ENUMERATION_CAP if cap is None else cap
+        if self._family is None:
+            self._family = self._enumerate(cap)
+        if len(self._family) > cap:
             raise _budget_error(cap)
-        return list(sets)
+        return self._family
 
     def _enumerate(self, cap):
-        """(sets, levels): the family in order and, for each level above
-        the empty set, the positions of S - max(S) and max(S) of its sets."""
         n = self.n
         allow = np.arange(n) > np.arange(n)[:, None]        # allow[e, f]: f may follow e
         if self._edges is not None:                         # and shares no vertex with e
@@ -310,22 +319,21 @@ class Environment:
             on = np.zeros((n, len(vertex)), dtype=np.float32)   # exact: counts stay small
             on[rows, cols] = 1
             allow &= on @ on.T == 0
-        sets, levels, lo = [frozenset()], [], 0     # lo: where the last level begins
+        # the oracle's candidates are sets, so its family keeps them
+        sets = [frozenset()] if self._edges is None else None
+        size, levels, lo = 1, [], 0     # lo: where the last level begins
         ext = np.ones((1, n), dtype=bool)   # the candidates beyond max(S) of each set
         while True:
-            if self._edges is None:
-                level = self._oracle_level(ext, sets, lo, cap)
-                rows, cols = np.nonzero(ext)
-            else:
-                if len(sets) + np.count_nonzero(ext) > cap:
-                    raise _budget_error(cap)
-                rows, cols = np.nonzero(ext)
-                level = [sets[lo + i] | {e} for i, e in zip(rows.tolist(), cols.tolist())]
-            if not level:
-                return sets, levels
+            if sets is not None:
+                sets += self._oracle_level(ext, sets, lo, cap)
+            elif size + np.count_nonzero(ext) > cap:
+                raise _budget_error(cap)
+            rows, cols = np.nonzero(ext)
+            if not len(rows):
+                return Family(n, levels, sets)
             levels.append((lo + rows, cols))
-            lo = len(sets)
-            sets += level
+            lo = size
+            size += len(rows)
             ext = ext[rows] & allow[cols]
 
     def _oracle_level(self, ext, sets, lo, cap):
@@ -344,58 +352,104 @@ class Environment:
                 raise _budget_error(cap)
         return level
 
-    def incidence(self):
-        """inc[p, e]: whether e lies in the p-th set of `enumerate_feasible`,
-        a read-only bool matrix built once, level by level from the parent
-        pointers (inc[S] = inc[S - max S] + max S), with no move tables."""
-        if self._inc is None:
-            sets = self._levels[0] if self._levels else self.enumerate_feasible()
-            inc = np.zeros((len(sets), self.n), dtype=bool)
-            lo = 1
-            for P, e in self._levels[1]:
-                hi = lo + len(P)
-                inc[lo:hi] = inc[P]
-                inc[np.arange(lo, hi), e] = True
-                lo = hi
-            inc.flags.writeable = False
-            self._inc = inc
-        return self._inc
 
-    def family(self):
-        """The enumerated family by position, built once, as a `Family`.
+class Family:
+    """An enumerated feasible family by position, built from parent pointers.
 
-        sets[p] is the p-th set in `enumerate_feasible` order, index its
-        inverse, inc the `incidence()`, and position len(sets) a sentinel
-        for every infeasible set.  down[p, e] and up[p, e] are the
-        positions of S_p - e and S_p + e (the sentinel's row maps to itself).
-        caps = (s, e, t) lists each e in S_s with S_t = S_s - e: each set in
-        family order, then e ascending.  The tables are filled level by level
-        from parent pointers: with P = S - max(S), S - max(S) is P and
-        S - a = (P - a) + max(S) for the other a in S.
-        """
-        if self._family is None:
-            sets = self.enumerate_feasible()
-            inc = self.incidence()
-            N = len(sets)
-            down = np.repeat(np.arange(N + 1, dtype=np.int32)[:, None], self.n, axis=1)
-            up = np.full_like(down, N)
-            lo = 1
-            for P, e in self._levels[1]:
-                hi = lo + len(P)
-                s = np.arange(lo, hi)
-                block = np.where(inc[P], up[down[P], e[:, None]], s[:, None])
-                block[s - lo, e] = P
-                down[lo:hi] = block
-                r, a = np.nonzero(inc[lo:hi])
-                up[down[lo + r, a], a] = up[lo + r, a] = lo + r
-                lo = hi
-            s, e = np.nonzero(inc)
-            caps = np.stack([s, e, down[s, e]]).astype(np.int64)
-            self._family = Family(sets, dict(zip(sets, range(N))), down, up, caps, inc)
-        return self._family
+    Position p holds the p-th set S_p in `enumerate_feasible` order, and
+    position len(family) is a sentinel for every infeasible set.  `levels`
+    lists, for each level above the empty set, the positions of
+    P = S - max(S) and the elements max(S) of its sets.  Each table is built
+    from them on its first read, and is read-only:
 
+    - sets[p] = S_p as a frozenset, and index its inverse (an oracle's
+      enumeration keeps its candidate sets instead);
+    - inc[p, e]: whether e lies in S_p, as inc[S] = inc[P] + max(S);
+    - caps = (s, e, t): each e in S_s with S_t = S_s - e, each set in family
+      order, then e ascending.  S - max(S) is P, and S - a = (P - a) + max(S)
+      for the other a in S;
+    - down[p, e] and up[p, e]: the positions of S_p - e and S_p + e,
+      scattered from the caps (the sentinel's row maps to itself).
 
-Family = namedtuple("Family", "sets index down up caps inc")
+    The family holds no reference to its environment, so the two form no
+    reference cycle.
+    """
+
+    def __init__(self, n, levels, sets=None):
+        self.n = n
+        self.levels = levels
+        self._size = 1 + sum(len(P) for P, _ in levels)
+        if sets is not None:
+            self.sets = sets
+
+    def __len__(self):
+        return self._size
+
+    @cached_property
+    def sets(self):
+        sets = [frozenset()]
+        for P, e in self.levels:
+            sets += [sets[p] | {v} for p, v in zip(P.tolist(), e.tolist())]
+        return sets
+
+    @cached_property
+    def index(self):
+        return dict(zip(self.sets, range(len(self))))
+
+    @cached_property
+    def inc(self):
+        inc = np.zeros((len(self), self.n), dtype=bool)
+        lo = 1
+        for P, e in self.levels:
+            hi = lo + len(P)
+            inc[lo:hi] = inc[P]
+            inc[np.arange(lo, hi), e] = True
+            lo = hi
+        inc.flags.writeable = False
+        return inc
+
+    @cached_property
+    def caps(self):
+        # level by level, the sets' elements E and the positions T of S - E
+        # as (sets, level) matrices: a set S = P + m keeps P's caps as
+        # (P - a) + m, looked up by (P - a, m) among the last level's sets,
+        # and gains (S, m, P)
+        n, parts = self.n, []
+        E = T = np.zeros((1, 0), dtype=np.intp)     # level 0: the empty set
+        child = np.zeros(0, dtype=np.int32)
+        start, last, below = 1, 0, 0    # where this level, the last and the one below begin
+        for P, m in self.levels:
+            rows = P - last
+            E = np.hstack([E[rows], m[:, None]])
+            T = np.hstack([child[(T[rows] - below) * n + m[:, None]], P[:, None]])
+            parts.append(np.stack([np.repeat(np.arange(start, start + len(P)), E.shape[1]),
+                                   E.ravel(), T.ravel()]))
+            # child[i * n + e]: the position of S + e for the last level's
+            # i-th set S, where S + e is on this level
+            child = np.empty((start - last) * n, dtype=np.int32)
+            child[rows * n + m] = np.arange(start, start + len(P))
+            below, last, start = last, start, start + len(P)
+        caps = (np.concatenate(parts, axis=1) if parts else np.zeros((3, 0))).astype(np.int64)
+        caps.flags.writeable = False
+        return caps
+
+    @cached_property
+    def _moves(self):
+        N, (s, e, t) = len(self), self.caps
+        down = np.repeat(np.arange(N + 1, dtype=np.int32)[:, None], self.n, axis=1)
+        up = np.full_like(down, N)
+        down[s, e] = t
+        up[t, e] = up[s, e] = s
+        down.flags.writeable = up.flags.writeable = False
+        return down, up
+
+    @property
+    def down(self):
+        return self._moves[0]
+
+    @property
+    def up(self):
+        return self._moves[1]
 
 
 def _budget_error(cap):

@@ -157,13 +157,32 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     probabilities).  No sampling: branch probabilities are exact up to float
     rounding (exact rationals when the witness table and x are rational).
 
-    States are keyed by public history (what an adaptive adversary can see),
-    each holding a sub-distribution over simulated sets: family positions
-    and their masses.  A non-adaptive strategy sees no outcomes, so all of
-    its states share the pseudo-history ((e, False, False), ...) of the
-    elements processed so far.  Each arrival redraws e's membership of every
-    atom at once: one heat-bath step over `dist.stationary_conditionals`
-    and the family's down and up tables.
+    Each arrival of e redraws e's membership of every atom at once: a
+    heat-bath step over `dist.stationary_conditionals` with the branches
+    inactive (mass 1-x), active and accepted (q) and active and rejected
+    (x-q).  An atom's branches whose mass is not live (not positive in
+    floats, zero in exact numbers) are dropped; `atom_cap` bounds the live
+    atoms after every arrival.
+
+    An adaptive strategy's states are keyed by public history (what the
+    adversary can see), each a sub-distribution over family positions, and
+    `_merge` sums each branch's atoms.  A non-adaptive order sees no
+    outcomes, so it keeps one dense mass vector m over the family's
+    positions, and an arrival of e sweeps e's caps (T, T+e) with
+    c = q[T, e], d = x - c (clipped at 0 in floats):
+
+        new[T]   = (((1-x) m_T + (1-x) m_T+e) + d m_T) + d m_T+e
+        new[T+e] = c m_T + c m_T+e
+
+    and (1-x) m_T + x m_T at a T whose T+e is infeasible.  These are the
+    additions a merge of the three branches in input order makes, in the
+    same order: T's atoms come before T+e's in family order, the inactive
+    branch before the accepted one before the rejected one, and a dropped
+    branch adds an exact zero.  So the law and the acceptance
+    probabilities are the merge's, bit for bit.  In exact numbers a
+    position's terms may cancel to zero (c = 1 > x, a cap within
+    CAP_SLACK); the merge keeps such a position as an atom of mass zero,
+    and so does the sweep, which keeps every position a live branch hits.
     """
     if strategy.variant == "seeded-random":
         raise ValueError("exact expansion needs a deterministic strategy")
@@ -174,65 +193,108 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     if report.violated_caps:
         raise CapViolationError(*report.violated_caps[0])
     exact = table.exact and not any(isinstance(v, float) for v in x)
-    zero = 0 if exact else 0.0
     xs = list(x) if exact else [float(v) for v in x]
     live = (lambda m: m != 0) if exact else (lambda m: m > 0)  # float: drop cap slack
-    adaptive = strategy.variant == "adaptive"
-
-    fam = env.family()
-    size = len(fam.down)            # the family's positions and the sentinel
-    mu, q, null = stationary_conditionals(table, exact)
-    pos = np.flatnonzero(live(mu))
-    states = [((), pos, mu[pos])]
-    accept_prob = [zero] * n
-
-    for _ in range(n):
-        new_states = []
-        for hist, pos, p in states:
-            unprocessed = set(range(n)) - {h[0] for h in hist}
-            e = strategy.next_element(list(hist), unprocessed, None)
-            if e not in unprocessed:
-                raise ValueError("strategy returned a processed element")
-            xe, iT = xs[e], fam.down[pos, e]
-            iTe = fam.up[iT, e]
-            stuck = np.flatnonzero(null[pos, e])
-            if len(stuck):
-                raise NullConditioningError(f"P[S_-e = {sorted(fam.sets[iT[stuck[0]]])}] = 0")
-            qe = q[pos, e]
-            accept_prob[e] += (qe * p).sum()
-            # branches: inactive (1-x); active+accept (q); active+reject (x-q)
-            branches = [((e, False, False), iT, (1 - xe) * p),
-                        ((e, True, True), iTe, qe * p),
-                        ((e, True, False), iT, (xe - qe) * p)]
-            if not adaptive:        # a non-adaptive order merges all three
-                branches = [((e, False, False), np.concatenate([br[1] for br in branches]),
-                             np.concatenate([br[2] for br in branches]))]
-            for ev, at, mass in branches:
-                keep = live(mass)
-                if keep.any():
-                    new_states.append((hist + (ev,), *_merge(at[keep], mass[keep], size)))
-        states = new_states
-        if sum(len(s[1]) for s in states) > atom_cap:
-            raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
-
-    pos, p = _merge(np.concatenate([s[1] for s in states]),
-                    np.concatenate([s[2] for s in states]), size)
+    accept_prob = [0 if exact else 0.0] * n
+    expand = _expand_adaptive if strategy.variant == "adaptive" else _expand_fixed
+    pos, p = expand(strategy, env.family(), stationary_conditionals(table, exact), xs,
+                    live, accept_prob, atom_cap)
     return ExplicitDistribution.on_family(env, pos, p, tol=1e-9), accept_prob
 
 
-def _merge(at, mass, size):
-    """Sum the masses that share a family position: (positions, masses).
+def _next_arrival(strategy, hist, n):
+    unprocessed = set(range(n)) - {h[0] for h in hist}
+    e = strategy.next_element(list(hist), unprocessed, None)
+    if e not in unprocessed:
+        raise ValueError("strategy returned a processed element")
+    return e
 
-    Each position's masses are added in input order.  When float masses,
-    all positive, cover a sizeable share of the family's `size` positions
-    (the one state of a fixed order) one bincount sums them over every
-    position, and the positions hit are those with a nonzero sum.  Fewer
-    atoms (an adaptive strategy's many small states) and exact masses are
-    sorted with np.unique."""
-    if 8 * len(at) >= size and mass.dtype != object:
-        sums = np.bincount(at, weights=mass, minlength=size)
-        pos = np.flatnonzero(sums)
-        return pos, sums[pos]
+
+def _check_null(fam, null, at, e):
+    """NullConditioningError at the first of the positions `at` whose
+    conditioning event S_-e = T has probability zero."""
+    stuck = np.flatnonzero(null[at, e])
+    if len(stuck):
+        raise NullConditioningError(
+            f"P[S_-e = {sorted(fam.sets[fam.down[at[stuck[0]], e]])}] = 0")
+
+
+def _expand_fixed(strategy, fam, conditionals, xs, live, accept_prob, atom_cap):
+    """The expansion over a non-adaptive order on one dense mass vector,
+    one cap sweep per arrival (see `exact_output_law`): (positions, masses)."""
+    mu, q, null = conditionals
+    n = len(xs)
+    # every cap's positions (T, T+e), c = q[T, e] and d, grouped by element:
+    # element e's caps are columns cuts[e]:cuts[e + 1]
+    el = fam.caps[1].astype(np.min_scalar_type(n))    # a radix sort for few elements
+    s, el, t = fam.caps.take(np.argsort(el, kind="stable"), axis=1)
+    pairs, c = np.stack([t, s]), q.reshape(-1)[t * n + el]
+    d = np.array(xs, dtype=mu.dtype)[el] - c
+    exact = mu.dtype == object
+    if exact:       # whether the accepted and rejected branches can be live
+        c_live, d_live = c != 0, d != 0
+    else:
+        d = np.maximum(d, 0.0)
+    cuts = [0, *np.cumsum(np.bincount(el, minlength=n)).tolist()]
+    nullable = null[:-1].any()      # the sentinel never holds mass
+    m, on, hist = mu, live(mu), []
+    for _ in range(n):
+        e = _next_arrival(strategy, hist, n)
+        hist.append((e, False, False))
+        if nullable:
+            _check_null(fam, null, np.flatnonzero(on), e)
+        accept_prob[e] += (q[:, e] * m)[on].sum()
+        xe, k = xs[e], slice(cuts[e], cuts[e + 1])
+        mm, ce, de = m[pairs[:, k]], c[k], d[k]
+        am, dm, cm = (1 - xe) * mm, de * mm, ce * mm
+        m = (1 - xe) * m + xe * m
+        m[pairs[0, k]] = ((am[0] + am[1]) + dm[0]) + dm[1]
+        m[pairs[1, k]] = cm[0] + cm[1]
+        on = live(m)
+        if exact:   # a hit position whose terms cancel stays an atom
+            hit = (mm != 0).any(axis=0)
+            on[pairs[0, k]] |= hit & ((xe != 1) | d_live[k])
+            on[pairs[1, k]] |= hit & c_live[k]
+        if np.count_nonzero(on) > atom_cap:
+            raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
+    pos = np.flatnonzero(on)
+    return pos, m[pos]
+
+
+def _expand_adaptive(strategy, fam, conditionals, xs, live, accept_prob, atom_cap):
+    """The expansion over an adaptive strategy, one state per public
+    history, merged at the end: (positions, masses)."""
+    mu, q, null = conditionals
+    n = len(xs)
+    pos = np.flatnonzero(live(mu))
+    states = [((), pos, mu[pos])]
+    for _ in range(n):
+        new_states = []
+        for hist, pos, p in states:
+            e = _next_arrival(strategy, hist, n)
+            _check_null(fam, null, pos, e)
+            xe, iT = xs[e], fam.down[pos, e]
+            iTe = fam.up[iT, e]
+            qe = q[pos, e]
+            accept_prob[e] += (qe * p).sum()
+            for ev, at, mass in [((e, False, False), iT, (1 - xe) * p),
+                                 ((e, True, True), iTe, qe * p),
+                                 ((e, True, False), iT, (xe - qe) * p)]:
+                keep = live(mass)
+                if keep.any():
+                    new_states.append((hist + (ev,), *_merge(at[keep], mass[keep])))
+        states = new_states
+        if sum(len(s[1]) for s in states) > atom_cap:
+            raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
+    return _merge(np.concatenate([s[1] for s in states]),
+                  np.concatenate([s[2] for s in states]))
+
+
+def _merge(at, mass):
+    """Sum the masses that share a family position: (positions, masses),
+    the positions sorted and each position's masses added in input order.
+    Serves the adaptive states of `exact_output_law` and their final
+    union."""
     pos, at = np.unique(at, return_inverse=True)
     out = np.zeros(len(pos), dtype=mass.dtype)
     np.add.at(out, at, mass)

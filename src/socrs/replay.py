@@ -53,12 +53,12 @@ def replay(dist, x, orders, rng, n_rep=None):
     if report.violated_caps:
         raise CapViolationError(*report.violated_caps[0])
     fam = table.env.family()
-    _, q, _ = stationary_conditionals(table, exact=False)
+    mu, q, _ = stationary_conditionals(table, exact=False)
     moves = np.stack([fam.down, fam.up[fam.down, np.arange(n)]], axis=-1).reshape(-1)
-    # the initial draw walks the support in sets() order, as `sample_explicit` does
-    sets = table.sets()
-    support_pos = np.array([fam.index[S] for S in sets], dtype=np.int32)
-    cdf = np.cumsum([float(table.support[S]) for S in sets])
+    # the initial draw walks the support in sets() order, as `sample_explicit`
+    # does, which is family order
+    support_pos = np.sort(table.family_positions())
+    cdf = np.cumsum(mu[support_pos])
     cdf[-1] = 1.0 + 1e-12
 
     if orders is None:
@@ -72,7 +72,7 @@ def replay(dist, x, orders, rng, n_rep=None):
         urng = rng
 
     acc2, moves2n, sp2n = _kernel.kernel_tables(q.reshape(-1), moves, support_pos, x)
-    outcome_counts = np.zeros(len(fam.sets), dtype=np.int64)
+    outcome_counts = np.zeros(len(fam), dtype=np.int64)
     # one block's orders and uniforms at a time: the stream fills row-major,
     # so the blocks' draws equal one (n_rep, .) draw while memory stays bounded
     for lo in range(0, n_rep, _kernel.BLOCK):

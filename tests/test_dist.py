@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socrs import dist as dist_mod
+from socrs import dist as dist_mod, env as env_mod
 from socrs.counting import CountingOracle
 from socrs.dist import (ExplicitDistribution, GibbsDistribution,
                         NonEnumerableError, NullConditioningError, addability_prob,
@@ -176,7 +176,7 @@ def test_verify_stationary_lp_passes_and_fails():
     assert rep_bad.violated_caps and rep_bad.max_cap_excess > 0
 
 
-def test_verify_stationary_lp_only_wraps_budget_overflow():
+def test_verify_stationary_lp_only_wraps_budget_overflow(monkeypatch):
     class OracleFault(ValueError):
         pass
 
@@ -187,8 +187,10 @@ def test_verify_stationary_lp_only_wraps_budget_overflow():
     with pytest.raises(OracleFault):
         verify_stationary_lp(GibbsDistribution(env, [0.5] * 3), [0.5] * 3, 0.3)
 
+    # the default budget, read when the family is enumerated, is below the
+    # 11 sets of k-uniform(4, 2)
     env = k_uniform_environment(4, 2)
-    env.enumerate_feasible = lambda cap=3: Environment.enumerate_feasible(env, cap)
+    monkeypatch.setattr(env_mod, "ENUMERATION_CAP", 3)
     with pytest.raises(NonEnumerableError) as info:
         verify_stationary_lp(GibbsDistribution(env, [0.5] * 4), [0.5] * 4, 0.3)
     assert isinstance(info.value.__cause__, EnumerationBudgetError)
@@ -259,15 +261,19 @@ def test_gibbs_verify_reads_no_family_and_no_table(rational, monkeypatch):
     else:
         g = solve_maxent(env, CountingOracle("enumeration", env=env),
                          np.array([0.25, 0.2, 0.15, 0.3, 0.1, 0.2]), tol=1e-10)
+    # the incidence matrix is all it reads of the family: no caps, move
+    # tables or sets are built
+    built = lambda: {"caps", "_moves", "sets", "index"} & set(vars(env.family()))
     calls = []
-    for owner, name in [(Environment, "family"), (GibbsDistribution, "to_explicit"),
+    for owner, name in [(GibbsDistribution, "to_explicit"),
                         (dist_mod, "stationary_conditionals")]:
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **k:
                             calls.append(name) or real(*a, **k))
     rep = verify_stationary_lp(g, [0.99] * 6, 0.1)      # every rho_e < 1
-    assert calls == [] and rep.violated_caps == []
-    assert [g.marginal(e) for e in range(6)] == g._marginals() and calls == []
+    assert calls == [] and not built() and rep.violated_caps == []
+    assert [g.marginal(e) for e in range(6)] == g._marginals()
+    assert calls == [] and not built()
 
 
 @pytest.mark.parametrize("w", [[Fraction(1, 2), Fraction(1), 2], [0.5, 1.0, 2.0]])

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,18 @@ def test_family_matches_brute_force(build):
     assert env.enumerate_feasible(cap=len(sets)) == sets
     with pytest.raises(EnumerationBudgetError):    # also once the family is cached
         env.enumerate_feasible(cap=len(sets) - 1)
+
+
+def test_matching_family_builds_its_sets_on_first_read_and_holds_no_environment():
+    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
+    fam = env.family()
+    fam.inc, fam.caps, fam.down, fam.up
+    assert "sets" not in vars(fam)      # every table comes from the parent pointers
+    alive = weakref.ref(env)
+    del env
+    assert alive() is None              # no reference cycle keeps it
+    assert fam.sets == [frozenset(), {0}, {1}, {2}, {3}, {0, 2}, {1, 3}]
+    assert fam.index[frozenset({1, 3})] == 6 == len(fam) - 1
 
 
 def test_enumeration_budget_stops_before_a_large_level():

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from socrs import cli, io
 from socrs.counting import CountingOracle
-from socrs.dist import GibbsDistribution
-from socrs.env import check_membership, matching_environment
+from socrs.dist import ExplicitDistribution, GibbsDistribution
+from socrs.env import Family, check_membership, matching_environment
 from socrs.generators import (ExperimentConfig, alpha_bipartite, alpha_hypergraph,
                               alpha_k, alpha_rayleigh, alpha_table,
                               bipartite_impossibility_bound, estimate_selectability,
@@ -195,6 +195,25 @@ def test_cli_estimate_document_keys(tmp_path, mode):
     assert set(json.loads(out.read_text())) == {
         "instance_id", "alpha_target", "alpha_achieved", "per_element",
         "stationarity_tv", "intervals", "runtime"}
+
+
+@pytest.mark.parametrize("argv", [["verify-lp"], ["estimate", "--mode", "exact"]])
+def test_certifying_a_matching_builds_no_set_objects(argv, tmp_path, monkeypatch):
+    # both commands work on family positions and mass arrays: no family
+    # builds its frozensets (which `enumerate_feasible` reads too) and no
+    # {set: mass} dict is built
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--seed", "3", "--out", str(inst)])
+    families, reads = [], []
+    init, support = Family.__init__, ExplicitDistribution.support
+    monkeypatch.setattr(Family, "__init__",
+                        lambda fam, *a: families.append(fam) or init(fam, *a))
+    monkeypatch.setattr(ExplicitDistribution, "support",
+                        property(lambda law: reads.append("support") or support.fget(law)))
+    assert cli.main(argv + ["--alpha", "0.3", "--out", str(tmp_path / "out.json"),
+                            str(inst)]) == 0
+    assert families and reads == []
+    assert all({"sets", "index"}.isdisjoint(vars(fam)) for fam in families)
 
 
 def test_exact_estimate_reports_the_output_laws_distance_to_the_witness():

@@ -2,6 +2,7 @@
 and the exact expansion of the output law."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,11 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socrs import dist as dist_mod
-from socrs.dist import (ExplicitDistribution, GibbsDistribution,
-                        solve_stationary_lp_exact, verify_stationary_lp)
-from socrs.env import EnumerationBudgetError, k_uniform_environment, matching_environment
+from socrs.dist import (CAP_SLACK, ExplicitDistribution, GibbsDistribution,
+                        NullConditioningError, solve_stationary_lp_exact,
+                        verify_stationary_lp)
+from socrs.env import (EnumerationBudgetError, Matroid, hypergraph_matching_environment,
+                       k_uniform_environment, matching_environment, matroid_environment)
 from socrs.policy import (CapViolationError, OrderStrategy, PolicyState, _merge,
                           exact_output_law, greedy_blocker_adversary,
                           policy_step, run_one_shot, run_recurring,
@@ -204,26 +208,132 @@ def test_exact_expansion_of_a_witness_whose_support_is_not_downward_closed():
 
 
 def merge_reference(at, mass):
-    """_merge by sorting: each position's masses summed in input order."""
-    pos, inv = np.unique(at, return_inverse=True)
-    out = np.zeros(len(pos), dtype=mass.dtype)
-    np.add.at(out, inv, mass)
-    return pos, out
+    """_merge one atom at a time: each atom's mass added at its position,
+    in input order, from 0; the positions sorted."""
+    sums = {}
+    for a, v in zip(at.tolist(), mass.tolist()):
+        sums[a] = sums.get(a, 0) + v
+    pos = sorted(sums)
+    return np.array(pos), np.array([sums[a] for a in pos], dtype=mass.dtype)
+
+
+def fixed_order_reference(dist, x, strategy):
+    """The expansion over a fixed order as three branches per atom, merged
+    by `_merge` after every arrival: (positions, masses, acceptance)."""
+    table = dist.to_explicit()
+    exact = table.exact and not any(isinstance(v, float) for v in x)
+    xs = list(x) if exact else [float(v) for v in x]
+    live = (lambda m: m != 0) if exact else (lambda m: m > 0)
+    fam = table.env.family()
+    mu, q, null = dist_mod.stationary_conditionals(table, exact)
+    pos = np.flatnonzero(live(mu))
+    p, acc = mu[pos], [0 if exact else 0.0] * len(xs)
+    for e in strategy.permutation:
+        xe, iT = xs[e], fam.down[pos, e]
+        stuck = np.flatnonzero(null[pos, e])
+        if len(stuck):
+            raise NullConditioningError(f"P[S_-e = {sorted(fam.sets[iT[stuck[0]]])}] = 0")
+        qe = q[pos, e]
+        acc[e] += (qe * p).sum()
+        at = np.concatenate([iT, fam.up[iT, e], iT])
+        mass = np.concatenate([(1 - xe) * p, qe * p, (xe - qe) * p])
+        keep = live(mass)
+        pos, p = _merge(at[keep], mass[keep])
+    return pos, p, acc
+
+
+@st.composite
+def fixed_order_cases(draw):
+    """(witness, x, fixed order) over matchings, hypergraph matchings,
+    k-uniform and graphic families: float and Fraction Gibbs witnesses with
+    x_e = rho_e * f_e (f_e >= 1), float Gibbs witnesses with x_e just below
+    rho_e, exact LP witnesses at rational x, and exact tables with zero
+    masses and rational x_e just below e's largest cap q_e(T), on at most
+    6 elements (5 for LP).  A zero mass at T beside a positive one at T+e
+    makes q_e(T) = 1 > x_e, where an arrival's terms cancel to an exact
+    zero."""
+    kind = draw(st.sampled_from(["matching", "hypergraph", "k-uniform", "graphic"]))
+    witness = draw(st.sampled_from(["float", "fraction", "slack", "lp", "exact-slack"]))
+    n_max = 5 if witness == "lp" else 6
+    nv = draw(st.integers(2, 5))
+    vertex = st.integers(0, nv - 1)
+    if kind == "k-uniform":
+        n = draw(st.integers(1, n_max))
+        env = k_uniform_environment(n, draw(st.integers(1, n)))
+    elif kind == "hypergraph":
+        env = hypergraph_matching_environment(draw(st.lists(
+            st.lists(vertex, min_size=1, max_size=3, unique=True), min_size=1, max_size=n_max)))
+    elif kind == "matching":
+        env = matching_environment(draw(st.lists(
+            st.tuples(vertex, vertex).filter(lambda uv: uv[0] != uv[1]),
+            min_size=1, max_size=n_max)), nv)
+    else:       # loops included: no feasible set holds one
+        env = matroid_environment(Matroid.graphic(nv, draw(st.lists(
+            st.tuples(vertex, vertex), min_size=1, max_size=n_max))))
+    n = env.n
+    fracs = st.lists(st.fractions(Fraction(1, 10), Fraction(1), max_denominator=10),
+                     min_size=n, max_size=n)
+    if witness == "lp":
+        x = draw(fracs)
+        dist = solve_stationary_lp_exact(env, x)[1]
+    elif witness == "exact-slack":
+        size = len(env.family())
+        w = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)
+                 .filter(any))
+        dist = ExplicitDistribution.on_family(env, np.arange(size),
+                                              [Fraction(v, sum(w)) for v in w])
+        _, q, _ = dist_mod.stationary_conditionals(dist, True)
+        slack = st.integers(0, 900).map(lambda k: Fraction(k, 10**12))  # below CAP_SLACK
+        x = [max(q[:, e]) - draw(slack) if max(q[:, e]) > CAP_SLACK else draw(fracs)[e]
+             for e in range(n)]
+    else:
+        w = draw(st.lists(st.fractions(Fraction(1, 20), Fraction(3), max_denominator=20),
+                          min_size=n, max_size=n))
+        dist = GibbsDistribution(env, w if witness == "fraction" else list(map(float, w)))
+        if witness == "slack":
+            # x < q <= x + CAP_SLACK at every cap, by at most CAP_SLACK / 8 so
+            # that the mass the n arrivals gain stays within the law's 1e-9
+            x = [float(r) - draw(st.floats(CAP_SLACK / 100, CAP_SLACK / 8)) for r in dist.rho]
+        else:
+            f = draw(st.lists(st.fractions(1, 2, max_denominator=10), min_size=n, max_size=n))
+            x = [min(r * v, 1) for r, v in zip(dist.rho, f)]
+    return dist, x, OrderStrategy.fixed(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(fixed_order_cases())
+def test_fixed_order_sweep_is_bit_identical_to_the_merge_reference(case):
+    dist, x, strategy = case
+    try:
+        pos, p, ref_acc = fixed_order_reference(dist, x, strategy)
+    except NullConditioningError as err:
+        with pytest.raises(NullConditioningError, match=re.escape(str(err))):
+            exact_output_law(dist, x, strategy)
+        return
+    law, acc = exact_output_law(dist, x, strategy)
+    assert np.array_equal(law.positions, pos)
+    sets = dist.env.family().sets
+    assert list(law.support) == [sets[i] for i in pos.tolist()]
+    if p.dtype == object:
+        for got, want in [(law.masses.tolist(), p.tolist()), (acc, ref_acc)]:
+            assert got == want and list(map(type, got)) == list(map(type, want))
+    else:
+        assert law.masses.tobytes() == p.tobytes()
+        assert np.array(acc).tobytes() == np.array(ref_acc).tobytes()
 
 
 @pytest.mark.parametrize("size", [79, 80, 81, 4000])
 @pytest.mark.parametrize("exact", [False, True])
 def test_merge_is_bit_identical_to_the_add_at_reference(size, exact):
-    # ten atoms on six positions, three on each of two: a hit share of
-    # 10/size, just above 1/8 at size 79 (the dense branch), just below at
-    # 81 (np.unique).  1e16 + 1 + 1 is 1e16 in floats but 1 + 1 + 1e16 is
-    # not, so a sum taken out of input order shows.
+    # ten atoms on six of `size` positions, three on each of two.
+    # 1e16 + 1 + 1 is 1e16 in floats but 1 + 1 + 1e16 is not, so a sum
+    # taken out of input order shows.
     rng = np.random.default_rng(size)
     at = rng.choice(size, 6, replace=False)[[0, 1, 0, 1, 0, 1, 2, 3, 4, 5]]
     mass = np.array([1e16, 0.3, 1.0, 0.7, 1.0, 1e16, 0.1, 0.2, 0.4, 0.5])
     if exact:
         mass = np.array([Fraction(v) / 3 for v in mass.tolist()], dtype=object)
-    pos, out = _merge(at, mass, size)
+    pos, out = _merge(at, mass)
     ref_pos, ref = merge_reference(at, mass)
     assert np.array_equal(pos, ref_pos) and out.dtype == mass.dtype
     if exact:

@@ -115,6 +115,20 @@ def _by_set(env, outcome_counts):
     return {sets[p]: c for p, c in enumerate(outcome_counts.tolist()) if c}
 
 
+def test_replay_reads_a_law_on_positions_in_family_order():
+    # one law on the family's positions, on shuffled positions and by its
+    # sets: one initial CDF, so the same counts
+    dist, x = path_instance(4)
+    table = dist.to_explicit()
+    shuffle = np.random.default_rng(0).permutation(len(table.positions))
+    laws = [table, ExplicitDistribution.on_family(dist.env, table.positions[shuffle],
+                                                  table.masses[shuffle]),
+            ExplicitDistribution(dist.env, table.support)]
+    runs = [replay(law, x, None, RngStream(5), n_rep=3000) for law in laws]
+    for acc, out, _ in runs[1:]:
+        assert np.array_equal(acc, runs[0][0]) and np.array_equal(out, runs[0][1])
+
+
 def test_kernels_bit_identical():
     for (dist, x), n_rep in [
             (path_instance(4), 2 * _replay_py.BLOCK + 37),      # ragged last block
