@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -217,8 +218,7 @@ class CountingOracle:
         else:
             raise ValueError("need an env or a base measure")
 
-        self._sets = None           # enumeration cache: list of frozensets
-        self._inc = None            # and its set x element incidence matrix
+        self._inc = None            # enumeration: the float incidence `_log_masses` builds
         self._last_tilt = None      # (weights' bytes, _tilt's result) of the last tilt
         if backend in _BACKEND_MEASURE:
             # the determinantal measure's r x n matrix A in the mode's numbers,
@@ -248,30 +248,29 @@ class CountingOracle:
     # -- enumeration support ---------------------------------------------
 
     def _family(self):
-        if self._sets is None:
-            if self.base is not None:
-                self._sets, self._weights0, _ = self.base.family()
-            else:
-                self._sets = self.env.enumerate_feasible()
-                self._weights0 = [R(1)] * len(self._sets)
-        return self._sets, self._weights0
+        """(the read-only bool set x element incidence, the exact mu0 of each
+        set) of the enumerated family: a base measure's, or an environment's
+        with mu0 = 1."""
+        if self.base is not None:
+            _, m0, inc = self.base.family()
+            return inc, m0
+        inc = self.env.incidence()
+        return inc, [R(1)] * len(inc)
 
     def _masses_rational(self, w):
         """Exact mu0(S) w^S for every enumerated set S, in family order.
         With no base measure mu0(S) = 1, and w^S = w^P w_m along the
-        family's parent pointers (P = S - m, m = max(S)): no set is read."""
+        family's parent pointers (P = S - m, m = max(S)); a base measure's
+        masses multiply over each incidence row's elements."""
         if self.base is None:
             masses = [R(1)]
             for P, m in self.env.family().levels:
                 masses += [masses[p] * w[e] for p, e in zip(P.tolist(), m.tolist())]
             return masses
-        sets, m0 = self._family()
-        masses = []
-        for S, mu in zip(sets, m0):
-            t = as_rational(mu)
-            for f in S:
-                t *= w[f]
-            masses.append(t)
+        inc, m0 = self._family()
+        masses = list(map(as_rational, m0))
+        for p, f in zip(*(a.tolist() for a in np.nonzero(inc))):
+            masses[p] *= w[f]
         return masses
 
     def _log_masses(self, w):
@@ -282,14 +281,11 @@ class CountingOracle:
         weights on every step.
         """
         if self._inc is None:
-            if self.base is None:       # the family's own incidence; every mu0(S) = 1
-                self._inc = self.env.incidence().astype(float)
-                self._logm0 = np.zeros(len(self._inc))
-            else:
-                _, m0, inc = self.base.family()
-                self._inc = inc.astype(float)
-                self._logm0 = np.array([math.log(float(v)) if float(v) > 0 else -np.inf
-                                        for v in m0])
+            inc, m0 = self._family()
+            self._inc = inc.astype(float)
+            # log mu0: 0 on an environment's family, where mu0 = 1
+            self._logm0 = np.zeros(len(inc)) if self.base is None else np.array(
+                [math.log(float(v)) if float(v) > 0 else -np.inf for v in m0])
         w = np.asarray(w, dtype=float)
         pos = w > 0
         if pos.all():
@@ -337,15 +333,13 @@ class CountingOracle:
         I and none of J (disjoint), as `_value` gives it."""
         I, J = list(I), list(J)
         if self.backend == "enumeration":
-            if self.mode == "rational":
-                sets, _ = self._family()
-                inside, outside = frozenset(I), frozenset(J)
-                return sum((t for S, t in zip(sets, self._masses_rational(w))
-                            if inside <= S and not outside & S), R(0))
-            if not (I or J):
+            if self.mode == "double" and not (I or J):
                 return self._tilt(w)[0]
-            logmass = self._log_masses(w)
-            return _log_normalise(logmass[self._inc[:, I].all(1) & ~self._inc[:, J].any(1)])[0]
+            inc, _ = self._family()
+            keep = inc[:, I].all(1) & ~inc[:, J].any(1)
+            if self.mode == "rational":
+                return sum(compress(self._masses_rational(w), keep), R(0))
+            return _log_normalise(self._log_masses(w)[keep])[0]
         rest = [i for i in range(self.n) if i not in I and i not in J]
         one, zero = self._one, self._zero
         w_in = one

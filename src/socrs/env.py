@@ -30,8 +30,8 @@ class EnumerationBudgetError(RuntimeError):
 
 ENUMERATION_CAP = 2_000_000
 ORACLE_BLOCK = 4096     # most oracle calls between two budget checks (one set's if n is more)
-# elements up to which a dense table over all 2^n subsets is built: the rank
-# table and the Rayleigh pipeline's subset transform
+# elements up to which a dense table over all 2^n subsets, indexed by bitmask
+# (`subset_table_size`), is built: ranks, subset sums and the Rayleigh subset transform
 SUBSET_TABLE_MAX_N = 20
 PIVOT_TOL = 1e-9        # float rank: smaller pivots are zero, within 10x ambiguous
 FACE_TOL = 1e-12        # a point this close to a face of a polytope lies on it
@@ -149,34 +149,30 @@ class Matroid:
         return Matroid(n, "explicit", rank, {"independent_sets": table})
 
     def rank_table(self):
-        """(member, ranks) over the nonempty subsets of the ground set, the
-        i-th being the bitmask i + 1: member[e, i] tells whether e lies in it
-        and ranks[i] is its rank.  Built on the first call, read-only;
-        raises EnumerationBudgetError beyond SUBSET_TABLE_MAX_N elements."""
+        """ranks[mask]: the rank of every subset of the ground set by bitmask,
+        ranks[0] = 0.  Built on the first call, read-only; beyond
+        SUBSET_TABLE_MAX_N elements `subset_table_size` raises."""
         if self._rank_table is None:
-            n = self.n
-            if n > SUBSET_TABLE_MAX_N:
-                raise EnumerationBudgetError(
-                    f"rank table limited to n <= {SUBSET_TABLE_MAX_N} elements (n = {n})")
-            masks = np.arange(1, 1 << n, dtype=np.int64)
-            member = np.array([((masks >> e) & 1).astype(bool) for e in range(n)])
+            size = subset_table_size(self.n)
             if self.variant == "graphic":
-                ranks = _graphic_ranks(self.meta["edges"])[1:]
+                ranks = _graphic_ranks(self.meta["edges"])
             else:
-                ranks = np.array([self._rank(frozenset(e for e in range(n) if mask >> e & 1))
-                                  for mask in range(1, 1 << n)], dtype=np.int64)
-            member.flags.writeable = ranks.flags.writeable = False
-            self._rank_table = member, ranks
+                ranks = np.array([self._rank(frozenset(e for e in range(self.n) if mask >> e & 1))
+                                  for mask in range(size)], dtype=np.int64)
+            ranks.flags.writeable = False
+            self._rank_table = ranks
         return self._rank_table
 
     def subset_sums(self, x):
-        """sum_{e in T} x_e for every subset T of the rank table, added in
-        element order as a Python sum over T would add them."""
-        member, _ = self.rank_table()
-        acc = np.zeros(member.shape[1])
-        for e, v in enumerate(x):
-            acc += v * member[e]
-        return acc
+        """sums[mask] = sum_{e in T} x_e for every subset T by bitmask, built
+        one element at a time as `_graphic_ranks` is, so each sum adds T's
+        elements in ascending order as a Python sum over sorted(T) would."""
+        if len(x) != self.n:
+            raise ValueError(f"subset sums need {self.n} values, got {len(x)}")
+        sums = np.zeros(subset_table_size(self.n))
+        for e, v in enumerate(np.asarray(x, dtype=float)):
+            sums[1 << e:2 << e] = sums[:1 << e] + v
+        return sums
 
     def bases(self):
         """All bases (independent sets of full rank), enumerated on the first call."""
@@ -184,6 +180,22 @@ class Matroid:
             env = matroid_environment(self)
             self._bases = [S for S in env.enumerate_feasible() if len(S) == self.rank_total]
         return list(self._bases)
+
+
+def subset_table_size(n):
+    """2^n, the length of a dense table over every subset of n elements, by
+    bitmask; raises EnumerationBudgetError beyond SUBSET_TABLE_MAX_N."""
+    if n > SUBSET_TABLE_MAX_N:
+        raise EnumerationBudgetError(
+            f"subset table limited to n <= {SUBSET_TABLE_MAX_N} elements (n = {n})")
+    return 1 << n
+
+
+def element_pairs(table, e):
+    """A view of a mask-indexed table (last axis) as (..., 2^(n-e-1), 2, 2^e):
+    [..., 1, :] are the subsets holding e and [..., 0, :] the same subsets
+    without e, both in mask order."""
+    return table.reshape(table.shape[:-1] + (-1, 2, 1 << e))
 
 
 def _graphic_ranks(edges):
@@ -599,17 +611,17 @@ def check_membership(env, x):
     if env.kind == "matroid":
         m = env.meta["matroid"]
         try:
-            member, ranks = m.rank_table()
+            ranks = m.rank_table()
         except EnumerationBudgetError:
             return MembershipReport("undetermined", "ground set too large for rank enumeration")
         sx = m.subset_sums(x)
         over = np.flatnonzero(sx > ranks + tol)
         if over.size:
-            i = over[0]
-            T = [e for e in range(m.n) if member[e, i]]
+            mask = int(over[0])
+            T = [e for e in range(m.n) if mask >> e & 1]
             return MembershipReport("outside", f"rank constraint on {T}",
-                                    {"T": T, "sum": float(sx[i]), "rank": int(ranks[i])})
-        tight = bool(np.any(sx >= ranks - tol))
+                                    {"T": T, "sum": float(sx[mask]), "rank": int(ranks[mask])})
+        tight = bool(np.any(sx[1:] >= ranks[1:] - tol))     # the empty set is always tight
         return MembershipReport("boundary" if tight or hit_boundary else "inside-relint")
 
     return MembershipReport("undetermined", f"unknown kind {env.kind}")

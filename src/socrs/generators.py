@@ -219,8 +219,8 @@ def _scaled_random_x(rng, env):
         scale = 0.9 * env.meta["k"] / raw.sum()
     else:
         m = env.meta["matroid"]
-        _, ranks = m.rank_table()
-        scale = 0.9 / float((m.subset_sums(raw) / ranks).max())
+        # the nonempty subsets: masks >= 1
+        scale = 0.9 / float((m.subset_sums(raw)[1:] / m.rank_table()[1:]).max())
     x = np.minimum(raw * min(scale, 0.95 / raw.max()), 0.95)
     return [float(v) for v in x]
 

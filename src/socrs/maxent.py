@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import GibbsDistribution
-from .env import FACE_TOL, EnumerationBudgetError
+from .env import FACE_TOL, EnumerationBudgetError, element_pairs
 
 THETA_MAX = 60.0
 MAX_DESCENT_STEPS = 20000
@@ -209,11 +209,11 @@ def is_boundary_base_point(matroid, q):
     if np.any(q <= FACE_TOL) or np.any(q >= 1.0 - FACE_TOL):
         return True
     try:
-        _, ranks = matroid.rank_table()
+        ranks = matroid.rank_table()
     except EnumerationBudgetError:
         return None
-    # every proper subset: the table's last column is the ground set
-    return bool(np.any(matroid.subset_sums(q)[:-1] >= ranks[:-1] - FACE_TOL))
+    # every nonempty proper subset: masks 1 .. 2^n - 2
+    return bool(np.any(matroid.subset_sums(q)[1:-1] >= ranks[1:-1] - FACE_TOL))
 
 
 def solve_kl_projection(base, oracle, q, tol=1e-8):
@@ -279,15 +279,15 @@ def dominating_base_point(matroid, x):
             q[e] += max(inc, 0.0)
         return q
 
-    member, ranks = matroid.rank_table()
+    ranks = matroid.rank_table()
     q = x.copy()
-    qsum = member.T.astype(float) @ q
+    qsum = matroid.subset_sums(q)
     for e in range(n):
-        sel = member[e]
-        slack = float((ranks[sel] - qsum[sel]).min())
-        inc = max(min(1.0 - q[e], slack), 0.0)
+        # views of the subsets holding e
+        held, rk = element_pairs(qsum, e)[:, 1], element_pairs(ranks, e)[:, 1]
+        inc = max(min(1.0 - q[e], float((rk - held).min())), 0.0)
         q[e] += inc
-        qsum[sel] += inc
+        held += inc
     r = matroid.rank_total
     if not abs(q.sum() - r) < 1e-9:
         raise RuntimeError(f"greedy fill ended at sum {q.sum()} != rank {r}")

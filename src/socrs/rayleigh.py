@@ -13,9 +13,10 @@ Every step reads mu0's one base family (`BaseMeasure.family`, built once); the
 check tabulates a plain {set: mass} dict the same way (`counting.family_of`).
 
 Step (iii) and the Rayleigh check's superset sums P[T subseteq B] are one
-subset transform on a dense 2^n table, `_thin` (keep = tau, drop = 1 - tau
-for the thinning; keep = drop = 1 for the superset sums).  The check runs
-it on a (tilts, 2^n) array, one block of tilts at a time.
+subset transform on a dense 2^n table indexed by bitmask, as step (i)'s rank
+table is, `_thin` (keep = tau, drop = 1 - tau for the thinning; keep = drop
+= 1 for the superset sums).  The check runs it on a (tilts, 2^n) array, one
+block of tilts at a time, and pairs each T + e with T by `env.element_pairs`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .counting import BaseMeasure, CountingOracle, family_of
 from .dist import ExplicitDistribution
-from .env import SUBSET_TABLE_MAX_N, EnumerationBudgetError, matroid_environment
+from .env import element_pairs, matroid_environment, subset_table_size
 from .maxent import DualState, dominating_base_point, kl_diagnostics, solve_kl_projection
 from .sampling import RngStream
 
@@ -96,21 +97,13 @@ def _thin(masks, probs, n, keep, drop):
     masks[i] (distinct masks), thinned element by element: a set holding e
     keeps keep[e] of its mass and passes drop[e] of it to the set without e.
     Leading axes of probs are separate laws, transformed together."""
-    _check_table_size(n)
-    law = np.zeros(probs.shape[:-1] + (1 << n,))
+    law = np.zeros(probs.shape[:-1] + (subset_table_size(n),))
     law[..., masks] = probs
     for e in range(n):
-        # views: pair[..., 1, :] are the sets holding e, pair[..., 0, :] the same sets without e
-        pair = law.reshape(probs.shape[:-1] + (-1, 2, 1 << e))
+        pair = element_pairs(law, e)
         pair[..., 0, :] += drop[e] * pair[..., 1, :]
         pair[..., 1, :] *= keep[e]
     return law
-
-
-def _check_table_size(n):
-    if n > SUBSET_TABLE_MAX_N:
-        raise EnumerationBudgetError(
-            f"subset table limited to n <= {SUBSET_TABLE_MAX_N} elements (n = {n})")
 
 
 def materialize(witness):
@@ -159,7 +152,7 @@ def rayleigh_check(measure, trials=100, rng=None):
     else:
         measure = {frozenset(B): v for B, v in measure.items()}
         n = 1 + max((e for B in measure for e in B), default=-1)
-    _check_table_size(n)
+    subset_table_size(n)
     if n == 0:
         return True, -np.inf, None
 
@@ -180,7 +173,7 @@ def rayleigh_check(measure, trials=100, rng=None):
         best = np.empty((k, n))         # best[t, e]: largest violation at (t, e)
         where = np.empty((k, n), dtype=np.int64)
         for e in range(n):
-            pair = up.reshape(k, -1, 2, 1 << e)
+            pair = element_pairs(up, e)
             # viol[t, hi, lo] for T = hi << (e + 1) | lo: flat order is mask order
             viol = (pair[:, :, 1, :] - pair[:, :, 0, :] * up[:, 1 << e, None, None]).reshape(k, -1)
             where[:, e] = viol.argmax(axis=1)

@@ -309,15 +309,48 @@ def test_graphic_rank_table_matches_rank_oracle():
         # loops and parallel edges included
         edges = [tuple(map(int, rng.integers(0, nv, size=2))) for _ in range(ne)]
         m = Matroid.graphic(nv, edges)
-        member, ranks = m.rank_table()
-        assert ranks.tolist() == [m.rank(np.flatnonzero(member[:, i]).tolist())
-                                  for i in range(ranks.size)]
+        ranks = m.rank_table()
+        assert ranks.tolist() == [m.rank([e for e in range(ne) if mask >> e & 1])
+                                  for mask in range(1 << ne)]
         assert not ranks.flags.writeable
+
+
+@st.composite
+def _small_matroids(draw):
+    kind = draw(st.sampled_from(["graphic", "linear", "uniform", "explicit"]))
+    n = draw(st.integers(0, 7))
+    if kind == "uniform":
+        return Matroid.uniform(n, draw(st.integers(0, n)))
+    if kind == "linear":
+        return Matroid.linear(draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                            min_size=1, max_size=3)))
+    # loops and parallel edges included
+    nv = draw(st.integers(1, 5))
+    vertex = st.integers(0, nv - 1)
+    m = Matroid.graphic(nv, draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=n)))
+    if kind == "explicit":
+        subsets = [frozenset(T) for r in range(n + 1) for T in itertools.combinations(range(n), r)]
+        m = Matroid.explicit(n, [T for T in subsets if m.is_independent(T)])
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_matroids(), st.data())
+def test_rank_table_and_subset_sums_are_indexed_by_mask(m, data):
+    # mixed signs and magnitudes: each sum must add T's elements in ascending order
+    value = st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1e9, 1e9))
+    x = data.draw(st.lists(value, min_size=m.n, max_size=m.n))
+    ranks, sums = m.rank_table(), m.subset_sums(x)
+    assert len(ranks) == len(sums) == 1 << m.n
+    for mask in range(1 << m.n):
+        T = [e for e in range(m.n) if mask >> e & 1]
+        assert ranks[mask] == m.rank(T)
+        assert sums[mask].tobytes() == np.float64(sum(x[e] for e in sorted(T))).tobytes()
 
 
 def test_graphic_rank_table_does_not_call_the_rank_oracle():
     edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]     # K6: 15 edges
     m = Matroid.graphic(6, edges)
     m._rank = None
-    _, ranks = m.rank_table()
-    assert ranks[-1] == 5 and ranks.max() == 5
+    ranks = m.rank_table()
+    assert ranks[0] == 0 and ranks[-1] == 5 and ranks.max() == 5

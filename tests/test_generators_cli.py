@@ -1,5 +1,6 @@
 """Closed-form constants, named instances, instance documents, and the CLI."""
 
+import hashlib
 import json
 import math
 import re
@@ -179,8 +180,30 @@ def test_cli_mc_estimate_beyond_20_elements(tmp_path):
         assert lo <= witness.marginal(e) <= hi
 
 
+GEN_DIGESTS = [
+    ("random-graphic-matroid", 0, {"n_vertices": 5, "n_edges": 8},
+     "15432429dc03ef082011bc1b6710c4481b5caf406f1e24d9be5d683b1cc6e018"),
+    ("random-graphic-matroid", 1, {"n_vertices": 6, "n_edges": 12},
+     "592ed7b71e183797cabac8eca19a1d01fcbfc31913062aa28f9b80a999cb65b5"),
+    ("random-graphic-matroid", 7, {"n_vertices": 8, "n_edges": 16},
+     "984fec19be89a8ff95ce8b64f9222629eac6c32ec78075006f3d19e1287ae0f7"),
+    ("hat-graph", 0, {"n": 2, "terminal_edge": True},
+     "f245e365c0e85b869ce3f7edea9e6b9b8af2d2d5f626493362a0d94895b9671a"),
+    ("hat-graph", 0, {"n": 3}, "a8132f87b9fb892525ffff9db8936ac42f33c1c1bce73ebc1642f9e524aca4e7"),
+]
+
+
+@pytest.mark.parametrize("name,seed,params,digest", GEN_DIGESTS)
+def test_cli_gen_matroid_documents_are_pinned(tmp_path, name, seed, params, digest):
+    # sha256 of the written document: a matroid's x reads its subset sums and rank table
+    out = tmp_path / "doc.json"
+    assert cli.main(["gen", name, "--seed", str(seed), "--params", json.dumps(params),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_gen_matroid_beyond_rank_table_exits_two():
-    # 21 elements: the rank table over all 2^21 - 1 subsets is beyond budget
+    # 21 elements: the rank table over all 2^21 subsets is beyond budget
     assert cli.main(["gen", "random-graphic-matroid", "--params",
                      '{"n_vertices": 8, "n_edges": 21}']) == 2
 

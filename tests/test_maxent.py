@@ -2,6 +2,7 @@
 dominating base points, and the KL projection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,31 @@ def test_dominating_base_point_graphic():
     big = Matroid.graphic(2, [(0, 1)] * 21)
     with pytest.raises(EnumerationBudgetError, match="n <= 20"):
         dominating_base_point(big, np.full(21, 0.01))
+
+
+def test_subset_sums_refuse_a_vector_of_the_wrong_length():
+    m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    q = barycentric_base_point(BaseMeasure.uniform_on_bases(m))
+    assert is_boundary_base_point(m, q) is False
+    for bad in (q[:-1], np.append(q, 0.5)):
+        with pytest.raises(ValueError, match="5 values"):
+            m.subset_sums(bad)
+        with pytest.raises(ValueError, match="5 values"):
+            is_boundary_base_point(m, bad)
+
+
+def test_dominating_base_point_memory_at_twenty_edges():
+    _, x, doc = gen_instance("random-graphic-matroid", seed=1, n_vertices=10, n_edges=20)
+    m = Matroid.graphic(10, doc["matroid"]["edges"])        # no rank table built yet
+    tracemalloc.start()
+    try:
+        q = dominating_base_point(m, np.asarray(x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(q.sum() - m.rank_total) < 1e-9
+    # the rank table and the subset sums take 8 MiB each
+    assert peak < 40 << 20
 
 
 def test_barycentric_point_is_interior():

@@ -220,7 +220,7 @@ def test_build_witness_rejects_non_rayleigh_base():
 def _reference_thinning(witness):
     """mu* by brute force: every subset T of every base B gets
     p(B) prod_{e in T} tau_e prod_{e in B - T} (1 - tau_e)."""
-    bases, _ = witness.oracle._family()
+    bases, _, _ = witness.base.family()
     probs = witness.oracle._set_probs(witness.w)
     tau = witness.tau
     support = {}
