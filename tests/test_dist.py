@@ -468,6 +468,97 @@ def test_simplex_matches_the_full_tableau_on_degenerate_lps():
     assert late_lps >= 5
 
 
+def _stationary_lp(env, x):
+    """The (c, A_ub, b_ub) that solve_stationary_lp_exact hands the simplex."""
+    lps = []
+    with pytest.MonkeyPatch.context() as mp:
+        # the point mass on the empty set stands in for the optimum
+        mp.setattr(dist_mod.simplex, "solve_lp", lambda c, A, b: lps.append((c, A, b))
+                   or (Fraction(0), [Fraction(0)] * len(c)))
+        solve_stationary_lp_exact(env, x)
+    return lps[0]
+
+
+def _lp_outcome(solve, c, A_ub, b_ub):
+    try:
+        return solve(c, A_ub, b_ub)
+    except UnboundedLP as err:
+        return str(err)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_environments(), st.booleans(), st.data())
+def test_simplex_matches_the_full_tableau_on_random_stationary_lps(env, rational, data):
+    # x in (0, 1): rationals with small denominators, or floats whose exact
+    # values carry 2^-52-scale denominators
+    if rational:
+        xs = st.fractions(Fraction(1, 20), Fraction(19, 20), max_denominator=20)
+    else:
+        xs = st.floats(0.05, 0.95)
+    x = data.draw(st.lists(xs, min_size=env.n, max_size=env.n))
+    c, A, b = _stationary_lp(env, x)
+    assert solve_lp(c, A, b) == _full_tableau_lp(c, A, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_simplex_matches_the_full_tableau_on_random_degenerate_lps(data):
+    # small integer LPs, mostly zero right-hand sides, some unbounded
+    m, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, -1, 1, 1, 2])
+    A = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    b = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=m, max_size=m))
+    c = data.draw(st.lists(st.sampled_from([-1, 0, 1, 1, 2]), min_size=n, max_size=n))
+    assert _lp_outcome(solve_lp, c, A, b) == _lp_outcome(_full_tableau_lp, c, A, b)
+
+
+# proposals as basis[i], the variable of row i (0, 1 structural, the rest
+# slack); _BASIC maximizes x + y subject to x + 2y <= 4, 3x + y <= 6, with
+# optimum (8/5, 6/5)
+_BASIC = ([1, 1], [[1, 2], [3, 1]], [4, 6])
+
+
+@pytest.mark.parametrize("lp, proposal", [
+    (_BASIC, None),
+    (_BASIC, [2, 3]),           # slack basis z = 0: primal feasible, dual infeasible
+    (_BASIC, [1, 2]),           # row 1 tight with y alone: y = 6 breaks row 0
+    (_BASIC, [2, 0]),           # row 1 tight with x alone: x = 2, y = 0 is not optimal
+    (([1, 1], [[1, 1], [2, 2], [1, 0]], [2, 4, 1]), [0, 1, 4]),   # rows 0, 1 tight: singular
+    # both rows tight: (x, y) = (-1, 2) meets every row, with y >= 0
+    (([0, 1], [[1, 1], [-2, 1]], [1, 4]), [0, 1]),
+    # both rows tight: (x, y) = (1, 1) is feasible, but its dual has y_1 = -1
+    (([1, 0], [[1, 1], [0, 1]], [2, 1]), [0, 1]),
+], ids=["none", "slack", "primal-infeasible", "dual-infeasible", "singular",
+        "negative-z", "negative-y"])
+def test_a_rejected_proposal_falls_back_to_bland(lp, proposal, monkeypatch):
+    from socrs import simplex
+    falls = []
+    bland = simplex._bland
+    monkeypatch.setattr(simplex, "_float_basis", lambda c, A, b: proposal)
+    monkeypatch.setattr(simplex, "_bland", lambda *a: falls.append(1) or bland(*a))
+    assert solve_lp(*lp) == _full_tableau_lp(*lp)
+    assert falls == [1]
+    # an unbounded LP keeps its error whatever basis is proposed
+    with pytest.raises(UnboundedLP, match="^LP is unbounded$"):
+        solve_lp([1, 1], [[1, -1], [-1, 1]], [1, 0])
+
+
+def test_the_float_pass_never_raises_and_the_rhs_is_checked_first(monkeypatch):
+    from socrs import simplex
+    huge = Fraction(10 ** 400)
+    # entries beyond the float range and an unbounded column propose nothing
+    assert simplex._float_basis([1], [[huge]], [1]) is None
+    assert simplex._float_basis([1], [[-1]], [1]) is None
+    assert simplex._float_basis([1, 2], [], []) is None
+    assert solve_lp([1], [[huge]], [1]) == _full_tableau_lp([1], [[huge]], [1])
+
+    def no_proposal(c, A, b):
+        raise AssertionError("the float pass ran before the rhs check")
+    monkeypatch.setattr(simplex, "_float_basis", no_proposal)
+    with pytest.raises(ValueError, match=r"^b_ub\[0\] = -1 is negative"):
+        solve_lp([1], [[1]], [-1])
+
+
 @pytest.mark.parametrize("name, n_vertices, alpha, support", [
     ("random-bipartite", 5, "21671228627311809223098795484526457706803317702656/"
                             "38236057037506980588024628463016375338063823182013", 13),

@@ -139,6 +139,33 @@ def test_cli_lp_exact_and_alpha_table(tmp_path):
     assert json.loads(out2.read_text())["alpha"] == pytest.approx(0.6)
 
 
+# lp-exact on gen random-graph --params '{"n_vertices": 8, "n_edges": 10}'
+# --seed 4 (|F| = 55), as the slack-basis Bland simplex returned it
+_ALPHA_GRAPH_10 = (
+    "3808057909289645514706984037805515856600000838425464612584435323449242"
+    "6154956041726169496037097043457777000708363216677955223767658211796703"
+    "1273517229622133879814146947634110017712089030739832658767434982487334"
+    "3098993334266528370789339563736775305158021148122831236474174721710515"
+    "0374776744281288329099049719613090660429909601330143244107524271121209"
+    "7536/"
+    "7453877960540428409626156280834421824505324324735214158083782348553006"
+    "1946497437102598610618454503548637987790245425853692253673475819381193"
+    "5131361422193516002619847511669538661610422666465391634957223447359448"
+    "0366005970712105116601136848348765987509966501093348187711963954234974"
+    "3606991927970952550913851161800953637494323705443320957526363659430016"
+    "1923")
+
+
+def test_cli_lp_exact_on_a_10_edge_graph_is_pinned(tmp_path):
+    inst, out = tmp_path / "inst.json", tmp_path / "lp.json"
+    assert cli.main(["gen", "random-graph", "--params", '{"n_vertices": 8, "n_edges": 10}',
+                     "--seed", "4", "--out", str(inst)]) == 0
+    assert cli.main(["lp-exact", "--out", str(out), str(inst)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["alpha"] == _ALPHA_GRAPH_10
+    assert doc["support_size"] == 51
+
+
 def test_cli_lp_exact_beyond_budget_exits_two(tmp_path):
     # |F| = 6196 exceeds the rational simplex budget of 5000: too large an
     # instance is an input error, not a violation
