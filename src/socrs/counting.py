@@ -17,7 +17,11 @@ instance of itself (self-reduction, Jerrum-Valiant-Vazirani 1986):
     reduced signed incidence matrix, so A W A^T is the reduced Laplacian)
     take one determinant of A_R W_R A_R^T bordered by the columns A_I.
 
-The precision mode decides only the arithmetic and the form of the result:
+The precision mode decides only the arithmetic and the form of the result.
+Every operation reads its weights as one array of the mode's numbers
+(`_weights`), which a float array passes through unconverted in double
+mode, so an evaluation builds no per-weight Python list beyond what a
+backend's scalar loop reads:
   * "rational": exact rationals throughout; partition and marginal_sum
     return Z itself.
   * "double": floats; partition/marginal_sum return log-magnitudes (-inf
@@ -194,11 +198,8 @@ class CountingOracle:
         self.env = env
         self.base = base
         self.mode = mode
-        # the mode's arithmetic: its number type and its unit and zero
-        if mode == "rational":
-            self._num, self._one, self._zero = as_rational, R(1), R(0)
-        else:
-            self._num, self._one, self._zero = float, 1.0, 0.0
+        # the mode's unit and zero
+        self._one, self._zero = (R(1), R(0)) if mode == "rational" else (1.0, 0.0)
 
         if base is not None:
             if backend != "enumeration" and backend not in _BACKEND_MEASURE:
@@ -316,10 +317,14 @@ class CountingOracle:
     # -- core evaluation: plain value in rational mode, log in double -----
 
     def _weights(self, w):
-        """w checked for length and converted to the mode's number type."""
+        """w checked for length, as one array of the mode's numbers: floats
+        in double mode (a float array passes through as it is), rationals
+        in an object array in rational mode."""
         if len(w) != self.n:
             raise ValueError("weight vector length mismatch")
-        return [self._num(v) for v in w]
+        if self.mode == "double":
+            return np.asarray(w, dtype=float)
+        return np.array([as_rational(v) for v in w], dtype=object)
 
     def _value(self, s):
         """s in the mode's output form: s itself in rational mode, log(s) in
@@ -329,8 +334,8 @@ class CountingOracle:
         return math.log(s) if s > 0 else -math.inf
 
     def _g(self, w, I=(), J=()):
-        """Z(w) of mode-typed weights w summed over the sets that hold all of
-        I and none of J (disjoint), as `_value` gives it."""
+        """Z(w) of weights w as `_weights` gives them, summed over the sets
+        that hold all of I and none of J (disjoint), as `_value` gives it."""
         I, J = list(I), list(J)
         if self.backend == "enumeration":
             if self.mode == "double" and not (I or J):
@@ -342,41 +347,42 @@ class CountingOracle:
             return _log_normalise(self._log_masses(w)[keep])[0]
         rest = [i for i in range(self.n) if i not in I and i not in J]
         one, zero = self._one, self._zero
-        w_in = one
-        for i in I:
-            w_in *= w[i]
+        rational = self.mode == "rational"
+        # w^I: a product in rational mode, a sum of logs in double mode,
+        # where the product may leave float range
+        w_in = math.prod(w[I].tolist(), start=one) if rational else _log_prod(w[I].tolist())
         if self.backend in _BACKEND_MEASURE:
             # sum_{B >= I, B & J = {}} det(A_B)^2 w^B / det(A A^T)
             #   = (-1)^|I| w^I det [[A_R W_R A_R^T, A_I], [A_I^T, 0]] / det(A A^T)
             A, d = self._A, len(I)
-            K = (A[:, rest] * np.array([w[i] for i in rest], dtype=A.dtype)) @ A[:, rest].T
+            K = (A[:, rest] * w[rest]) @ A[:, rest].T
             if d:
                 K = np.block([[K, A[:, I]], [A[:, I].T, np.zeros((d, d), dtype=A.dtype)]])
-            if self.mode == "rational":
+            if rational:
                 return (-1) ** d * w_in * det_bareiss(K.tolist()) / self._gram
             sign, logdet = det_double(K)
             if (-1) ** d * sign <= 0:
                 return -math.inf
-            return logdet + _log_prod(w[i] for i in I) - self._gram
+            return logdet + w_in - self._gram
         if self.backend == "ksym-dp":
-            k, ws = self.env.meta["k"] - len(I), [w[i] for i in rest]
-            if self.mode == "rational":
-                return w_in * sum(_esym(ws, k, one, zero), zero)
+            k, ws = self.env.meta["k"] - len(I), w[rest]
+            if rational:
+                return w_in * sum(_esym(ws.tolist(), k, one, zero), zero)
             # e_j(w) = M^j e_j(w / M) with M = max(w, 1) keeps the DP in float range
-            M = max([1.0, *ws])
+            M = float(ws.max(initial=1.0))
             log_e = [j * math.log(M) + self._value(v)
-                     for j, v in enumerate(_esym([v / M for v in ws], k, one, zero))]
-            return _log_prod(w[i] for i in I) + _log_normalise(np.array(log_e))[0]
+                     for j, v in enumerate(_esym((ws / M).tolist(), k, one, zero))]
+            return w_in + _log_normalise(np.array(log_e))[0]
         # matching-recursion: I must be a matching; then drop every edge touching it
         edges = self.env.meta["edges"]
         ends = [v for i in I for v in edges[i]]
         if len(set(ends)) < len(ends):
             return self._value(zero)
         free = frozenset(i for i in rest if set(ends).isdisjoint(edges[i]))
-        if self.mode == "rational":
-            return w_in * _mp_rec(free, edges, w, one, {}, False)
-        logw = [math.log(v) if v > 0 else -math.inf for v in w]
-        return sum(logw[i] for i in I) + _mp_rec(free, edges, logw, 0.0, {}, True)
+        if rational:
+            return w_in * _mp_rec(free, edges, w.tolist(), one, {}, False)
+        logw = [math.log(v) if v > 0 else -math.inf for v in w.tolist()]
+        return w_in + _mp_rec(free, edges, logw, 0.0, {}, True)
 
     # -- public operations -------------------------------------------------
 
@@ -401,8 +407,9 @@ class CountingOracle:
         if self.backend == "enumeration" and self.mode == "double":
             p = self._set_probs(w)          # builds self._inc on the first call
             return self._inc.T @ p
+        w = self._weights(w)
         z = self.partition(w)
-        return np.array([float(self._ratio(self.marginal_sum(w, e), z)) for e in range(self.n)])
+        return np.array([float(self._ratio(self._g(w, [e]), z)) for e in range(self.n)])
 
     def second_moments(self, w):
         """Matrix M with M[e,f] = P[e in S and f in S]."""
@@ -443,13 +450,10 @@ class CountingOracle:
         Z over the bases holding T at weights w on T and w (1 - tau) off T,
         over Z(w)."""
         T = sorted(set(T))
-        w = self._weights(w)
-        tau = [self._num(v) for v in tau]
-        wt = [v * (1 - t) for v, t in zip(w, tau)]
-        tt = self._one
-        for i in T:
-            wt[i] = w[i]
-            tt *= tau[i]
+        w, tau = self._weights(w), self._weights(tau)
+        wt = w * (1 - tau)
+        wt[T] = w[T]
+        tt = math.prod(tau[T].tolist(), start=self._one)
         return tt * self._ratio(self._g(wt, T), self._g(w))
 
 

@@ -210,7 +210,7 @@ class GibbsDistribution:
         """P[e in S] for every e, as a list: each sum runs over the sets in
         family order, the additions an explicit table's verification makes."""
         probs = np.asarray(self._set_probs())
-        s, e = np.nonzero(self.env.incidence())
+        s, e = np.divmod(np.flatnonzero(self.env.incidence()), self.env.n)
         marg = np.full(self.env.n, R(0) if self.exact else 0.0, dtype=probs.dtype)
         np.add.at(marg, e, probs[s])    # unbuffered: each sum runs in family order
         return marg.tolist()
@@ -343,6 +343,7 @@ def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
         excess = [rho[e] - xs[e] for e in capped]
         violations = [(e, frozenset(), rho[e], x[e])
                       for e, d in zip(capped, excess) if float(d) > tol]
+        worst = max([zero, *excess])
     else:
         mu, q, null = stationary_conditionals(dist.to_explicit(), exact)
         s, e, t = fam.caps
@@ -350,15 +351,19 @@ def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):
         np.add.at(marg, e, mu[s])       # unbuffered: each sum runs in family order
         marg = marg.tolist()
 
-        s, e, t = fam.caps[:, ~null[s, e]]     # null conditioning events are skipped
+        s, e, t = fam.caps.compress(~null[s, e], axis=1)   # null conditioning events are skipped
         excess = q[s, e] - np.array(xs, dtype=q.dtype)[e]
         bad = np.flatnonzero(excess.astype(float) > tol)
         violations = [(int(e[i]), fam.sets[t[i]], q.item(s[i], e[i]), x[e[i]])
                       for i in bad[np.lexsort((e[bad], t[bad]))]]
-        excess = excess.tolist()
+        if exact:
+            worst = max([zero, *excess.tolist()])
+        else:       # the largest excess, floored at 0.0: never -0.0
+            top = float(excess.max(initial=0.0))
+            worst = top if top > 0 else zero
     alpha_achieved = min(float(m) / xe if isinstance(xe, float) else m / xe
                          for m, xe in zip(marg, xs))
-    return StationaryReport(alpha_achieved, violations, max([zero, *excess]))
+    return StationaryReport(alpha_achieved, violations, worst)
 
 
 def addability_prob(dist, e):

@@ -10,6 +10,17 @@ margin (Singh-Vishnoi 2014, Straszak-Vishnoi 2019: second-order steps once
 the iterate is in the well-conditioned region).  When Newton fails, descent
 to the tolerance takes over.  A descent pass stops after MAX_DESCENT_STEPS
 steps, the polish after NEWTON_MAX_STEPS; |theta| > THETA_MAX is divergence.
+
+The two duals start at different points.  The max-entropy dual starts at
+the product measure, theta_e = log(p_e / (1 - p_e)), its optimum when every
+subset is feasible; on the paper's matching instances descent from there
+takes one or two steps, against four or five from theta = 0.  The KL
+projection keeps theta = 0, the base measure mu0 itself.  Its targets are
+base points, every base has the same size, and a dominating point lies
+within DELTA_SHRINK of a face, so the product measure is no guide there:
+from its logit start the matrix-tree projection of a 12-edge
+`random-graphic-matroid` (7 vertices, seed 0) stalled at |grad| = 1, where
+the start theta = 0 converges.
 """
 
 from __future__ import annotations
@@ -161,17 +172,20 @@ def _newton_polish(oracle, p, state, tol):
     return state.grad_norm <= tol
 
 
-def _solve_dual(oracle, target, tol):
+def _solve_dual(oracle, target, tol, theta0=None):
     """DualState whose theta has |grad h(theta)| <= tol for the dual of
     marginal target `target`.
 
-    Descends to max(tol, NEWTON_HANDOFF) and polishes with Newton
-    (`_newton_polish`).  When the gradient is still above tol after that,
-    descent to tol runs from the last iterate and the record's `fallback`
-    is set.
+    Starts at theta0 (theta = 0, the base measure itself, when None):
+    `solve_maxent` passes the product measure, `solve_kl_projection`
+    passes none (the module docstring says why).  Descends to
+    max(tol, NEWTON_HANDOFF) and polishes with Newton (`_newton_polish`).
+    When the gradient is still above tol after that, descent to tol runs
+    from the last iterate and the record's `fallback` is set.
     """
     p = np.asarray(target, dtype=float)
-    state = DualState(theta=np.zeros(p.size))
+    theta = np.zeros(p.size) if theta0 is None else np.array(theta0, dtype=float)
+    state = DualState(theta=theta)
     _descend(oracle, p, state, max(tol, NEWTON_HANDOFF))
     if state.grad_norm > tol and not _newton_polish(oracle, p, state, tol):
         state.fallback = True
@@ -184,12 +198,15 @@ def _solve_dual(oracle, target, tol):
 def solve_maxent(env, oracle, p, tol=1e-8):
     """Weights w of the max-entropy Gibbs law with marginals p.
 
-    Raises BoundaryDivergenceError when p is not an interior target.
+    The dual starts at the product measure, theta_e = log(p_e / (1 - p_e)):
+    the optimum itself when every subset is feasible, and close to it when
+    few are not.  Raises BoundaryDivergenceError when p is not an interior
+    target.
     """
     p = np.asarray(p, dtype=float)
     if not np.all((p > 0) & (p < 1)):           # NaN fails both comparisons
         raise ValueError("target marginals must lie in (0,1)")
-    w = np.exp(_solve_dual(oracle, p, tol).theta)
+    w = np.exp(_solve_dual(oracle, p, tol, np.log(p / (1.0 - p))).theta)
     return GibbsDistribution(env, list(w), oracle=oracle)
 
 

@@ -221,9 +221,16 @@ def _check_null(fam, null, at, e):
 
 def _expand_fixed(strategy, fam, conditionals, xs, live, accept_prob, atom_cap):
     """The expansion over a non-adaptive order on one dense mass vector,
-    one cap sweep per arrival (see `exact_output_law`): (positions, masses)."""
+    one cap sweep per arrival (see `exact_output_law`): (positions, masses).
+    The arrivals are the ones `OrderStrategy.next_element` makes: each
+    element at its first place in the permutation, which must list them
+    all."""
     mu, q, null = conditionals
     n = len(xs)
+    order = list(dict.fromkeys(strategy.permutation))[:n]
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"a fixed order must list each of the {n} elements, "
+                         f"not {strategy.permutation}")
     # every cap's positions (T, T+e), c = q[T, e] and d, grouped by element:
     # element e's caps are columns cuts[e]:cuts[e + 1]
     el = fam.caps[1].astype(np.min_scalar_type(n))    # a radix sort for few elements
@@ -237,10 +244,8 @@ def _expand_fixed(strategy, fam, conditionals, xs, live, accept_prob, atom_cap):
         d = np.maximum(d, 0.0)
     cuts = [0, *np.cumsum(np.bincount(el, minlength=n)).tolist()]
     nullable = null[:-1].any()      # the sentinel never holds mass
-    m, on, hist = mu, live(mu), []
-    for _ in range(n):
-        e = _next_arrival(strategy, hist, n)
-        hist.append((e, False, False))
+    m, on = mu, live(mu)
+    for e in order:
         if nullable:
             _check_null(fam, null, np.flatnonzero(on), e)
         accept_prob[e] += (q[:, e] * m)[on].sum()

@@ -1,6 +1,7 @@
 """Counting oracles: backends, precision modes, pinned counts."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -411,6 +412,36 @@ def test_marginals_compute_z_once(family, backend, mode, monkeypatch):
                         lambda self, v: calls.append(1) or partition(self, v))
     assert oracle.marginals(w).tolist() == expect
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", ["k-uniform", "matching", "spanning-trees", "determinantal"])
+def test_double_mode_reads_lists_tuples_and_arrays_alike(family):
+    kw, backends = _backends(family)
+    w = np.exp(np.random.default_rng(9).uniform(-1.0, 1.0, size=5))
+    for backend in backends:
+        got = []
+        for form in (w.tolist(), tuple(w.tolist()), w):
+            o = CountingOracle(backend, **kw)       # a fresh oracle: no tilt is shared
+            got.append([o.partition(form), o.marginals(form), o.second_moments(form),
+                        o.pinned(form, [0], [1]), o.pinned(form, [0, 2], [])])
+        for other in got[1:]:
+            for a, b in zip(got[0], other):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", ["k-uniform", "matching", "spanning-trees", "determinantal"])
+def test_double_mode_raises_no_numpy_warning_at_huge_weights(family):
+    # w^I for I = {0, 2} is e^800, past float range: double mode must keep it
+    # as a log and never form the product
+    kw, backends = _backends(family)
+    w = np.full(5, math.exp(400))
+    for backend in backends:
+        o = CountingOracle(backend, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [o.partition(w), o.pinned(w, [0, 2], [1]), o.marginals(w),
+                      o.second_moments(w)]
+        assert all(np.isfinite(v).all() for v in values)
 
 
 @pytest.mark.parametrize("family", ["matching", "spanning-trees"])

@@ -253,6 +253,46 @@ def test_gibbs_verify_in_closed_form_equals_the_table_check(env, rational, break
         assert not bad and closed.passes(0.0)
 
 
+def reference_cap_check(law, x, tol):
+    """(violated caps as (e, T, q), max_cap_excess) of an explicit law, one
+    cap at a time in family order: the report verify_stationary_lp gives."""
+    sets = law.env.family().sets
+    feasible, zero = set(sets), Fraction(0) if law.exact else 0.0
+    violated, excess = [], []
+    for T in sets:
+        for e in range(law.env.n):
+            if e in T or T | {e} not in feasible:
+                continue
+            a, b = law.prob(T), law.prob(T | {e})
+            if a + b == 0:
+                continue
+            q = b / (a + b)
+            excess.append(q - x[e])
+            if float(excess[-1]) > tol:
+                violated.append((e, T, q))
+    return violated, max([zero, *excess])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_environments(), st.booleans(), st.data())
+def test_explicit_verify_equals_a_cap_by_cap_loop(env, rational, data):
+    # masses of 0 to 4 over their sum, some zero so that null conditioning
+    # events occur; x from 1/10 to 9/10, so some caps break and some hold
+    sets = env.enumerate_feasible()
+    weights = data.draw(st.lists(st.integers(0, 4), min_size=len(sets), max_size=len(sets))
+                        .filter(any))
+    x = data.draw(st.lists(st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=10),
+                           min_size=env.n, max_size=env.n))
+    law = {S: Fraction(v, sum(weights)) for S, v in zip(sets, weights)}
+    if not rational:
+        law, x = {S: float(v) for S, v in law.items()}, list(map(float, x))
+    law = ExplicitDistribution(env, law)
+    rep = verify_stationary_lp(law, x, Fraction(1, 3))
+    violated, worst = reference_cap_check(law, x, dist_mod.CAP_SLACK)
+    assert [(e, T, q) for e, T, q, _ in rep.violated_caps] == violated
+    assert rep.max_cap_excess == worst and type(rep.max_cap_excess) is type(worst)
+
+
 @pytest.mark.parametrize("rational", [False, True])
 def test_gibbs_verify_reads_no_family_and_no_table(rational, monkeypatch):
     env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)], 5)

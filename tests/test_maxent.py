@@ -179,6 +179,50 @@ def test_newton_polish_goes_below_tol():
     assert np.abs(oracle.marginals(np.asarray(gibbs.w, float)) - p).max() < 1e-10
 
 
+@pytest.mark.parametrize("backend, env", [
+    ("enumeration", k_uniform_environment(6, 6)), ("ksym-dp", k_uniform_environment(6, 6)),
+    ("matching-recursion", matching_environment([(0, 1), (2, 3), (4, 5)], 6))])
+def test_product_start_is_the_optimum_when_every_subset_is_feasible(backend, env):
+    # every subset feasible: the product measure with marginals p is the
+    # max-entropy law, so the solve takes no step at all
+    oracle = CountingOracle(backend, env=env)
+    p = np.random.default_rng(3).uniform(0.05, 0.95, size=env.n)
+    theta0 = np.log(p / (1 - p))
+    state = maxent._solve_dual(oracle, p, 1e-10, theta0)
+    assert (state.descent_steps, state.newton_steps, state.fallback) == (0, 0, False)
+    assert state.grad_norm <= 1e-10 and np.array_equal(state.theta, theta0)
+    assert np.array_equal(solve_maxent(env, oracle, p, tol=1e-10).w, np.exp(theta0).tolist())
+
+
+def _seeded_maxent_target(backend, seed):
+    """(environment, target) of one seeded instance: a random target at 0.7
+    of the load constraint on k-uniform(10, 3) for ksym-dp, and the
+    matching's x at alpha = 1/3 on a 7-vertex 10-edge random graph."""
+    if backend == "ksym-dp":
+        p = np.random.default_rng(seed).uniform(0.05, 1.0, size=10)
+        return k_uniform_environment(10, 3), np.minimum(p * (0.7 * 3 / p.sum()), 0.9)
+    env, x, _ = gen_instance("random-graph", seed=seed, n_vertices=7, n_edges=10)
+    return env, np.asarray(x) / 3
+
+
+@pytest.mark.parametrize("backend", ["enumeration", "ksym-dp", "matching-recursion"])
+def test_product_start_takes_fewer_descent_steps_to_the_same_law(backend):
+    steps = {"zero": 0, "product": 0}
+    for seed in range(8):
+        env, p = _seeded_maxent_target(backend, seed)
+        oracle = CountingOracle(backend, env=env)
+        zero = maxent._solve_dual(oracle, p, 1e-8)
+        product = maxent._solve_dual(oracle, p, 1e-8, np.log(p / (1 - p)))
+        assert product.descent_steps <= zero.descent_steps
+        assert not zero.fallback and not product.fallback
+        enum = CountingOracle("enumeration", env=env)
+        assert np.abs(enum.marginals(np.exp(product.theta))
+                      - enum.marginals(np.exp(zero.theta))).max() < 1e-10
+        steps["zero"] += zero.descent_steps
+        steps["product"] += product.descent_steps
+    assert steps["product"] < steps["zero"]
+
+
 def test_descent_fallback_reaches_tol_when_newton_fails(monkeypatch):
     monkeypatch.setattr(maxent, "_newton_polish", lambda *args, **kwargs: False)
     oracle = CountingOracle("enumeration", env=TIGHT_ENV)

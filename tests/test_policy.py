@@ -126,6 +126,17 @@ def test_exact_expansion_rejects_seeded_random():
         exact_output_law(dist, x, OrderStrategy.seeded_random())
 
 
+@pytest.mark.parametrize("perm", [[0, 1], [0, 1, 1], [0, 1, 3], [0, 3, 1, 2]])
+def test_exact_expansion_refuses_a_fixed_order_that_misses_an_element(perm):
+    # a short list, a repeat in place of an element, an element out of range
+    dist, x = triangle_gibbs()
+    with pytest.raises(ValueError, match="each of the 3 elements"):
+        exact_output_law(dist, x, OrderStrategy.fixed(perm))
+    # a repeat after every element has arrived changes nothing, as in a run
+    assert (exact_output_law(dist, x, OrderStrategy.fixed([2, 1, 0, 0, 5]))[1]
+            == exact_output_law(dist, x, OrderStrategy.fixed([2, 1, 0]))[1])
+
+
 def reference_output_law(table, x, strategy):
     """The expansion one atom at a time over dicts: (law support, acceptance)."""
     n = table.env.n
