@@ -198,18 +198,25 @@ def element_pairs(table, e):
     return table.reshape(table.shape[:-1] + (-1, 2, 1 << e))
 
 
+def _edge_ends(edges):
+    """(u, v, nv): each edge's endpoints as two index arrays, the nv vertices
+    the edges touch numbered 0..nv-1 in sorted order."""
+    index = {v: i for i, v in enumerate(sorted({v for edge in edges for v in edge}))}
+    u, v = np.array([[index[a] for a in edge] for edge in edges], dtype=np.intp).reshape(-1, 2).T
+    return u, v, len(index)
+
+
 def _graphic_ranks(edges):
     """Rank of every edge subset of a multigraph, indexed by bitmask, built
     one edge at a time: the masks in [2^e, 2^(e+1)) are those in [0, 2^e)
     plus edge e, whose rank rises by one when e joins two components.  Each
     mask keeps a component label per vertex the edges touch."""
     n = len(edges)
-    index = {v: i for i, v in enumerate(sorted({v for edge in edges for v in edge}))}
-    ends = [(index[u], index[v]) for u, v in edges]
+    ends_u, ends_v, nv = _edge_ends(edges)
     ranks = np.zeros(1 << n, dtype=np.int64)
-    labels = np.empty((1 << max(n - 1, 0), len(index)), dtype=np.min_scalar_type(len(index)))
-    labels[0] = np.arange(len(index))
-    for e, (u, v) in enumerate(ends):
+    labels = np.empty((1 << max(n - 1, 0), nv), dtype=np.min_scalar_type(nv))
+    labels[0] = np.arange(nv)
+    for e, (u, v) in enumerate(zip(ends_u, ends_v)):
         lab = labels[:1 << e]
         lu, lv = lab[:, u, None], lab[:, v, None]
         ranks[1 << e:2 << e] = ranks[:1 << e] + (lu != lv)[:, 0]
@@ -305,8 +312,10 @@ class Environment:
         e > max(S), ascending, which is (size, lex) order.  By downward
         closure S + e is feasible only if e extends S's parent too, so the
         candidates are the parent's extensions beyond max(S); the
-        shares-a-vertex matrix filters them, or else the oracle, one call
-        per candidate set (which the family then keeps as its sets).
+        shares-a-vertex matrix filters them, or for a graphic matroid the
+        component labels each set keeps per vertex (e must join two of S's
+        components), or else the oracle, one call per candidate set (which
+        the family then keeps as its sets).
         Raises EnumerationBudgetError once the family exceeds `cap`
         (ENUMERATION_CAP when None, read at call time): before a level is
         built when it is known from the matrix, and after at most one block
@@ -331,21 +340,34 @@ class Environment:
             on = np.zeros((n, len(vertex)), dtype=np.float32)   # exact: counts stay small
             on[rows, cols] = 1
             allow &= on @ on.T == 0
+        m = self.meta.get("matroid")
+        labels = None           # graphic: a component label per vertex of each set
+        if m is not None and m.variant == "graphic":
+            u, v, nv = _edge_ends(m.meta["edges"])
+            labels = np.arange(nv, dtype=np.min_scalar_type(nv))[None]
         # the oracle's candidates are sets, so its family keeps them
-        sets = [frozenset()] if self._edges is None else None
+        sets = [frozenset()] if self._edges is None and labels is None else None
         size, levels, lo = 1, [], 0     # lo: where the last level begins
         ext = np.ones((1, n), dtype=bool)   # the candidates beyond max(S) of each set
         while True:
             if sets is not None:
                 sets += self._oracle_level(ext, sets, lo, cap)
-            elif size + np.count_nonzero(ext) > cap:
-                raise _budget_error(cap)
+            else:
+                if labels is not None:      # S + e is a forest: e joins two components
+                    ext &= labels[:, u] != labels[:, v]
+                if size + np.count_nonzero(ext) > cap:
+                    raise _budget_error(cap)
             rows, cols = np.nonzero(ext)
             if not len(rows):
                 return Family(n, levels, sets)
             levels.append((lo + rows, cols))
             lo = size
             size += len(rows)
+            if labels is not None:          # e merges u's component into v's
+                lab = labels[rows]
+                at = np.arange(len(rows))
+                lu, lv = lab[at, u[cols], None], lab[at, v[cols], None]
+                labels = np.where(lab == lu, lv, lab)
             ext = ext[rows] & allow[cols]
 
     def _oracle_level(self, ext, sets, lo, cap):

@@ -2,25 +2,33 @@
 dominating base points.
 
 The dual objective is h(theta) = log Z(e^theta) - <theta, p>; its gradient is
-the marginal mismatch.  One schedule runs on every counting backend: gradient
-descent with Armijo backtracking and the diagonal preconditioner p_e(1-p_e)
-until |grad| <= 1e-2, then Newton steps on the covariance from the oracle's
-second moments, with the same backtracking on h, to the tolerance with a
-margin (Singh-Vishnoi 2014, Straszak-Vishnoi 2019: second-order steps once
-the iterate is in the well-conditioned region).  When Newton fails, descent
-to the tolerance takes over.  A descent pass stops after MAX_DESCENT_STEPS
-steps, the polish after NEWTON_MAX_STEPS; |theta| > THETA_MAX is divergence.
+the marginal mismatch.  Both duals run on every counting backend with the
+same two kinds of step: gradient descent with Armijo backtracking and the
+diagonal preconditioner p_e(1-p_e), and Newton steps on the covariance from
+the oracle's second moments, with the same backtracking on h, to the
+tolerance with a margin (Singh-Vishnoi 2014, Straszak-Vishnoi 2019:
+second-order steps once the iterate is in the well-conditioned region).
+When Newton fails, descent to the tolerance takes over.  A descent pass
+stops after MAX_DESCENT_STEPS steps, the polish after NEWTON_MAX_STEPS;
+|theta| > THETA_MAX is divergence, and a non-finite gradient or step stops
+the solve at once.
 
-The two duals start at different points.  The max-entropy dual starts at
-the product measure, theta_e = log(p_e / (1 - p_e)), its optimum when every
-subset is feasible; on the paper's matching instances descent from there
-takes one or two steps, against four or five from theta = 0.  The KL
-projection keeps theta = 0, the base measure mu0 itself.  Its targets are
-base points, every base has the same size, and a dominating point lies
-within DELTA_SHRINK of a face, so the product measure is no guide there:
-from its logit start the matrix-tree projection of a 12-edge
-`random-graphic-matroid` (7 vertices, seed 0) stalled at |grad| = 1, where
-the start theta = 0 converges.
+The schedule and the start are chosen per dual.  The max-entropy dual
+starts at the product measure, theta_e = log(p_e / (1 - p_e)), its optimum
+when every subset is feasible, and descends to |grad| <= NEWTON_HANDOFF
+before Newton: on the paper's matching instances descent from there takes
+one or two steps, and a Newton step costs n(n+1)/2 pinned evaluations on
+ksym-dp and matching-recursion, where Newton from the start was 12-60%
+slower.  The KL projection starts at theta = 0, the base measure mu0 itself,
+and goes to Newton at once.  Its targets are base points, every base has
+the same size, and a dominating point lies within DELTA_SHRINK of a face,
+so its optimum sits about log(1/DELTA_SHRINK) from any start (Straszak-
+Vishnoi bound the dual optimum by the target's distance to the boundary):
+descent crawls there (18 steps before 15 Newton steps on the 2-hat graph
+with its terminal edge, against 17 Newton steps alone), and the product
+measure is no guide (from its logit start the matrix-tree projection of a
+12-edge `random-graphic-matroid`, 7 vertices, seed 0, stalled at
+|grad| = 1).
 """
 
 from __future__ import annotations
@@ -95,8 +103,15 @@ def _armijo(oracle, p, theta, h, g, direction, t=1.0):
     first-order prediction, or t drops below 1e-14.
 
     Returns (theta, h, lowered); `lowered` is False when t ran out first.
+    Raises at once when g or the direction holds a NaN or an infinity (an
+    oracle's non-finite marginal or second moment), which NaN > THETA_MAX
+    would let run to the step limit; a plain RuntimeError, since it is no
+    boundary divergence for the KL projection to retry.
     """
     dec = float(np.dot(g, direction))
+    if not math.isfinite(dec):
+        raise RuntimeError("dual gradient or step is not finite; the oracle returned "
+                           "a non-finite marginal or second moment")
     slack = _H_ROUNDING * (1.0 + abs(h) + float(np.abs(theta).sum()))
     while True:
         cand = theta + t * direction
@@ -151,9 +166,9 @@ def _newton_polish(oracle, p, state, tol):
         if state.grad_norm <= NEWTON_MARGIN * tol or tol >= state.grad_norm >= prev:
             return True
         prev = state.grad_norm
-        M = oracle.second_moments(w)
-        H = M - np.outer(marg, marg)
-        H = H + 1e-14 * np.eye(p.size)
+        H = oracle.second_moments(w)
+        H -= marg[:, None] * marg
+        H.flat[::p.size + 1] += 1e-14
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
@@ -178,19 +193,26 @@ def _solve_dual(oracle, target, tol, theta0=None):
 
     Starts at theta0 (theta = 0, the base measure itself, when None):
     `solve_maxent` passes the product measure, `solve_kl_projection`
-    passes none (the module docstring says why).  Descends to
-    max(tol, NEWTON_HANDOFF) and polishes with Newton (`_newton_polish`).
-    When the gradient is still above tol after that, descent to tol runs
-    from the last iterate and the record's `fallback` is set.
+    passes none.  The max-entropy dual descends to max(tol,
+    NEWTON_HANDOFF) and polishes with Newton (`_newton_polish`); the KL
+    dual, whose oracle counts a base measure's bases, goes to Newton at
+    once, so its `descent_steps` stay 0 unless the fallback ran (the
+    module docstring says why).  When the gradient is still above tol
+    after Newton, descent to tol runs from the last iterate and the
+    record's `fallback` is set.
     """
     p = np.asarray(target, dtype=float)
     theta = np.zeros(p.size) if theta0 is None else np.array(theta0, dtype=float)
     state = DualState(theta=theta)
-    _descend(oracle, p, state, max(tol, NEWTON_HANDOFF))
-    if state.grad_norm > tol and not _newton_polish(oracle, p, state, tol):
+    # the KL dual (its oracle counts a base measure's bases) goes to Newton
+    # at once: descent only evaluates the start
+    handoff = math.inf if oracle.base is not None else max(tol, NEWTON_HANDOFF)
+    _descend(oracle, p, state, handoff)
+    # `not <=`: a NaN gradient norm is no convergence
+    if not state.grad_norm <= tol and not _newton_polish(oracle, p, state, tol):
         state.fallback = True
         _descend(oracle, p, state, tol)
-    if state.grad_norm > tol:
+    if not state.grad_norm <= tol:
         raise RuntimeError(f"dual solver stalled: |grad| = {state.grad_norm:.3e}")
     return state
 
@@ -261,7 +283,9 @@ def solve_kl_projection(base, oracle, q, tol=1e-8):
 
 def kl_diagnostics(state, q, q_used):
     """The `diagnostics` block of a KL-projection document: the dual solver's
-    record and whether the target was delta-shrunk off the boundary."""
+    record and whether the target was delta-shrunk off the boundary.  The
+    KL dual starts in Newton, so `descent_steps` is 0 unless the descent
+    fallback ran (`descent_fallback`)."""
     return {"descent_steps": state.descent_steps, "newton_steps": state.newton_steps,
             "grad_norm": state.grad_norm, "descent_fallback": state.fallback,
             "delta_shrink": bool(np.any(q_used != q))}

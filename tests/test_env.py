@@ -354,3 +354,24 @@ def test_graphic_rank_table_does_not_call_the_rank_oracle():
     m._rank = None
     ranks = m.rank_table()
     assert ranks[0] == 0 and ranks[-1] == 5 and ranks.max() == 5
+
+
+def test_graphic_family_by_component_labels_matches_brute_force():
+    # loops, parallel edges and disconnected graphs: the family is every
+    # independent subset in (size, lex) order, and the rank oracle is not asked
+    rng = np.random.default_rng(4)
+    for trial in range(60):
+        nv, ne = int(rng.integers(1, 8)), int(rng.integers(0, 11))
+        edges = [tuple(map(int, rng.integers(0, nv, size=2))) for _ in range(ne)]
+        if trial % 3 == 0:      # two vertex-disjoint halves
+            edges = [(u % 3, v % 3) if e % 2 else (3 + u % 4, 3 + v % 4)
+                     for e, (u, v) in enumerate(edges)]
+            nv = 7
+        m = Matroid.graphic(nv, edges)
+        subsets = [frozenset(T) for r in range(ne + 1)
+                   for T in itertools.combinations(range(ne), r)]
+        expect = [T for T in subsets if m.rank(T) == len(T)]
+        m._rank = None
+        fam = matroid_environment(m).family()
+        assert "sets" not in vars(fam)
+        assert fam.sets == expect

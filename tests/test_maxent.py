@@ -1,6 +1,7 @@
 """Dual solvers: gradients, marginal matching, divergence diagnosis,
 dominating base points, and the KL projection."""
 
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 
 from socrs import maxent
 from socrs.counting import BaseMeasure, CountingOracle
-from socrs.dist import verify_stationary_lp
+from socrs.dist import ExplicitDistribution, verify_stationary_lp
 from socrs.env import (EnumerationBudgetError, Matroid, k_uniform_environment,
                        matching_environment)
 from socrs.generators import gen_instance
@@ -323,3 +324,122 @@ def test_newton_accepts_steps_below_the_rounding_of_h():
                             check_rayleigh=False)
     assert not witness.solver.fallback
     assert witness.solver.grad_norm <= 1e-12
+
+
+def _reduced_incidence(m):
+    """The signed vertex-edge incidence matrix of a graphic matroid with
+    vertex 0's row dropped: its determinantal measure is uniform on the
+    spanning trees of a connected graph."""
+    A = [[0] * m.n for _ in range(m.meta["n_vertices"] - 1)]
+    for j, (u, v) in enumerate(m.meta["edges"]):
+        if u:
+            A[u - 1][j] = 1
+        if v:
+            A[v - 1][j] = -1
+    return A
+
+
+def _kl_case(instance):
+    """(matroid, dominated point) of the 2..4-hat graphs with their terminal
+    edge at x / b, and of seeded 7-vertex random graphic matroids at x."""
+    if instance.endswith("-hat"):
+        env, x, b = parse_instance(gen_instance("hat-graph", n=int(instance[0]),
+                                                terminal_edge=True)[2])
+        return env.meta["matroid"], np.asarray(x) / b
+    seed, n_edges = map(int, instance.split("/"))
+    env, x, _ = gen_instance("random-graphic-matroid", seed=seed, n_vertices=7,
+                             n_edges=n_edges)
+    return env.meta["matroid"], np.asarray(x)
+
+
+@pytest.mark.parametrize("measure", ["enumeration", "matrix-tree", "cauchy-binet",
+                                     "explicit-table"])
+@pytest.mark.parametrize("instance", ["2-hat", "3-hat", "4-hat", "0/8", "1/10", "2/12"])
+def test_kl_projection_starts_in_newton(measure, instance):
+    # the KL dual takes no descent step on any backend: Newton from theta = 0
+    # reaches tol without the fallback, the boundary targets shrunk or not
+    m, y = _kl_case(instance)
+    if measure == "cauchy-binet":
+        base = BaseMeasure.determinantal(_reduced_incidence(m))
+    elif measure == "explicit-table":
+        rng = np.random.default_rng(m.n)
+        base = BaseMeasure.explicit(m, {B: int(rng.integers(1, 5)) for B in m.bases()})
+    else:
+        base = BaseMeasure.uniform_on_bases(m)
+    backend = "enumeration" if measure == "explicit-table" else measure
+    q = dominating_base_point(m, y)
+    w, q_used, state = solve_kl_projection(base, CountingOracle(backend, base=base), q,
+                                           tol=1e-9)
+    assert state.descent_steps == 0 and not state.fallback
+    assert state.newton_steps > 0 and state.grad_norm <= 1e-9
+    enum = CountingOracle("enumeration", base=base)
+    assert np.abs(enum.marginals(w) - q_used).max() <= 1e-9
+
+
+def test_build_rayleigh_on_the_2_hat_graph_runs_newton_only(tmp_path):
+    from socrs import cli
+    doc = gen_instance("hat-graph", n=2, terminal_edge=True)[2]
+    inst, out = tmp_path / "hat.json", tmp_path / "witness.json"
+    inst.write_text(json.dumps(doc))
+    assert cli.main(["build-rayleigh", "--seed", "1", "--out", str(out), str(inst)]) == 0
+    witness = json.loads(out.read_text())
+    diag = witness["diagnostics"]
+    assert diag["descent_steps"] == 0 and diag["descent_fallback"] is False
+    assert diag["delta_shrink"] and diag["grad_norm"] <= 1e-8
+    env, x, b = parse_instance(doc)
+    table = {frozenset(map(int, key.split("+"))) if key != "empty" else frozenset(): p
+             for key, p in witness["mu_star"].items()}
+    law = ExplicitDistribution(env, table, tol=1e-9)
+    for e in range(env.n):
+        assert abs(law.marginal(e) - x[e] / (1 + b)) < 1e-6
+    assert not verify_stationary_lp(law, list(x), 1 / (1 + b)).violated_caps
+
+
+def test_maxent_dual_keeps_its_descent():
+    # a seeded K5,5 matching target at alpha = (3 - sqrt 5)/2: the
+    # environment oracle's dual still descends to NEWTON_HANDOFF first, from
+    # either start, in the steps it always took
+    env, x, _ = gen_instance("random-bipartite", seed=0, n_vertices=10, n_edges=25)
+    p = (3 - math.sqrt(5)) / 2 * np.asarray(x)
+    oracle = CountingOracle("enumeration", env=env)
+    product = maxent._solve_dual(oracle, p, 1e-8, np.log(p / (1 - p)))
+    zero = maxent._solve_dual(oracle, p, 1e-8)
+    assert (product.descent_steps, product.newton_steps, product.fallback) == (2, 3, False)
+    assert (zero.descent_steps, zero.newton_steps, zero.fallback) == (4, 4, False)
+
+
+class _NaNAfter:
+    """A stub environment oracle on k-uniform(3, 2) whose marginals turn NaN
+    from its `good`-th call on; it counts every evaluation."""
+    base = None
+
+    def __init__(self, good):
+        self.real = CountingOracle("enumeration", env=k_uniform_environment(3, 2))
+        self.n, self.good, self.calls = 3, good, 0
+
+    def partition(self, w):
+        self.calls += 1
+        return self.real.partition(w)
+
+    def marginals(self, w):
+        self.calls += 1
+        marg = self.real.marginals(w)
+        return marg if self.calls < self.good else np.full(self.n, np.nan)
+
+    def second_moments(self, w):
+        self.calls += 1
+        return self.real.second_moments(w)
+
+
+@pytest.mark.parametrize("good", [1, 4, 9])
+@pytest.mark.parametrize("base", [None, "counts bases"])
+def test_non_finite_marginals_stop_the_solve_at_once(good, base):
+    # NaN > THETA_MAX is false, so without a finiteness check a NaN iterate
+    # ran every descent step before the stall; it is no boundary divergence,
+    # so the KL projection's delta-shrink retry must not catch it
+    oracle = _NaNAfter(good)
+    oracle.base = base
+    with pytest.raises(RuntimeError, match="not finite") as info:
+        maxent._solve_dual(oracle, np.array([0.5, 0.6, 0.7]), 1e-10)
+    assert not isinstance(info.value, BoundaryDivergenceError)
+    assert oracle.calls <= good + 5
