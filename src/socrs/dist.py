@@ -384,6 +384,19 @@ def solve_stationary_lp_exact(env, x):
     """Exact rational optimum of the stationary LP on an enumerable family
     of at most EXACT_LP_MAX_SETS sets.
 
+    The rows above, in that order (selectability by element, the caps in
+    `fam.caps` order, then nu(empty) >= 0), go to the simplex in its own
+    form, built from the family's arrays: row i is a {column: int} dict of
+    its nonzeros with an int rhs, over a positive row denominator, and a
+    float64 guide holds every exact entry rounded once.  With x_e =
+    p_e / d_e (lowest terms) a row's denominator is d_e:
+
+        selectability e     -d_e on each S ni e, p_e on alpha; rhs 0
+        cap (S, e, T != 0)  -p_e on T, d_e - p_e on S; rhs 0
+        cap (S, e, 0)       p_e on every S' != empty, d_e on S; rhs p_e
+
+    since x_e + (1 - x_e) = 1 on S itself.
+
     Returns (alpha, witness ExplicitDistribution).
     """
     fam = env.family()
@@ -391,37 +404,69 @@ def solve_stationary_lp_exact(env, x):
         raise EnumerationBudgetError(
             f"|F| = {len(fam)} exceeds the rational simplex budget {EXACT_LP_MAX_SETS}")
     x = [as_rational(v) for v in x]
-    stay = [1 - v for v in x]
-    # variables: mu_S at column (position - 1) for every S but the empty set, then alpha
+    num = [v.numerator for v in x]
+    dx = [v.denominator for v in x]
+    # variables: mu_S at column (position - 1) for every S but the empty set,
+    # then alpha; the guide's last column is the rhs
     nv = len(fam)
     ALPHA = nv - 1
-
-    # entries are plain ints and x's rationals; the simplex reads each exactly
-    A_ub, b_ub = [], []
+    caps = fam.caps
+    n, k = len(x), caps.shape[1]
+    rows, rhs, den = [], [], []
     # selectability: alpha*x_e - sum_{S ni e} mu_S <= 0
-    for e, row in enumerate((-fam.inc[1:].T.astype(int)).tolist()):
-        A_ub.append(row + [x[e]])
-        b_ub.append(0)
+    holds = fam.inc[1:].T
+    for p, d, sets in zip(num, dx, holds):
+        row = dict.fromkeys(np.flatnonzero(sets).tolist(), -d)
+        if p:
+            row[ALPHA] = p
+        rows.append(row)
+    rhs += [0] * n
+    den += dx
     # caps: (1-x_e) mu(T+e) - x_e mu(T) <= 0, with mu(empty) = 1 - sum mu_S
-    for s, e, t in fam.caps.T.tolist():
-        row = [0] * nv
+    for s, e, t in caps.T.tolist():
+        p, d = num[e], dx[e]
         if t:
-            row[t - 1] = -x[e]
-            b_ub.append(0)
+            row, b = {t - 1: -p, s - 1: d - p}, 0
         else:
-            row[:ALPHA] = [x[e]] * ALPHA
-            b_ub.append(x[e])
-        row[s - 1] += stay[e]
-        A_ub.append(row)
+            row, b = dict.fromkeys(range(ALPHA), p), p
+            row[s - 1] = d
+        if not p or p == d:
+            row = {j: a for j, a in row.items() if a}
+        rows.append(row)
+        rhs.append(b)
+        den.append(d)
     # mu(empty) >= 0
-    A_ub.append([1] * ALPHA + [0])
-    b_ub.append(1)
+    rows.append(dict.fromkeys(range(ALPHA), 1))
+    rhs.append(1)
+    den.append(1)
+
+    # the guide: float(x_e) and float(1 - x_e), each rounded from the exact value
+    xf = np.array([p / d for p, d in zip(num, dx)])
+    sf = np.array([(d - p) / d for p, d in zip(num, dx)])
+    G = np.zeros((n + k + 1, nv + 1))
+    G[:n, :ALPHA][holds] = -1.0
+    G[:n, ALPHA] = xf
+    r, (s, e, t) = n + np.arange(k), caps
+    on_t = t != 0               # the other caps read mu(empty)
+    G[r[on_t], t[on_t] - 1] = -xf[e[on_t]]
+    G[r[on_t], s[on_t] - 1] = sf[e[on_t]]
+    r, s, e = r[~on_t], s[~on_t], e[~on_t]
+    G[r, :ALPHA] = xf[e, None]
+    G[r, s - 1] = 1.0
+    G[r, nv] = xf[e]
+    G[-1, :ALPHA] = G[-1, nv] = 1.0
     c = [0] * ALPHA + [1]
 
-    opt, z = simplex.solve_lp(c, A_ub, b_ub)
-    mu = [1 - sum(z[:ALPHA])] + z[:ALPHA]
-    pos = [i for i, p in enumerate(mu) if p != 0]
-    return opt, ExplicitDistribution.on_family(env, pos, [mu[i] for i in pos])
+    # den and guide go by keyword: perfbench's tracer counts a 4th
+    # positional argument as A_eq rows
+    opt, z = simplex.solve_lp(c, rows, rhs, den=den, guide=G)
+    pos = [j for j in range(ALPHA) if z[j]]
+    probs = [z[j] for j in pos]
+    empty = 1 - sum(probs, R(0))
+    pos = [j + 1 for j in pos]
+    if empty:
+        pos, probs = [0] + pos, [empty] + probs
+    return opt, ExplicitDistribution.on_family(env, pos, probs)
 
 
 def symmetric_uniform_bound(n, k, q):

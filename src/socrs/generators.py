@@ -310,22 +310,27 @@ class ResultRecord:
     alpha_target: float
     alpha_achieved: float
     per_element: list = field(default_factory=list)
-    stationarity_tv: list = field(default_factory=list)
+    # filled by one mode each, and in the document only when filled:
+    # stationarity_tv by "exact", the Wilson intervals by "mc"
+    stationarity_tv: list = None
     runtime: float = 0.0
-    intervals: list = field(default_factory=list)
+    intervals: list = None
     accepts: list = field(default_factory=list)    # MC counts for the exit
     n_rep: int = 0                                 # gate; not in the document
 
     def to_doc(self):
-        return {
+        doc = {
             "instance_id": self.instance_id,
             "alpha_target": self.alpha_target,
             "alpha_achieved": self.alpha_achieved,
             "per_element": self.per_element,
-            "stationarity_tv": self.stationarity_tv,
-            "intervals": self.intervals,
-            "runtime": self.runtime,
         }
+        if self.stationarity_tv is not None:
+            doc["stationarity_tv"] = self.stationarity_tv
+        if self.intervals is not None:
+            doc["intervals"] = self.intervals
+        doc["runtime"] = self.runtime
+        return doc
 
 
 def wilson_interval(successes, n, z=1.959963984540054):

@@ -4,8 +4,20 @@
 Oper. Res. 1977) reaches from the slack basis z = 0, which a nonnegative
 right-hand side makes feasible.  It gets there in up to three steps.
 
-Proposal.  The same Bland pivots run on a float64 copy of the condensed
-tableau: the smallest nonbasic variable index with a negative reduced cost
+The LP form.  Every step reads one form of the LP.  Row i is a sparse
+{column: int} dict of its nonzeros, with an int rhs b_i and a positive int
+row denominator d_i: the exact row is those ints over d_i.  Beside it, the
+guide is a float64 (m, n + 1) array of the exact entries, the rhs in its
+last column, each rounded once.  A caller that holds its LP in that form
+passes `den=` (the d_i, with the dicts as A_ub and the ints as b_ub) and
+`guide=` by keyword; `dist.solve_stationary_lp_exact` builds both from the
+family's arrays.  Without them `solve_lp` converts exact-number rows
+(sequences or {column: value} dicts) into the form, and builds the guide
+from the ints (int / int is correctly rounded, so every guide entry is
+float() of the exact value).
+
+Proposal.  The same Bland pivots run on a float64 copy of the guide, the
+condensed tableau: the smallest nonbasic variable index with a negative reduced cost
 enters, and a ratio tie goes to the smallest basic index, with signs and
 ties read to a tolerance of TOL.  This pass only proposes a final basis.  It
 decides nothing and never raises.
@@ -17,12 +29,15 @@ rows whose slack is nonbasic); |R| = |S|.  One sparse elimination on
 gcd-reduced integer rows solves A[R,S] z_S = b_R, and one more solves
 A[R,S]^T y = c_S.  The basis is accepted iff z_S >= 0, every row has
 A_i z <= b_i, y >= 0 and every structural column has A[R,j]^T y >= c_j.
+Row denominators cancel from every check, and each check sums only the
+sparse rows' nonzeros.
 Then z is feasible and y is a dual solution of equal value, so z is an
 exact optimum, and (c.z, z) is returned.
 
 Fallback.  If the float pass proposes nothing (an unbounded ratio test, a
 rhs that drifts below zero, or m = 0), or the basis is singular or fails a
-check, the exact Bland simplex below runs from the slack basis and decides.
+check, the exact Bland simplex below runs from the slack basis, on the
+rows made dense, and decides.
 On long degenerate runs (thousands of Bland pivots) float noise can reach
 the size of genuine tableau entries; the pass then usually loses primal
 feasibility and stops, and the exact simplex pays its full cost.
@@ -84,11 +99,12 @@ def _ratio(v):
     return int(v.numerator), int(v.denominator)
 
 
-def _int_row(values):
-    """Integers proportional to values, over a positive denominator."""
-    pairs = [_ratio(v) for v in values]
-    den = lcm(*(d for _, d in pairs))
-    return [p * (den // d) for p, d in pairs], den
+def _int_row(items):
+    """The nonzero values of (column, value) pairs as {column: int}, and a
+    positive denominator over which those ints are the exact values."""
+    pairs = [(j, *_ratio(v)) for j, v in items if v]
+    den = lcm(*(q for _, _, q in pairs))
+    return {j: p * (den // q) for j, p, q in pairs}, den
 
 
 def _reduce(row):
@@ -96,57 +112,111 @@ def _reduce(row):
     return [v // g for v in row] if g > 1 else row
 
 
-def solve_lp(c, A_ub, b_ub):
+def solve_lp(c, A_ub, b_ub, *, den=None, guide=None):
     """Maximize c.z subject to A_ub z <= b_ub, z >= 0, where b_ub >= 0.
 
-    Entries may be ints, floats or exact rationals; each is read exactly.
-    Returns (optimum, z) with exact rational entries.  A negative b_ub
-    entry raises ValueError.
+    c's entries may be ints, floats or exact rationals.  Without `den`, each
+    row of A_ub is a sequence or a {column: value} dict of such numbers, and
+    every entry is read exactly.  With `den`, the LP comes in the solver's
+    own form: A_ub[i] is a {column: int} dict of row i's nonzeros, b_ub[i]
+    an int and den[i] a positive int, and the exact row is those ints over
+    den[i].  `guide`, given only with `den`, is the float64 (m, n + 1) array
+    of the exact rows and rhs, each entry rounded once; it is built from
+    the ints when not given.  Returns (optimum, z) with exact rational
+    entries.  A negative b_ub entry, or with `den` a denominator below 1,
+    raises ValueError before any pivot.
     """
-    rows = []
-    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
-        t, den = _int_row([*row, b])
-        if t[-1] < 0:
-            raise ValueError(f"b_ub[{i}] = {b} is negative: the slack basis is infeasible")
-        rows.append((t, den))
-    obj, _ = _int_row(c)
-    basis = _float_basis(c, A_ub, b_ub)
-    z = None if basis is None else _certify(obj, [t for t, _ in rows], basis)
+    n = len(c)
+    if den is None:
+        if guide is not None:
+            raise ValueError("a guide needs den")
+        A_ub, b_ub, den = _lp_form(n, A_ub, b_ub)
+    else:
+        if not len(A_ub) == len(b_ub) == len(den):
+            raise ValueError("A_ub, b_ub and den differ in length")
+        for i, (b, d) in enumerate(zip(b_ub, den)):
+            if d < 1:
+                raise ValueError(f"den[{i}] = {d} is not positive")
+            if b < 0:
+                raise ValueError(f"b_ub[{i}] = {R(b, d)} is negative: "
+                                 "the slack basis is infeasible")
+    if guide is None:
+        guide = _guide(n, A_ub, b_ub, den)
+    elif np.shape(guide) != (len(A_ub), n + 1):
+        raise ValueError(f"guide has shape {np.shape(guide)}, not {(len(A_ub), n + 1)}")
+    cint, _ = _int_row(enumerate(c))
+    obj = [cint.get(j, 0) for j in range(n)]
+    basis = _float_basis(c, guide)
+    z = None if basis is None else _certify(obj, A_ub, b_ub, basis)
     if z is None:
-        z = _bland(obj, rows)
-    opt = sum((R(*_ratio(ci)) * zi for ci, zi in zip(c, z) if zi), R(0))
+        z = _bland(obj, A_ub, b_ub, den)
+    opt = sum((R(*_ratio(c[j])) * z[j] for j in cint if z[j]), R(0))
     return opt, z
 
 
-def _float_basis(c, A_ub, b_ub):
-    """The final basis of Bland's rule on a float64 copy of the condensed
-    tableau (basis[i] the variable of row i), or None if the ratio test
-    finds no row, a rhs drifts below zero, or the LP has no rows."""
-    n, m = len(c), len(A_ub)
-    if m == 0:
-        return None
+def _lp_form(n, A_ub, b_ub):
+    """The solver's form (rows, rhs, den) of exact-number rows: sequences or
+    {column: value} dicts, the rhs in column n.  A negative rhs raises."""
+    rows, rhs, den = [], [], []
+    for i, (row, b) in enumerate(zip(A_ub, b_ub)):
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        t, d = _int_row([*items, (n, b)])
+        if t.get(n, 0) < 0:
+            raise ValueError(f"b_ub[{i}] = {b} is negative: the slack basis is infeasible")
+        rhs.append(t.pop(n, 0))
+        rows.append(t)
+        den.append(d)
+    return rows, rhs, den
+
+
+def _guide(n, rows, rhs, den):
+    """The float64 (m, n + 1) array of the exact rows and rhs, each entry
+    rounded once (int / int is correctly rounded), or None if an entry is
+    beyond the float range."""
+    G = np.zeros((len(rows), n + 1))
     try:
-        T = np.array([[*row, b] for row, b in zip(A_ub, b_ub)], dtype=float)
+        for i, (t, b, d) in enumerate(zip(rows, rhs, den)):
+            G[i, list(t)] = [a / d for a in t.values()]
+            G[i, n] = b / d
+    except OverflowError:
+        return None
+    return G
+
+
+def _float_basis(c, guide):
+    """The final basis of Bland's rule on a float64 copy of the condensed
+    tableau, the guide (basis[i] the variable of row i), or None if there
+    is no guide, the ratio test finds no row, a rhs drifts below zero, or
+    the LP has no rows."""
+    if guide is None or len(guide) == 0:
+        return None
+    n, m = len(c), len(guide)
+    try:
         obj = -np.array([*c, 0], dtype=float)
     except OverflowError:
         return None
+    T = np.array(guide, dtype=float)
     drift = -DRIFT * max(1.0, T[:, n].max())
     nonbasic = np.arange(n)
     basis = np.arange(n, n + m)
+    if n == 0:
+        return basis.tolist()
+    big = n + m                     # above every variable index
     with np.errstate(all="ignore"):
         for _ in range(MAX_PIVOTS):
-            neg = np.flatnonzero(obj[:n] < -TOL * max(1.0, np.abs(obj).max()))
-            if neg.size == 0:
+            # the smallest variable index with a negative reduced cost enters
+            enter = np.where(obj[:n] < -TOL * max(1.0, -obj.min(), obj.max()), nonbasic, big)
+            col = enter.argmin()
+            if enter[col] == big:
                 return basis.tolist()
-            col = neg[np.argmin(nonbasic[neg])]
             a = T[:, col].copy()
-            cand = np.flatnonzero(a > TOL * max(1.0, np.abs(T).max()))
-            if cand.size == 0:
+            ok = a > TOL * max(1.0, -T.min(), T.max())
+            if not ok.any():
                 return None
-            ratio = T[cand, n] / a[cand]
+            ratio = np.where(ok, T[:, n] / a, np.inf)
             least = ratio.min()
-            tied = cand[ratio <= least + TOL * max(1.0, abs(least))]
-            row = tied[np.argmin(basis[tied])]
+            tied = ratio <= least + TOL * max(1.0, abs(least))
+            row = np.where(tied, basis, big).argmin()
             # Jordan exchange: the pivot row over p, -f/p in column col
             p = a[row]
             prow = T[row] / p
@@ -165,37 +235,48 @@ def _float_basis(c, A_ub, b_ub):
     return None
 
 
-def _certify(obj, rows, basis):
+def _certify(obj, rows, rhs, basis):
     """z (exact rationals) at the basis if it is primal and dual feasible
-    for max obj.z s.t. rows[i][:n].z <= rows[i][n], z >= 0; else None."""
+    for max obj.z s.t. rows[i].z <= rhs[i], z >= 0; else None.  The rows
+    are {column: int} dicts; their denominators cancel from every check."""
     n = len(obj)
     S = [v for v in basis if v < n]
+    at = {j: k for k, j in enumerate(S)}
     tight = sorted(set(range(n, n + len(rows))) - set(basis))
-    Rw = [_reduce(rows[v - n]) for v in tight]
-    sol = _solve([{k: t[j] for k, j in enumerate(S) if t[j]} for t in Rw],
-                 [t[n] for t in Rw])
+    Rw, Rb = [], []
+    for v in tight:
+        t, b = rows[v - n], rhs[v - n]
+        g = gcd(b, *t.values())
+        if g > 1:
+            t, b = {j: a // g for j, a in t.items()}, b // g
+        Rw.append(t)
+        Rb.append(b)
+    sol = _solve([{at[j]: a for j, a in t.items() if j in at} for t in Rw], Rb)
     if sol is None or any(v < 0 for v in sol[0]):
         return None
     Z, dz = sol
-    sol = _solve([{k: t[j] for k, t in enumerate(Rw) if t[j]} for j in S],
-                 [obj[j] for j in S])
+    cols = [{} for _ in S]
+    for k, t in enumerate(Rw):
+        for j, a in t.items():
+            if j in at:
+                cols[at[j]][k] = a
+    sol = _solve(cols, [obj[j] for j in S])
     if sol is None or any(v < 0 for v in sol[0]):
         return None
     Y, dy = sol
-    support = [(j, v) for j, v in zip(S, Z) if v]
-    for t in rows:
-        if sum(t[j] * v for j, v in support) > t[n] * dz:
+    support = {j: v for j, v in zip(S, Z) if v}
+    for t, b in zip(rows, rhs):
+        if sum(a * support[j] for j, a in t.items() if j in support) > b * dz:
             return None
     sums = [0] * n
     for t, v in zip(Rw, Y):
         if v:
-            for j in range(n):
-                if t[j]:
-                    sums[j] += t[j] * v
+            for j, a in t.items():
+                sums[j] += a * v
     if any(s < cj * dy for s, cj in zip(sums, obj)):
         return None
     z = [R(0)] * n
-    for j, v in support:
+    for j, v in support.items():
         z[j] = R(v, dz)
     return z
 
@@ -264,10 +345,11 @@ def _solve(rows, rhs):
     return Z, D
 
 
-def _bland(obj, rows):
+def _bland(obj, rows, rhs, den):
     """Bland's rule from the slack basis on the exact condensed tableau."""
     n, m = len(obj), len(rows)
-    T = [_reduce([*t, den]) for t, den in rows]
+    # the sparse rows densified: n ints, the rhs, the row denominator
+    T = [_reduce([t.get(j, 0) for j in range(n)] + [b, d]) for t, b, d in zip(rows, rhs, den)]
     nonbasic = list(range(n))       # variable of each column: structural, then slack
     basis = [n + i for i in range(m)]
     # reduced costs of the minimization of -c.z; the slack basis has cost 0

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from socrs import dist as dist_mod, env as env_mod
+from socrs import dist as dist_mod, env as env_mod, simplex
 from socrs.counting import CountingOracle
 from socrs.dist import (ExplicitDistribution, GibbsDistribution,
                         NonEnumerableError, NullConditioningError, addability_prob,
@@ -364,6 +364,11 @@ def test_simplex_basic():
     opt, z = solve_lp(c, A_ub, b_ub)
     assert opt == Fraction(14, 5)
     assert list(z) == [Fraction(8, 5), Fraction(6, 5)]
+    # rows as {column: value} dicts, and in the solver's own form
+    assert solve_lp(c, [{0: 1, 1: 2}, {0: 3, 1: Fraction(1)}], b_ub) == (opt, z)
+    assert solve_lp(c, [{0: 1, 1: 2}, {0: 3, 1: 1}], [4, 6], den=[1, 1]) == (opt, z)
+    assert solve_lp(c, [{0: 2, 1: 4}, {0: 3, 1: 1}], [8, 6], den=[2, 1],
+                    guide=np.array([[1.0, 2.0, 4.0], [3.0, 1.0, 6.0]])) == (opt, z)
     # the simplex starts at the slack basis, so a negative rhs is refused
     with pytest.raises(ValueError):
         solve_lp([Fraction(1)], [[Fraction(1)]], [Fraction(-1)])
@@ -429,7 +434,14 @@ def _full_tableau_lp(c, A_ub, b_ub, late=None):
     Bland's entering variable is not the first one with a negative reduced
     cost in the condensed column order, where each leaving variable takes
     the entering variable's column."""
-    from socrs.simplex import _int_row, _ratio, _reduce
+    from socrs.simplex import _ratio, _reduce
+
+    def _int_row(values):
+        # integers proportional to values, over a positive denominator
+        pairs = [_ratio(v) for v in values]
+        den = math.lcm(*(d for _, d in pairs))
+        return [p * (den // d) for p, d in pairs], den
+
     n, m = len(c), len(A_ub)
     total = n + m
     T = []
@@ -474,20 +486,100 @@ def _full_tableau_lp(c, A_ub, b_ub, late=None):
     return sum((Fraction(*_ratio(ci)) * zi for ci, zi in zip(c, z)), Fraction(0)), z
 
 
-def test_simplex_matches_the_full_tableau_on_stationary_lps(monkeypatch):
-    from socrs.generators import gen_instance
+def _reference_stationary_lp(env, x):
+    """The stationary LP as (c, A_ub, b_ub) with dense rows of ints and x's
+    exact rationals, in the solver's row order: the reference for the rows
+    solve_stationary_lp_exact builds."""
+    fam = env.family()
+    x = [Fraction(v) for v in x]
+    nv = len(fam)
+    ALPHA = nv - 1
+    A_ub, b_ub = [], []
+    for e, row in enumerate((-fam.inc[1:].T.astype(int)).tolist()):
+        A_ub.append(row + [x[e]])
+        b_ub.append(0)
+    for s, e, t in fam.caps.T.tolist():
+        row = [0] * nv
+        if t:
+            row[t - 1] = -x[e]
+            b_ub.append(0)
+        else:
+            row[:ALPHA] = [x[e]] * ALPHA
+            b_ub.append(x[e])
+        row[s - 1] += 1 - x[e]
+        A_ub.append(row)
+    A_ub.append([1] * ALPHA + [0])
+    b_ub.append(1)
+    return [0] * ALPHA + [1], A_ub, b_ub
+
+
+def _stationary_lp(env, x):
+    """The (c, A_ub, b_ub, keywords) solve_stationary_lp_exact hands the simplex."""
     lps = []
-    real = dist_mod.simplex.solve_lp
-    monkeypatch.setattr(dist_mod.simplex, "solve_lp",
-                        lambda c, A, b: lps.append((c, A, b)) or real(c, A, b))
-    solve_stationary_lp_exact(*gen_instance("bipartite-impossibility", n=3)[:2])
+    with pytest.MonkeyPatch.context() as mp:
+        # the point mass on the empty set stands in for the optimum
+        mp.setattr(dist_mod.simplex, "solve_lp", lambda c, A, b, **kw: lps.append((c, A, b, kw))
+                   or (Fraction(0), [Fraction(0)] * len(c)))
+        solve_stationary_lp_exact(env, x)
+    return lps[0]
+
+
+# the n = 3 impossibility and the 12 seeded graphs of one exact-lp benchmark
+# pass (perfbench --seed 1), x read as floats as lp-exact reads them
+_EXACT_LP_SEEDS = [2932689422, 3767864086, 1976859191, 986416742, 3571736738, 2884584986,
+                   879846148, 3434679992, 3371541566, 2304827615, 1382649795, 1214156065]
+
+
+def _exact_lp_instances():
+    from socrs.generators import gen_instance
+    yield gen_instance("bipartite-impossibility", n=3)[:2]
+    for slot, seed in enumerate(_EXACT_LP_SEEDS):
+        name, n_vertices = (("random-bipartite", 5), ("random-graph", 4))[slot % 2]
+        yield gen_instance(name, seed=seed, n_vertices=n_vertices, n_edges=6)[:2]
+
+
+def _assert_handoff_matches_the_reference(env, x):
+    c, rows, rhs, kw = _stationary_lp(env, x)
+    ref_c, ref_A, ref_b = _reference_stationary_lp(env, x)
+    assert set(kw) == {"den", "guide"} and c == ref_c
+    den = kw["den"]
+    assert len(rows) == len(rhs) == len(den) == len(ref_A)
+    for t, b, d, ref_row, ref_rhs in zip(rows, rhs, den, ref_A, ref_b):
+        # ints over a positive denominator, nonzeros only
+        assert type(d) is int and d >= 1 and 0 not in t.values()
+        assert [Fraction(t.get(j, 0), d) for j in range(len(c))] == ref_row
+        assert Fraction(b, d) == ref_rhs
+    ref_guide = np.array([[*row, b] for row, b in zip(ref_A, ref_b)], dtype=float)
+    assert kw["guide"].dtype == float and np.array_equal(kw["guide"], ref_guide)
+
+
+def test_the_handoff_matches_the_dense_reference_on_the_exact_lp_instances():
+    for env, x in _exact_lp_instances():
+        _assert_handoff_matches_the_reference(env, x)
+    # x_e = 0 and x_e = 1 put exact zeros in the reference's rows
+    _assert_handoff_matches_the_reference(triangle_env(), [0, 1, Fraction(1, 2)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_environments(), st.booleans(), st.data())
+def test_the_handoff_matches_the_dense_reference(env, rational, data):
+    if rational:
+        xs = st.fractions(Fraction(1, 20), Fraction(19, 20), max_denominator=20)
+    else:
+        xs = st.floats(0.05, 0.95)
+    x = data.draw(st.lists(xs, min_size=env.n, max_size=env.n))
+    _assert_handoff_matches_the_reference(env, x)
+
+
+def test_simplex_matches_the_full_tableau_on_stationary_lps():
+    from socrs.generators import gen_instance
+    instances = [gen_instance("bipartite-impossibility", n=3)[:2]]
     for seed in (1, 2):
         for name, n_vertices in (("random-bipartite", 5), ("random-graph", 4)):
-            env, x, _ = gen_instance(name, seed=seed, n_vertices=n_vertices, n_edges=6)
-            solve_stationary_lp_exact(env, x)
-    assert len(lps) == 5
-    for c, A, b in lps:
-        assert real(c, A, b) == _full_tableau_lp(c, A, b)
+            instances.append(gen_instance(name, seed=seed, n_vertices=n_vertices, n_edges=6)[:2])
+    for env, x in instances:
+        c, A, b, kw = _stationary_lp(env, x)
+        assert solve_lp(c, A, b, **kw) == _full_tableau_lp(*_reference_stationary_lp(env, x))
 
 
 def test_simplex_matches_the_full_tableau_on_degenerate_lps():
@@ -508,17 +600,6 @@ def test_simplex_matches_the_full_tableau_on_degenerate_lps():
     assert late_lps >= 5
 
 
-def _stationary_lp(env, x):
-    """The (c, A_ub, b_ub) that solve_stationary_lp_exact hands the simplex."""
-    lps = []
-    with pytest.MonkeyPatch.context() as mp:
-        # the point mass on the empty set stands in for the optimum
-        mp.setattr(dist_mod.simplex, "solve_lp", lambda c, A, b: lps.append((c, A, b))
-                   or (Fraction(0), [Fraction(0)] * len(c)))
-        solve_stationary_lp_exact(env, x)
-    return lps[0]
-
-
 def _lp_outcome(solve, c, A_ub, b_ub):
     try:
         return solve(c, A_ub, b_ub)
@@ -529,6 +610,9 @@ def _lp_outcome(solve, c, A_ub, b_ub):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_environments(), st.booleans(), st.data())
 def test_simplex_matches_the_full_tableau_on_random_stationary_lps(env, rational, data):
+    # the full-tableau reference takes 5 s on a family of 64 sets and 83 s
+    # on one of 128 (float x), under 0.05 s on families of at most 32 sets
+    assume(len(env.family()) <= 32)
     # x in (0, 1): rationals with small denominators, or floats whose exact
     # values carry 2^-52-scale denominators
     if rational:
@@ -536,8 +620,8 @@ def test_simplex_matches_the_full_tableau_on_random_stationary_lps(env, rational
     else:
         xs = st.floats(0.05, 0.95)
     x = data.draw(st.lists(xs, min_size=env.n, max_size=env.n))
-    c, A, b = _stationary_lp(env, x)
-    assert solve_lp(c, A, b) == _full_tableau_lp(c, A, b)
+    c, A, b, kw = _stationary_lp(env, x)
+    assert solve_lp(c, A, b, **kw) == _full_tableau_lp(*_reference_stationary_lp(env, x))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -571,32 +655,55 @@ _BASIC = ([1, 1], [[1, 2], [3, 1]], [4, 6])
 ], ids=["none", "slack", "primal-infeasible", "dual-infeasible", "singular",
         "negative-z", "negative-y"])
 def test_a_rejected_proposal_falls_back_to_bland(lp, proposal, monkeypatch):
-    from socrs import simplex
     falls = []
     bland = simplex._bland
-    monkeypatch.setattr(simplex, "_float_basis", lambda c, A, b: proposal)
+    monkeypatch.setattr(simplex, "_float_basis", lambda c, guide: proposal)
     monkeypatch.setattr(simplex, "_bland", lambda *a: falls.append(1) or bland(*a))
-    assert solve_lp(*lp) == _full_tableau_lp(*lp)
-    assert falls == [1]
+    c, A, b = lp
+    rows, rhs, den = simplex._lp_form(len(c), A, b)
+    # the same LP as exact-number rows and in the solver's form
+    assert solve_lp(c, A, b) == _full_tableau_lp(c, A, b)
+    assert solve_lp(c, rows, rhs, den=den) == _full_tableau_lp(c, A, b)
+    assert falls == [1, 1]
     # an unbounded LP keeps its error whatever basis is proposed
     with pytest.raises(UnboundedLP, match="^LP is unbounded$"):
         solve_lp([1, 1], [[1, -1], [-1, 1]], [1, 0])
 
 
 def test_the_float_pass_never_raises_and_the_rhs_is_checked_first(monkeypatch):
-    from socrs import simplex
     huge = Fraction(10 ** 400)
-    # entries beyond the float range and an unbounded column propose nothing
-    assert simplex._float_basis([1], [[huge]], [1]) is None
-    assert simplex._float_basis([1], [[-1]], [1]) is None
-    assert simplex._float_basis([1, 2], [], []) is None
+    # an entry beyond the float range leaves no guide; no guide, an
+    # objective beyond the float range, an unbounded column and no rows
+    # propose nothing
+    assert simplex._guide(1, [{0: 10 ** 400}], [1], [1]) is None
+    assert simplex._float_basis([1], None) is None
+    assert simplex._float_basis([huge], np.array([[1.0, 1.0]])) is None
+    assert simplex._float_basis([1], np.array([[-1.0, 1.0]])) is None
+    assert simplex._float_basis([1, 2], np.zeros((0, 3))) is None
     assert solve_lp([1], [[huge]], [1]) == _full_tableau_lp([1], [[huge]], [1])
+    assert solve_lp([huge], [[1]], [1]) == _full_tableau_lp([huge], [[1]], [1])
 
-    def no_proposal(c, A, b):
+    def no_proposal(c, guide):
         raise AssertionError("the float pass ran before the rhs check")
     monkeypatch.setattr(simplex, "_float_basis", no_proposal)
     with pytest.raises(ValueError, match=r"^b_ub\[0\] = -1 is negative"):
         solve_lp([1], [[1]], [-1])
+
+
+@pytest.mark.parametrize("rhs, den, guide, message", [
+    ([1, -1], [1, 3], None, r"^b_ub\[1\] = -1/3 is negative"),
+    ([1, 1], [1, 0], None, r"^den\[1\] = 0 is not positive"),
+    ([-1, 1], [-2, 1], None, r"^den\[0\] = -2 is not positive"),
+    ([1, 1], [1], None, "differ in length"),
+    ([1, 1], [1, 1], np.zeros((2, 2)), r"guide has shape \(2, 2\), not \(2, 3\)"),
+    ([1, 1], None, np.zeros((2, 3)), "a guide needs den"),
+])
+def test_the_solver_form_is_checked_before_the_float_pass(rhs, den, guide, message, monkeypatch):
+    def no_proposal(c, guide):
+        raise AssertionError("the float pass ran before the form was checked")
+    monkeypatch.setattr(simplex, "_float_basis", no_proposal)
+    with pytest.raises(ValueError, match=message):
+        solve_lp([1, 1], [{0: 1, 1: 2}, {0: 3, 1: 1}], rhs, den=den, guide=guide)
 
 
 @pytest.mark.parametrize("name, n_vertices, alpha, support", [

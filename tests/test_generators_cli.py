@@ -166,6 +166,20 @@ def test_cli_lp_exact_on_a_10_edge_graph_is_pinned(tmp_path):
     assert doc["support_size"] == 51
 
 
+def test_cli_lp_exact_on_a_14_edge_graph_is_pinned(tmp_path):
+    # |F| = 200: 307 rows of 200 columns in the exact LP; the 1,549-character
+    # alpha is pinned by its SHA-256
+    inst, out = tmp_path / "inst.json", tmp_path / "lp.json"
+    assert cli.main(["gen", "random-graph", "--params", '{"n_vertices": 10, "n_edges": 14}',
+                     "--seed", "1", "--out", str(inst)]) == 0
+    assert cli.main(["lp-exact", "--out", str(out), str(inst)]) == 0
+    doc = json.loads(out.read_text())
+    assert hashlib.sha256(doc["alpha"].encode()).hexdigest() == (
+        "d179783a9ba64c5c2c70a99cfa4f0eb9f9296435ae8ff5d51b14cbb7ea9b9fbb")
+    assert doc["alpha_float"] == 0.5010342342389196
+    assert doc["support_size"] == 150
+
+
 def test_cli_lp_exact_beyond_budget_exits_two(tmp_path):
     # |F| = 6196 exceeds the rational simplex budget of 5000: too large an
     # instance is an input error, not a violation
@@ -242,9 +256,10 @@ def test_cli_estimate_document_keys(tmp_path, mode):
     out = tmp_path / "est.json"
     assert cli.main(["estimate", "--alpha", "0.3", "--samples", "2000", "--mode", mode,
                      "--out", str(out), str(inst)]) == 0
-    assert set(json.loads(out.read_text())) == {
+    # each mode's document carries the one list that mode fills
+    assert list(json.loads(out.read_text())) == [
         "instance_id", "alpha_target", "alpha_achieved", "per_element",
-        "stationarity_tv", "intervals", "runtime"}
+        {"mc": "intervals", "exact": "stationarity_tv"}[mode], "runtime"]
 
 
 @pytest.mark.parametrize("argv", [["verify-lp"], ["estimate", "--mode", "exact"]])
@@ -271,7 +286,8 @@ def test_exact_estimate_reports_the_output_laws_distance_to_the_witness():
     gibbs = solve_maxent(env, CountingOracle("enumeration", env=env), np.asarray(x) / 3)
     rec = estimate_selectability(gibbs, x, ExperimentConfig(mode="exact"))
     assert len(rec.stationarity_tv) == 1 and 0 <= rec.stationarity_tv[0] <= 1e-12
-    assert estimate_selectability(gibbs, x, ExperimentConfig(samples=100)).stationarity_tv == []
+    mc = estimate_selectability(gibbs, x, ExperimentConfig(samples=100))
+    assert mc.stationarity_tv is None and "stationarity_tv" not in mc.to_doc()
     # rational witness and x: the expansion reproduces the witness exactly
     triangle = matching_environment([(0, 1), (1, 2), (0, 2)], 3)
     rec = estimate_selectability(GibbsDistribution(triangle, [Fraction(1, 4)] * 3),
