@@ -19,8 +19,8 @@ from . import generators, io
 from .counting import BaseMeasure, CountingOracle
 from .dist import solve_stationary_lp_exact, verify_stationary_lp
 from .env import EnumerationBudgetError, EnvironmentError_
-from .maxent import (solve_maxent, dominating_base_point, kl_diagnostics,
-                     BoundaryDivergenceError)
+from .maxent import (solve_maxent, solve_kl_projection, dominating_base_point,
+                     kl_diagnostics, BoundaryDivergenceError)
 from .policy import OrderStrategy, run_one_shot, run_recurring
 from .rayleigh import build_witness, materialize
 from .sampling import RngStream
@@ -78,11 +78,11 @@ def cmd_solve_maxent(args):
 def cmd_kl_project(args):
     env, x, scale = io.parse_instance(args.instance)
     m = _matroid_of(env)
-    wit = build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x), tol=args.tol,
-                        check_rayleigh=False)
-    _out(args, {"q": list(map(float, wit.q)), "q_used": list(map(float, wit.q_used)),
-                "w": list(map(float, wit.w)),
-                "diagnostics": kl_diagnostics(wit.solver, wit.q, wit.q_used)})
+    q = dominating_base_point(m, x)
+    oracle = CountingOracle("enumeration", base=BaseMeasure.uniform_on_bases(m))
+    w, q_used, solver = solve_kl_projection(oracle, q, tol=args.tol)
+    _out(args, {"q": list(map(float, q)), "q_used": list(map(float, q_used)),
+                "w": list(map(float, w)), "diagnostics": kl_diagnostics(solver, q, q_used)})
     return 0
 
 
@@ -98,15 +98,12 @@ def cmd_dominate(args):
 def cmd_build_rayleigh(args):
     env, x, scale = io.parse_instance(args.instance)
     m = _matroid_of(env)
-    mu0 = BaseMeasure.uniform_on_bases(m)
-    witness = build_witness(m, mu0, np.asarray(x), b=scale, tol=args.tol,
+    witness = build_witness(BaseMeasure.uniform_on_bases(m), x, b=scale, tol=args.tol,
                             rng=RngStream(args.seed))
     doc = witness.to_doc()
     if m.n <= 14:
-        table = materialize(witness)
         doc["mu_star"] = {"+".join(map(str, sorted(S))) or "empty": float(p)
-                          for S, p in sorted(table.support.items(),
-                                             key=lambda kv: (len(kv[0]), sorted(kv[0])))}
+                          for S, p in materialize(witness).support.items()}
     _out(args, doc)
     return 0
 

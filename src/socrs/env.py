@@ -7,7 +7,9 @@ Its feasible family is enumerated once, level by level, as parent pointers
 (`Environment.family()`), and indexed by position: the incidence matrix,
 the down/up move tables and the stationary caps every exact reader works on
 are built from those pointers, and so are the family's sets as frozensets,
-but only when something reads them.
+but only when something reads them.  A matroid has one environment
+(`matroid_environment`, kept on the matroid), so its parse, its bases (the
+family's top level) and every law on it share one enumerated family.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class Matroid:
         self._rank = rank_fn
         self.meta = meta or {}
         self.rank_total = rank_fn(frozenset(range(n)))
-        self._bases = None
+        self._env = None            # matroid_environment; its meta holds self, a cycle
         self._rank_table = None
 
     def rank(self, T):
@@ -175,11 +177,12 @@ class Matroid:
         return sums
 
     def bases(self):
-        """All bases (independent sets of full rank), enumerated on the first call."""
-        if self._bases is None:
-            env = matroid_environment(self)
-            self._bases = [S for S in env.enumerate_feasible() if len(S) == self.rank_total]
-        return list(self._bases)
+        """All bases (independent sets of full rank) in (size, lex) order: the
+        top level of the environment's family, read off its incidence rows."""
+        fam = matroid_environment(self).family()
+        top = fam.inc[len(fam) - len(fam.levels[-1][0]):] if fam.levels else fam.inc
+        rows = np.nonzero(top)[1].reshape(len(top), self.rank_total)
+        return list(map(frozenset, rows.tolist()))
 
 
 def subset_table_size(n):
@@ -294,16 +297,16 @@ class Environment:
                 raise EnvironmentError_(f"element {e} out of range [0,{self.n})")
         return self._feasible(S)
 
-    def enumerate_feasible(self, cap=None):
+    def enumerate_feasible(self):
         """All feasible sets, sorted by size then lexicographically: the
         enumerated family's `sets`."""
-        return list(self.family(cap).sets)
+        return list(self.family().sets)
 
     def incidence(self):
         """The enumerated family's incidence matrix `Family.inc`."""
         return self.family().inc
 
-    def family(self, cap=None):
+    def family(self):
         """The enumerated family by position, as a `Family` whose tables
         (sets, index, inc, down, up, caps) are built on their first read.
 
@@ -316,16 +319,15 @@ class Environment:
         component labels each set keeps per vertex (e must join two of S's
         components), or else the oracle, one call per candidate set (which
         the family then keeps as its sets).
-        Raises EnumerationBudgetError once the family exceeds `cap`
-        (ENUMERATION_CAP when None, read at call time): before a level is
-        built when it is known from the matrix, and after at most one block
-        of oracle calls past the cap otherwise.
+        Raises EnumerationBudgetError once the family exceeds
+        ENUMERATION_CAP, read at call time: before a level is built when it
+        is known from the matrix, and after at most one block of oracle calls
+        past the cap otherwise.
         """
-        cap = ENUMERATION_CAP if cap is None else cap
         if self._family is None:
-            self._family = self._enumerate(cap)
-        if len(self._family) > cap:
-            raise _budget_error(cap)
+            self._family = self._enumerate(ENUMERATION_CAP)
+        if len(self._family) > ENUMERATION_CAP:
+            raise _budget_error(ENUMERATION_CAP)
         return self._family
 
     def _enumerate(self, cap):
@@ -545,7 +547,10 @@ def k_uniform_environment(n, k):
 
 
 def matroid_environment(m):
-    return Environment(m.n, "matroid", m.is_independent, {"matroid": m})
+    """The matroid's one environment, built on the first call and kept on it."""
+    if m._env is None:
+        m._env = Environment(m.n, "matroid", m.is_independent, {"matroid": m})
+    return m._env
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +560,6 @@ def matroid_environment(m):
 @dataclass
 class ActivationVector:
     x: list
-    scale: float = 1.0
 
     def __post_init__(self):
         self.x = [float(v) for v in self.x]
@@ -571,8 +575,12 @@ class MembershipReport:
     detail: dict = field(default_factory=dict)
 
 
-def _vertex_loads(edges, x, n_vertices):
-    loads = [0.0] * n_vertices
+def _vertex_loads(env, x):
+    """Each vertex's load sum_{e at v} x_e in an edge environment, the edges
+    added in element order; vertices 0..n_vertices-1, else 0..max."""
+    edges = env.meta["edges"]
+    nv = env.meta.get("n_vertices") or 1 + max((v for e in edges for v in e), default=-1)
+    loads = [0.0] * nv
     for e, verts in enumerate(edges):
         for v in verts:
             loads[v] += x[e]
@@ -587,8 +595,6 @@ def check_membership(env, x):
     complete inequality description at this desk scale report "undetermined"
     when the necessary conditions pass strictly.
     """
-    if isinstance(x, ActivationVector):
-        x = x.x
     x = [float(v) for v in x]
     if len(x) != env.n:
         raise EnvironmentError_("activation vector length mismatch")
@@ -600,11 +606,7 @@ def check_membership(env, x):
     hit_boundary = any(abs(v - 1.0) <= tol for v in x) or any(abs(v) <= tol for v in x)
 
     if env.kind in ("general-matching", "bipartite-matching", "hypergraph-matching"):
-        edges = env.meta["edges"]
-        n_vertices = env.meta.get("n_vertices")
-        if n_vertices is None:
-            n_vertices = 1 + max(v for e in edges for v in e)
-        loads = _vertex_loads(edges, x, n_vertices)
+        loads = _vertex_loads(env, x)
         worst = max(range(len(loads)), key=lambda v: loads[v], default=None)
         if worst is not None and loads[worst] > 1.0 + tol:
             return MembershipReport("outside", f"vertex {worst} load {loads[worst]:.6f} > 1",

@@ -14,7 +14,7 @@ import numpy as np
 from . import replay as replay_mod
 from .counting import CountingOracle
 from .dist import total_variation
-from .env import (matching_environment, hypergraph_matching_environment,
+from .env import (_vertex_loads, matching_environment, hypergraph_matching_environment,
                   k_uniform_environment, matroid_environment, Matroid)
 from .maxent import solve_maxent, BoundaryDivergenceError
 from .policy import OrderStrategy, exact_output_law
@@ -208,13 +208,7 @@ def _scaled_random_x(rng, env):
     n = env.n
     raw = 0.1 + 0.9 * np.asarray(rng.uniform(n))
     if env.kind in ("general-matching", "bipartite-matching", "hypergraph-matching"):
-        edges = env.meta["edges"]
-        nv = env.meta.get("n_vertices") or (1 + max(v for e in edges for v in e))
-        loads = np.zeros(nv)
-        for e, verts in enumerate(edges):
-            for v in verts:
-                loads[v] += raw[e]
-        scale = 0.9 / max(loads.max(), 1.0)
+        scale = 0.9 / max(max(_vertex_loads(env, raw)), 1.0)
     elif env.kind == "k-uniform":
         scale = 0.9 * env.meta["k"] / raw.sum()
     else:

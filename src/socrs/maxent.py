@@ -255,17 +255,18 @@ def is_boundary_base_point(matroid, q):
     return bool(np.any(matroid.subset_sums(q)[1:-1] >= ranks[1:-1] - FACE_TOL))
 
 
-def solve_kl_projection(base, oracle, q, tol=1e-8):
-    """Tilt weights w with P_{mu_w}[e in B] = q_e (after boundary shrinking).
+def solve_kl_projection(oracle, q, tol=1e-8):
+    """Tilt weights w with P_{mu_w}[e in B] = q_e (after boundary shrinking),
+    mu_w the tilt of the base measure the oracle counts (`oracle.base`).
 
     Boundary base points are pre-shrunk toward the barycentric base point:
     q' = (1 - DELTA_SHRINK) q + DELTA_SHRINK qbar.  Returns (w, q_used, record), the record
     being the `DualState` of the solve that produced w.
     """
     q = np.asarray(q, dtype=float)
-    boundary = is_boundary_base_point(base.matroid, q)
+    boundary = is_boundary_base_point(oracle.base.matroid, q)
     # qbar enumerates the bases, so only a shrunk target reads it
-    qbar = None if boundary is False else barycentric_base_point(base)
+    qbar = None if boundary is False else barycentric_base_point(oracle.base)
     target = q if qbar is None else (1 - DELTA_SHRINK) * q + DELTA_SHRINK * qbar
     try:
         state = _solve_dual(oracle, target, tol)

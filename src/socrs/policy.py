@@ -150,7 +150,7 @@ def _initial_sample(dist, rng):
 EXACT_ATOM_CAP = 1_000_000
 
 
-def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
+def exact_output_law(dist, x, strategy):
     """Exhaustively expand activations x acceptance coins over one strategy.
 
     Returns (output law as ExplicitDistribution, per-element acceptance
@@ -161,8 +161,8 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     heat-bath step over `dist.stationary_conditionals` with the branches
     inactive (mass 1-x), active and accepted (q) and active and rejected
     (x-q).  An atom's branches whose mass is not live (not positive in
-    floats, zero in exact numbers) are dropped; `atom_cap` bounds the live
-    atoms after every arrival.
+    floats, zero in exact numbers) are dropped; EXACT_ATOM_CAP, read at call
+    time, bounds the live atoms after every arrival.
 
     An adaptive strategy's states are keyed by public history (what the
     adversary can see), each a sub-distribution over family positions, and
@@ -198,7 +198,7 @@ def exact_output_law(dist, x, strategy, atom_cap=EXACT_ATOM_CAP):
     accept_prob = [0 if exact else 0.0] * n
     expand = _expand_adaptive if strategy.variant == "adaptive" else _expand_fixed
     pos, p = expand(strategy, env.family(), stationary_conditionals(table, exact), xs,
-                    live, accept_prob, atom_cap)
+                    live, accept_prob)
     return ExplicitDistribution.on_family(env, pos, p, tol=1e-9), accept_prob
 
 
@@ -219,7 +219,7 @@ def _check_null(fam, null, at, e):
             f"P[S_-e = {sorted(fam.sets[fam.down[at[stuck[0]], e]])}] = 0")
 
 
-def _expand_fixed(strategy, fam, conditionals, xs, live, accept_prob, atom_cap):
+def _expand_fixed(strategy, fam, conditionals, xs, live, accept_prob):
     """The expansion over a non-adaptive order on one dense mass vector,
     one cap sweep per arrival (see `exact_output_law`): (positions, masses).
     The arrivals are the ones `OrderStrategy.next_element` makes: each
@@ -260,13 +260,13 @@ def _expand_fixed(strategy, fam, conditionals, xs, live, accept_prob, atom_cap):
             hit = (mm != 0).any(axis=0)
             on[pairs[0, k]] |= hit & ((xe != 1) | d_live[k])
             on[pairs[1, k]] |= hit & c_live[k]
-        if np.count_nonzero(on) > atom_cap:
-            raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
+        if np.count_nonzero(on) > EXACT_ATOM_CAP:
+            raise EnumerationBudgetError(f"exact expansion exceeded {EXACT_ATOM_CAP} atoms")
     pos = np.flatnonzero(on)
     return pos, m[pos]
 
 
-def _expand_adaptive(strategy, fam, conditionals, xs, live, accept_prob, atom_cap):
+def _expand_adaptive(strategy, fam, conditionals, xs, live, accept_prob):
     """The expansion over an adaptive strategy, one state per public
     history, merged at the end: (positions, masses)."""
     mu, q, null = conditionals
@@ -289,8 +289,8 @@ def _expand_adaptive(strategy, fam, conditionals, xs, live, accept_prob, atom_ca
                 if keep.any():
                     new_states.append((hist + (ev,), *_merge(at[keep], mass[keep])))
         states = new_states
-        if sum(len(s[1]) for s in states) > atom_cap:
-            raise EnumerationBudgetError(f"exact expansion exceeded {atom_cap} atoms")
+        if sum(len(s[1]) for s in states) > EXACT_ATOM_CAP:
+            raise EnumerationBudgetError(f"exact expansion exceeded {EXACT_ATOM_CAP} atoms")
     return _merge(np.concatenate([s[1] for s in states]),
                   np.concatenate([s[2] for s in states]))
 

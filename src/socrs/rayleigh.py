@@ -9,8 +9,11 @@ activation vector x in b*P:
 giving an implicit law mu* over independent sets with marginals x/(1+b) and
 stationary caps at x.
 
-Every step reads mu0's one base family (`BaseMeasure.family`, built once); the
-check tabulates a plain {set: mass} dict the same way (`counting.family_of`).
+The witness is built from mu0 alone (its matroid is mu0.matroid).  Every step
+reads mu0's one base family (`BaseMeasure.family`, built once), the top level
+of the matroid's one environment's family (`env.matroid_environment`), and mu*
+is a law on that family's positions; the check tabulates a plain {set: mass}
+dict the same way (`counting.family_of`).
 
 Step (iii) and the Rayleigh check's superset sums P[T subseteq B] are one
 subset transform on a dense 2^n table indexed by bitmask, as step (i)'s rank
@@ -57,9 +60,6 @@ class RayleighWitness:
     def matroid(self):
         return self.base.matroid
 
-    def env(self):
-        return matroid_environment(self.matroid)
-
     def to_doc(self):
         return {
             "q": list(map(float, self.q)),
@@ -72,18 +72,18 @@ class RayleighWitness:
         }
 
 
-def build_witness(matroid, mu0, x, b=1.0, tol=1e-9, check_rayleigh=True, rng=None):
-    """Chain dominate -> KL-project -> thin.  Returns a RayleighWitness."""
+def build_witness(mu0, x, b=1.0, tol=1e-9, rng=None):
+    """Chain dominate -> KL-project -> thin on mu0's matroid, after a Rayleigh
+    check of mu0 (20 tilts from rng) up to 12 elements.  Returns a RayleighWitness."""
     x = np.asarray(x, dtype=float)
-    y = x / b
-    if check_rayleigh and matroid.n <= 12:
+    if mu0.matroid.n <= 12:
         ok, worst, _ = rayleigh_check(mu0, trials=20, rng=rng)
         if not ok:
             raise NotRayleighError(f"base measure fails the Rayleigh inequality by {worst}")
-    q = dominating_base_point(matroid, y)
+    q = dominating_base_point(mu0.matroid, x / b)
     # materialize reads this oracle's tilted base law, set by set
     oracle = CountingOracle("enumeration", base=mu0)
-    w, q_used, solver = solve_kl_projection(mu0, oracle, q, tol=tol)
+    w, q_used, solver = solve_kl_projection(oracle, q, tol=tol)
     # thin against the marginals the projected measure actually has (q_used,
     # the delta-shrunk targets), so mu* marginals are x/(1+b) to solver tol
     s = x / (b * q_used)
@@ -107,16 +107,17 @@ def _thin(masks, probs, n, keep, drop):
 
 
 def materialize(witness):
-    """Explicit mu* table over independent sets (n <= 20 elements): the
-    witness oracle's tilted base law, each base thinned element by element."""
-    env = witness.env()
+    """mu* as a law on its matroid's family positions (n <= 20 elements): the
+    witness oracle's tilted base law, each base thinned element by element,
+    read at the family's masks; the sets of mass zero are left out."""
+    n = witness.matroid.n
+    bits = 1 << np.arange(n)
     probs = witness.oracle._set_probs(witness.w)
-    n = env.n
-    masks = witness.base.family()[2] @ (1 << np.arange(n))
-    law = _thin(masks, probs, n, witness.tau, 1.0 - witness.tau)
-    support = {frozenset(e for e in range(n) if mask >> e & 1): float(law[mask])
-               for mask in np.flatnonzero(law).tolist()}
-    return ExplicitDistribution(env, support, tol=1e-9)
+    law = _thin(witness.base.family()[2] @ bits, probs, n, witness.tau, 1.0 - witness.tau)
+    env = matroid_environment(witness.matroid)
+    mass = law[env.family().inc @ bits]
+    pos = np.flatnonzero(mass)
+    return ExplicitDistribution.on_family(env, pos, mass[pos], tol=1e-9)
 
 
 def pi_conditional(witness, e, T):

@@ -250,8 +250,7 @@ def test_criterion_07_rayleigh_pipeline():
                    for T in (frozenset(e for e in range(n) if mask >> e & 1)
                              for mask in range(1, 1 << n)))
         x = raw * (0.9 / load if load > 1 else 1.0)
-        witness = build_witness(m, BaseMeasure.uniform_on_bases(m), x, b=1.0,
-                                check_rayleigh=False)
+        witness = build_witness(BaseMeasure.uniform_on_bases(m), x, b=1.0)
         law = materialize(witness)
         worst_marg = max(worst_marg,
                          max(abs(law.marginal(e) - x[e] / 2) for e in range(n)))
@@ -263,7 +262,7 @@ def test_criterion_07_rayleigh_pipeline():
     # scaled mode b = 2 on the triangle
     m3 = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
     x3 = np.array([0.3, 0.25, 0.35])
-    w2 = build_witness(m3, BaseMeasure.uniform_on_bases(m3), x3, b=2.0)
+    w2 = build_witness(BaseMeasure.uniform_on_bases(m3), x3, b=2.0)
     law2 = materialize(w2)
     b2_err = max(abs(law2.marginal(e) - x3[e] / 3) for e in range(3))
     _report(7, "Rayleigh pipeline is 1/2-selectable (1/3 at b=2)",

@@ -1,16 +1,18 @@
 """Environments, matroids, and membership checks."""
 
+import gc
 import itertools
 import json
 import tracemalloc
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from socrs import cli
+from socrs import cli, env as env_mod
 from socrs.env import (ORACLE_BLOCK, ActivationVector, EnumerationBudgetError,
                        Environment, EnvironmentError_, Matroid, check_membership,
                        hypergraph_matching_environment, k_uniform_environment,
@@ -65,10 +67,10 @@ def _reference_family(env):
 
 
 @st.composite
-def _environment_builders(draw):
+def _environment_builders(draw, kinds=("matching", "bipartite", "hypergraph", "k-uniform",
+                                       "graphic", "uniform", "star", "oracle")):
     """A zero-argument function building a fresh environment of a random kind."""
-    kind = draw(st.sampled_from(["matching", "bipartite", "hypergraph", "k-uniform",
-                                 "graphic", "uniform", "star", "oracle"]))
+    kind = draw(st.sampled_from(kinds))
     nv = draw(st.integers(2, 7))
     if kind == "matching":
         edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
@@ -114,11 +116,14 @@ def test_family_matches_brute_force(build):
     assert fam.caps.T.tolist() == caps and fam.caps.dtype == np.int64
     assert fam.inc.dtype == bool and fam.inc.tolist() == inc
     env = build()
-    with pytest.raises(EnumerationBudgetError):
-        env.enumerate_feasible(cap=len(sets) - 1)
-    assert env.enumerate_feasible(cap=len(sets)) == sets
-    with pytest.raises(EnumerationBudgetError):    # also once the family is cached
-        env.enumerate_feasible(cap=len(sets) - 1)
+    with mock.patch.object(env_mod, "ENUMERATION_CAP", len(sets) - 1):
+        with pytest.raises(EnumerationBudgetError):
+            env.enumerate_feasible()
+    with mock.patch.object(env_mod, "ENUMERATION_CAP", len(sets)):
+        assert env.enumerate_feasible() == sets
+    with mock.patch.object(env_mod, "ENUMERATION_CAP", len(sets) - 1):
+        with pytest.raises(EnumerationBudgetError):    # also once the family is cached
+            env.enumerate_feasible()
 
 
 def test_matching_family_builds_its_sets_on_first_read_and_holds_no_environment():
@@ -133,21 +138,22 @@ def test_matching_family_builds_its_sets_on_first_read_and_holds_no_environment(
     assert fam.index[frozenset({1, 3})] == 6 == len(fam) - 1
 
 
-def test_enumeration_budget_stops_before_a_large_level():
+def test_enumeration_budget_stops_before_a_large_level(monkeypatch):
     """K40 has 781 matchings of size <= 1 and 274,951 of size <= 2: with a
     cap between the two, the second level's sets are never built."""
     env = matching_environment(list(itertools.combinations(range(40), 2)))
+    monkeypatch.setattr(env_mod, "ENUMERATION_CAP", 1000)
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationBudgetError):
-            env.enumerate_feasible(cap=1000)
+            env.enumerate_feasible()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6       # the level's frozensets alone would take about 60 MB
 
 
-def test_enumeration_budget_stops_the_oracle_within_a_block():
+def test_enumeration_budget_stops_the_oracle_within_a_block(monkeypatch):
     """Every pair of 200 elements is feasible (19,900 candidates on level 2):
     the oracle is called for at most one block of them past the cap."""
     calls = [0]
@@ -156,8 +162,9 @@ def test_enumeration_budget_stops_the_oracle_within_a_block():
         calls[0] += 1
         return len(S) <= 2
 
+    monkeypatch.setattr(env_mod, "ENUMERATION_CAP", 300)
     with pytest.raises(EnumerationBudgetError):
-        Environment(200, "pairs", feasible).enumerate_feasible(cap=300)
+        Environment(200, "pairs", feasible).enumerate_feasible()
     assert calls[0] <= 300 + ORACLE_BLOCK
 
 
@@ -263,6 +270,32 @@ def test_bases_and_explicit_matroid():
     m2 = Matroid.explicit(3, indep)
     assert m2.rank(frozenset({0, 1, 2})) == 2
     assert sorted(map(sorted, m2.bases())) == sorted(map(sorted, bases))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_environment_builders(kinds=("graphic", "uniform")))
+@example(lambda: matroid_environment(Matroid.graphic(2, [(0, 0), (1, 1)])))    # rank 0
+@example(lambda: matroid_environment(Matroid.graphic(3, [(0, 0), (0, 1), (1, 1), (1, 2)])))
+@example(lambda: matroid_environment(Matroid.uniform(3, 0)))
+@example(lambda: matroid_environment(Matroid.uniform(0, 0)))
+def test_bases_are_the_full_rank_independent_sets(build):
+    sets = _reference_family(build())[0]
+    m = build().meta["matroid"]
+    assert m.bases() == [S for S in sets if len(S) == m.rank_total]
+    assert all(type(e) is int for B in m.bases() for e in B)
+
+
+def test_a_matroid_keeps_one_environment():
+    m = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
+    env = matroid_environment(m)
+    assert matroid_environment(m) is env and env.meta["matroid"] is m
+    assert m.bases() == env.enumerate_feasible()[-3:]
+    # the matroid and its environment reference each other; the cyclic
+    # collector reclaims both
+    alive = weakref.ref(env)
+    del m, env
+    gc.collect()
+    assert alive() is None
 
 
 def test_activation_vector_validation():

@@ -142,7 +142,7 @@ def test_kl_projection_interior_target():
     base = BaseMeasure.uniform_on_bases(m)
     oracle = CountingOracle("enumeration", base=base)
     q = np.array([0.7, 0.65, 0.65])
-    w, q_used, _ = solve_kl_projection(base, oracle, q, tol=1e-10)
+    w, q_used, _ = solve_kl_projection(oracle, q, tol=1e-10)
     assert np.allclose(q_used, q)
     assert np.abs(oracle.marginals(w) - q).max() < 1e-8
 
@@ -152,7 +152,7 @@ def test_kl_projection_boundary_target_shrinks():
     base = BaseMeasure.uniform_on_bases(m)
     oracle = CountingOracle("enumeration", base=base)
     q = np.array([1.0, 0.5, 0.5])     # vertex of the base polytope
-    w, q_used, _ = solve_kl_projection(base, oracle, q, tol=1e-10)
+    w, q_used, _ = solve_kl_projection(oracle, q, tol=1e-10)
     assert np.abs(q_used - q).max() > 0           # shrink happened
     assert np.abs(q_used - q).max() < 1e-5        # but barely
     assert np.abs(oracle.marginals(w) - q_used).max() < 1e-8
@@ -255,8 +255,8 @@ def test_matrix_tree_kl_projection_reaches_tol():
     m = env.meta["matroid"]
     base = BaseMeasure.uniform_on_bases(m)
     q = dominating_base_point(m, np.asarray(x) / b)
-    w, q_used, state = solve_kl_projection(base, CountingOracle("matrix-tree", base=base),
-                                           q, tol=1e-9)
+    w, q_used, state = solve_kl_projection(CountingOracle("matrix-tree", base=base), q,
+                                           tol=1e-9)
     assert state.newton_steps > 0 and state.grad_norm <= 1e-9
     assert np.any(q_used != q)
     enum = CountingOracle("enumeration", base=base)
@@ -273,8 +273,7 @@ def test_interior_kl_projection_reads_no_bases(monkeypatch):
     real = BaseMeasure.family
     monkeypatch.setattr(BaseMeasure, "family", lambda self: calls.append(1) or real(self))
     base = BaseMeasure.uniform_on_bases(m)
-    w, q_used, _ = solve_kl_projection(base, CountingOracle("matrix-tree", base=base), q,
-                                       tol=1e-10)
+    w, q_used, _ = solve_kl_projection(CountingOracle("matrix-tree", base=base), q, tol=1e-10)
     assert calls == [] and np.array_equal(q_used, q)
     assert np.abs(CountingOracle("matrix-tree", base=base).marginals(w) - q).max() < 1e-9
 
@@ -292,7 +291,7 @@ def test_shrunk_kl_projection_targets_the_barycentric_mix(instance):
         q = dominating_base_point(m, np.asarray(x) / b)
     base = BaseMeasure.uniform_on_bases(m)
     oracle = CountingOracle("enumeration", base=base)
-    w, q_used, _ = solve_kl_projection(base, oracle, q)
+    w, q_used, _ = solve_kl_projection(oracle, q)
     shrunk = (1 - maxent.DELTA_SHRINK) * q + maxent.DELTA_SHRINK * barycentric_base_point(base)
     assert np.array_equal(q_used, shrunk)
     assert np.array_equal(w, np.exp(maxent._solve_dual(oracle, shrunk, 1e-8).theta))
@@ -303,8 +302,7 @@ def test_kl_projection_near_boundary_hands_over_to_newton():
     # 20,000 steps here
     env, x, b = parse_instance(gen_instance("hat-graph", n=2, terminal_edge=True)[2])
     m = env.meta["matroid"]
-    witness = build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x), b=b,
-                            check_rayleigh=False)
+    witness = build_witness(BaseMeasure.uniform_on_bases(m), np.asarray(x), b=b)
     assert witness.solver.descent_steps < 200
     assert not witness.solver.fallback
     assert np.any(witness.q_used != witness.q)
@@ -320,8 +318,7 @@ def test_newton_accepts_steps_below_the_rounding_of_h():
     m = Matroid.graphic(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
     x = np.array([0.13973781827063406, 0.4033800355670849,
                   0.7136866454856076, 0.7980620881085303])
-    witness = build_witness(m, BaseMeasure.uniform_on_bases(m), x, tol=1e-12,
-                            check_rayleigh=False)
+    witness = build_witness(BaseMeasure.uniform_on_bases(m), x, tol=1e-12)
     assert not witness.solver.fallback
     assert witness.solver.grad_norm <= 1e-12
 
@@ -368,8 +365,7 @@ def test_kl_projection_starts_in_newton(measure, instance):
         base = BaseMeasure.uniform_on_bases(m)
     backend = "enumeration" if measure == "explicit-table" else measure
     q = dominating_base_point(m, y)
-    w, q_used, state = solve_kl_projection(base, CountingOracle(backend, base=base), q,
-                                           tol=1e-9)
+    w, q_used, state = solve_kl_projection(CountingOracle(backend, base=base), q, tol=1e-9)
     assert state.descent_steps == 0 and not state.fallback
     assert state.newton_steps > 0 and state.grad_norm <= 1e-9
     enum = CountingOracle("enumeration", base=base)
@@ -393,6 +389,29 @@ def test_build_rayleigh_on_the_2_hat_graph_runs_newton_only(tmp_path):
     for e in range(env.n):
         assert abs(law.marginal(e) - x[e] / (1 + b)) < 1e-6
     assert not verify_stationary_lp(law, list(x), 1 / (1 + b)).violated_caps
+
+
+@pytest.mark.parametrize("name, params", [
+    ("hat-graph", {"n": 2, "terminal_edge": True}),
+    ("random-graphic-matroid", {"n_vertices": 6, "n_edges": 10})])
+def test_kl_project_document_is_the_dominated_projection(name, params, tmp_path):
+    # kl-project prints x's dominating base point and its KL projection from
+    # the uniform base measure: the first two steps of build-rayleigh at b = 1
+    from socrs import cli
+    doc = gen_instance(name, seed=1, **params)[2]
+    out = tmp_path / "kl.json"
+    assert cli.main(["kl-project", "--out", str(out), json.dumps(doc)]) == 0
+    env, x, _ = parse_instance(doc)
+    m = env.meta["matroid"]
+    q = dominating_base_point(m, x)
+    w, q_used, state = solve_kl_projection(
+        CountingOracle("enumeration", base=BaseMeasure.uniform_on_bases(m)), q)
+    assert json.loads(out.read_text()) == {
+        "q": q.tolist(), "q_used": q_used.tolist(), "w": w.tolist(),
+        "diagnostics": maxent.kl_diagnostics(state, q, q_used)}
+    witness = build_witness(BaseMeasure.uniform_on_bases(m), x, tol=1e-8)
+    for got, expect in [(witness.q, q), (witness.q_used, q_used), (witness.w, w)]:
+        assert np.array_equal(got, expect)
 
 
 def test_maxent_dual_keeps_its_descent():

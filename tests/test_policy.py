@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socrs import dist as dist_mod
+from socrs import dist as dist_mod, policy
 from socrs.dist import (CAP_SLACK, ExplicitDistribution, GibbsDistribution,
                         NullConditioningError, solve_stationary_lp_exact,
                         verify_stationary_lp)
@@ -114,10 +114,11 @@ def test_exact_expansion_all_x_one():
     assert law_tv(law, d) == 0
 
 
-def test_exact_expansion_atom_cap_is_a_budget_error():
+def test_exact_expansion_atom_cap_is_a_budget_error(monkeypatch):
     dist, x = triangle_gibbs()
+    monkeypatch.setattr(policy, "EXACT_ATOM_CAP", 1)
     with pytest.raises(EnumerationBudgetError, match="exceeded 1 atoms"):
-        exact_output_law(dist, x, OrderStrategy.fixed([0, 1, 2]), atom_cap=1)
+        exact_output_law(dist, x, OrderStrategy.fixed([0, 1, 2]))
 
 
 def test_exact_expansion_rejects_seeded_random():

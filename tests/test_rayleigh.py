@@ -1,16 +1,17 @@
 """Weakly-Rayleigh pipeline and the Rayleigh-inequality checker."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from socrs import rayleigh
+from socrs import cli, rayleigh
 from socrs.counting import BaseMeasure, CountingOracle
 from socrs.dist import verify_stationary_lp
-from socrs.env import EnumerationBudgetError, Matroid
+from socrs.env import EnumerationBudgetError, Environment, Matroid, matroid_environment
 from socrs.generators import gen_instance
 from socrs.rayleigh import (NotRayleighError, _thin, build_witness, materialize,
                             pi_conditional, rayleigh_check)
@@ -25,7 +26,7 @@ def triangle():
 def test_pipeline_triangle_marginals_and_caps():
     m, mu0 = triangle()
     x = np.array([0.3, 0.3, 0.3])
-    witness = build_witness(m, mu0, x, b=1.0)
+    witness = build_witness(mu0, x, b=1.0)
     law = materialize(witness)
     for e in range(3):
         assert abs(law.marginal(e) - x[e] / 2) < 1e-6
@@ -37,7 +38,7 @@ def test_pipeline_triangle_marginals_and_caps():
 def test_pipeline_scaled_b2():
     m, mu0 = triangle()
     x = np.array([0.3, 0.3, 0.3])
-    witness = build_witness(m, mu0, x, b=2.0)
+    witness = build_witness(mu0, x, b=2.0)
     law = materialize(witness)
     for e in range(3):
         assert abs(law.marginal(e) - x[e] / 3) < 1e-6
@@ -48,7 +49,7 @@ def test_pipeline_scaled_b2():
 def test_pipeline_asymmetric_x():
     m, mu0 = triangle()
     x = np.array([0.2, 0.35, 0.15])
-    witness = build_witness(m, mu0, x, b=1.0)
+    witness = build_witness(mu0, x, b=1.0)
     law = materialize(witness)
     for e in range(3):
         assert abs(law.marginal(e) - x[e] / 2) < 1e-6
@@ -57,7 +58,7 @@ def test_pipeline_asymmetric_x():
 def test_pi_conditional_matches_materialized_table():
     m, mu0 = triangle()
     x = np.array([0.25, 0.3, 0.2])
-    witness = build_witness(m, mu0, x, b=1.0)
+    witness = build_witness(mu0, x, b=1.0)
     law = materialize(witness)
     for e in range(3):
         for T in [frozenset(), *({frozenset({f})} for f in range(3) if f != e)]:
@@ -74,7 +75,7 @@ def test_pi_conditional_dependent_is_zero():
     # spanning trees of the triangle have 2 edges; conditioning on both other
     # edges present makes adding e dependent
     m, mu0 = triangle()
-    witness = build_witness(m, mu0, np.array([0.3] * 3), b=1.0)
+    witness = build_witness(mu0, np.array([0.3] * 3), b=1.0)
     assert pi_conditional(witness, 0, frozenset({1, 2})) == 0.0
 
 
@@ -191,7 +192,7 @@ def test_readers_share_one_base_family(monkeypatch):
                         lambda self, B: calls.append(frozenset(B)) or mass(self, B))
     env, x, _ = gen_instance("hat-graph", n=2, terminal_edge=True)
     m = env.meta["matroid"]
-    materialize(build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x)))
+    materialize(build_witness(BaseMeasure.uniform_on_bases(m), np.asarray(x)))
     assert calls.count(None) == 1
     assert len(calls) == 1 + len(set(calls) - {None}) == 1 + 8
     # a determinantal measure: one Bareiss mass per base for both readers
@@ -201,6 +202,25 @@ def test_readers_share_one_base_family(monkeypatch):
     CountingOracle("enumeration", base=base).marginals(np.ones(4))
     assert calls.count(None) == 1
     assert len(calls) == 1 + len(set(calls) - {None}) == 1 + 6
+
+
+def test_build_rayleigh_builds_one_environment_and_asks_no_rank(monkeypatch, tmp_path):
+    # the parse, the bases and mu* share the matroid's one environment,
+    # enumerated once, and mu* sits on its family's positions: no set goes
+    # back to the rank oracle
+    doc = json.dumps(gen_instance("hat-graph", n=2, terminal_edge=True)[2])
+    calls = []
+    init, enum, feasible = Environment.__init__, Environment._enumerate, Environment.is_feasible
+    monkeypatch.setattr(Environment, "__init__",
+                        lambda self, *a, **k: calls.append("init") or init(self, *a, **k))
+    monkeypatch.setattr(Environment, "_enumerate",
+                        lambda self, cap: calls.append("enumerate") or enum(self, cap))
+    monkeypatch.setattr(Environment, "is_feasible",
+                        lambda self, S: calls.append("is_feasible") or feasible(self, S))
+    out = tmp_path / "witness.json"
+    assert cli.main(["build-rayleigh", "--out", str(out), doc]) == 0
+    assert calls == ["init", "enumerate"]
+    assert len(json.loads(out.read_text())["mu_star"]) == 24
 
 
 def test_build_witness_rejects_non_rayleigh_base():
@@ -214,7 +234,7 @@ def test_build_witness_rejects_non_rayleigh_base():
     ok, worst, _ = rayleigh_check(base, trials=5, rng=RngStream(3))
     assert not ok and worst > 0.1
     with pytest.raises(NotRayleighError):
-        build_witness(m, base, np.array([0.1] * 4), b=1.0, rng=RngStream(3))
+        build_witness(base, np.array([0.1] * 4), b=1.0, rng=RngStream(3))
 
 
 def _reference_thinning(witness):
@@ -235,6 +255,16 @@ def _reference_thinning(witness):
     return support
 
 
+def _reference_materialize(witness):
+    """mu* as a {set: mass} dict over every nonzero mask of the thinned
+    table, in mask order."""
+    n = witness.matroid.n
+    masks = witness.base.family()[2] @ (1 << np.arange(n))
+    law = _thin(masks, witness.oracle._set_probs(witness.w), n, witness.tau, 1.0 - witness.tau)
+    return {frozenset(e for e in range(n) if mask >> e & 1): float(law[mask])
+            for mask in np.flatnonzero(law).tolist()}
+
+
 WITNESS_INSTANCES = (
     [("hat-graph", 0, {"n": n, "terminal_edge": t}) for n in (1, 2, 3) for t in (False, True)]
     + [("random-graphic-matroid", s, {"n_vertices": 5, "n_edges": 8}) for s in range(6)])
@@ -245,13 +275,19 @@ def test_materialize_matches_per_base_thinning(b):
     for name, seed, params in WITNESS_INSTANCES:
         env, x, _ = gen_instance(name, seed=seed, **params)
         m = env.meta["matroid"]
-        witness = build_witness(m, BaseMeasure.uniform_on_bases(m), np.asarray(x), b=b,
+        witness = build_witness(BaseMeasure.uniform_on_bases(m), np.asarray(x), b=b,
                                 rng=RngStream(seed))
-        got = materialize(witness).support
+        law = materialize(witness)
+        got = law.support
         expect = _reference_thinning(witness)
         assert set(got) == set(expect), (name, seed, params)
         for T, p in expect.items():
             assert abs(got[T] - p) <= 1e-14 * p, (name, seed, params, sorted(T))
+        # the masses are the thinned table's, on family positions in order
+        assert got == _reference_materialize(witness), (name, seed, params)
+        assert np.all(np.diff(law.positions) > 0)
+        sets = matroid_environment(m).enumerate_feasible()
+        assert list(got) == [sets[p] for p in law.positions.tolist()]
 
 
 def test_thin_with_unit_weights_gives_superset_sums():
@@ -272,7 +308,7 @@ def test_subset_transform_budget_raises_before_allocating():
     # U(21, 1): 21 bases, but a dense table over its subsets takes 2^21 doubles
     m = Matroid.uniform(21, 1)
     mu0 = BaseMeasure.uniform_on_bases(m)
-    witness = build_witness(m, mu0, np.full(21, 0.04))
+    witness = build_witness(mu0, np.full(21, 0.04))
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationBudgetError, match="n <= 20"):
