@@ -9,7 +9,7 @@ constrained counts, and the thinned base masses (a count pinned on T at
 weights w(1 - tau) off T).  Each backend reduces the pins to a smaller
 instance of itself (self-reduction, Jerrum-Valiant-Vazirani 1986):
   * enumeration filters the enumerated family: an environment's feasible
-    sets, or a base measure's `family` (any kind);
+    sets, or a base measure's bases (`BaseMeasure.inc`, `masses`);
   * matching-recursion drops the edges of J and every edge touching I;
   * ksym-dp drops I and J and lowers k by |I|;
   * the determinantal backends (cauchy-binet on a determinantal measure,
@@ -48,11 +48,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
 
 from ._rat import R, as_rational
+from .env import Matroid, matroid_environment
 
 MATCHING_MEMO_CAP = 1_000_000
 
@@ -100,11 +102,12 @@ def det_double(M):
 # ---------------------------------------------------------------------------
 
 class BaseMeasure:
-    """A full-support probability measure on the bases of a matroid.
+    """A probability measure on the bases of a matroid, held on their
+    ascending `positions` in the matroid's family (`env.matroid_environment`)
+    with their exact normalized `masses` and read-only incidence rows `inc`.
 
-    kinds: "explicit-table" (a given mass table, normalized), "determinantal"
-    (mu0(B) proportional to det(A_B)^2) and "uniform" (equal masses).  Every
-    reader takes the one base family that `family` builds.
+    kinds: "explicit-table" (given masses, normalized), "determinantal"
+    (mu0(B) proportional to det(A_B)^2) and "uniform" (equal masses).
     """
 
     def __init__(self, kind, matroid, table=None, A=None):
@@ -112,18 +115,13 @@ class BaseMeasure:
         self.matroid = matroid
         self.A = None               # determinantal: A and det(A A^T)
         self.gram_det = None
-        self.table = None           # uniform: filled with the family
-        self._family = None
-        if kind == "explicit-table":
-            total = sum(table.values())
-            # normalization is exact when the masses are rationals
-            self.table = {frozenset(B): v / total for B, v in table.items()}
-        elif kind == "determinantal":
+        self._table = table         # explicit: {position: mass}, in family order
+        if kind == "determinantal":
             self.A = [list(map(as_rational, row)) for row in A]
             self.gram_det = det_bareiss(_mat_mul_t(self.A, self.A))
             if self.gram_det == 0:
                 raise SingularRepresentationError("A A^T is singular")
-        elif kind != "uniform":
+        elif kind not in ("uniform", "explicit-table"):
             raise ValueError(f"unknown base measure kind {kind}")
 
     # -- constructors --------------------------------------------------------
@@ -134,46 +132,55 @@ class BaseMeasure:
 
     @staticmethod
     def determinantal(A):
-        from .env import Matroid
         m = Matroid.linear([[Fraction(v) for v in row] for row in A])
         return BaseMeasure("determinantal", m, A=A)
 
     @staticmethod
     def explicit(matroid, table):
-        return BaseMeasure("explicit-table", matroid, table=table)
+        """The bases of a {base: mass} table at their masses over the total;
+        ValueError for a non-base, a negative mass or a total <= 0."""
+        index, masses = matroid_environment(matroid).family().index, {}
+        for B, v in table.items():
+            p = index.get(frozenset(B))
+            if p is None or len(B) != matroid.rank_total:
+                raise ValueError(f"{sorted(B)} is not a base of the matroid")
+            if not v >= 0:
+                raise ValueError(f"negative mass {v} on base {sorted(B)}")
+            masses[p] = v
+        total = sum(table.values())
+        if not total > 0:
+            raise ValueError("a base measure needs a positive total mass")
+        return BaseMeasure("explicit-table", matroid,
+                           table={p: masses[p] / total for p in sorted(masses)})
 
-    def family(self):
-        """`family_of` the bases (the table's, else the matroid's) at their
-        exact masses, one `mass` per base; built on the first call."""
-        if self._family is None:
-            bases = self.matroid.bases() if self.table is None else self.table
-            if self.kind == "uniform":
-                self.table = dict.fromkeys(bases, R(1, len(bases)))
-            self._family = family_of({B: self.mass(B) for B in bases}, self.matroid.n)
-        return self._family
+    @cached_property
+    def positions(self):
+        """Every base (`Matroid.bases`), or an explicit table's."""
+        return self.matroid.bases() if self._table is None else np.array(list(self._table))
 
-    def mass(self, B):
-        """Normalized mu0(B)."""
-        B = frozenset(B)
-        if self.kind == "determinantal":
-            cols = sorted(B)
-            sub = [[row[c] for c in cols] for row in self.A]
-            return det_bareiss(_mat_mul_t(sub, sub)) / self.gram_det
-        if self.table is None:
-            self.family()           # a uniform measure's table comes with its family
-        return self.table.get(B, 0)
+    @cached_property
+    def masses(self):
+        return self.mass(self.positions)
+
+    @cached_property
+    def inc(self):
+        inc = matroid_environment(self.matroid).family().inc[self.positions]
+        inc.flags.writeable = False
+        return inc
+
+    def mass(self, positions):
+        """Normalized mu0 of the bases at these family positions, as a list."""
+        if self.kind == "uniform":
+            return [R(1, len(self.positions))] * len(positions)
+        if self.kind == "explicit-table":
+            return [self._table.get(p, 0) for p in positions]
+        rows = matroid_environment(self.matroid).family().inc[positions]
+        subs = ([[row[c] for c in np.flatnonzero(r).tolist()] for row in self.A] for r in rows)
+        return [det_bareiss(_mat_mul_t(sub, sub)) / self.gram_det for sub in subs]
 
     def to_table(self):
-        return dict(zip(*self.family()[:2]))
-
-
-def family_of(table, n):
-    """(the sets of a {set: mass} table in lexicographic order, their masses,
-    the read-only bool set x element incidence over n elements)."""
-    sets = sorted(table, key=sorted)
-    inc = np.array([[e in S for e in range(n)] for S in sets], dtype=bool).reshape(len(sets), n)
-    inc.flags.writeable = False
-    return sets, [table[S] for S in sets], inc
+        sets = matroid_environment(self.matroid).family().sets
+        return {sets[p]: v for p, v in zip(self.positions, self.masses)}
 
 
 def _mat_mul_t(A, B):
@@ -248,15 +255,9 @@ class CountingOracle:
 
     # -- enumeration support ---------------------------------------------
 
-    def _family(self):
-        """(the read-only bool set x element incidence, the exact mu0 of each
-        set) of the enumerated family: a base measure's, or an environment's
-        with mu0 = 1."""
-        if self.base is not None:
-            _, m0, inc = self.base.family()
-            return inc, m0
-        inc = self.env.incidence()
-        return inc, [R(1)] * len(inc)
+    def _rows(self):
+        """The enumerated family's read-only bool set x element incidence."""
+        return self.env.incidence() if self.base is None else self.base.inc
 
     def _masses_rational(self, w):
         """Exact mu0(S) w^S for every enumerated set S, in family order.
@@ -268,9 +269,8 @@ class CountingOracle:
             for P, m in self.env.family().levels:
                 masses += [masses[p] * w[e] for p, e in zip(P.tolist(), m.tolist())]
             return masses
-        inc, m0 = self._family()
-        masses = list(map(as_rational, m0))
-        for p, f in zip(*(a.tolist() for a in np.nonzero(inc))):
+        masses = list(map(as_rational, self.base.masses))
+        for p, f in zip(*(a.tolist() for a in np.nonzero(self.base.inc))):
             masses[p] *= w[f]
         return masses
 
@@ -282,11 +282,13 @@ class CountingOracle:
         weights on every step.
         """
         if self._inc is None:
-            inc, m0 = self._family()
-            self._inc = inc.astype(float)
-            # log mu0: 0 on an environment's family, where mu0 = 1
-            self._logm0 = np.zeros(len(inc)) if self.base is None else np.array(
-                [math.log(float(v)) if float(v) > 0 else -np.inf for v in m0])
+            self._inc = self._rows().astype(float)
+            # log mu0, one log for equal masses (1 on environments, 1/N if uniform)
+            m0 = [R(1)] if self.base is None else self.base.masses
+            if self.base is None or self.base.kind == "uniform":
+                m0 = m0[:1]
+            logm0 = [math.log(v) if v > 0 else -np.inf for v in map(float, m0)]
+            self._logm0 = np.broadcast_to(logm0, len(self._inc))
         w = np.asarray(w, dtype=float)
         pos = w > 0
         if pos.all():
@@ -340,7 +342,7 @@ class CountingOracle:
         if self.backend == "enumeration":
             if self.mode == "double" and not (I or J):
                 return self._tilt(w)[0]
-            inc, _ = self._family()
+            inc = self._rows()
             keep = inc[:, I].all(1) & ~inc[:, J].any(1)
             if self.mode == "rational":
                 return sum(compress(self._masses_rational(w), keep), R(0))

@@ -177,12 +177,10 @@ class Matroid:
         return sums
 
     def bases(self):
-        """All bases (independent sets of full rank) in (size, lex) order: the
-        top level of the environment's family, read off its incidence rows."""
+        """The positions of all bases (independent sets of full rank) in the
+        environment's family, a range: its top level, in lex order."""
         fam = matroid_environment(self).family()
-        top = fam.inc[len(fam) - len(fam.levels[-1][0]):] if fam.levels else fam.inc
-        rows = np.nonzero(top)[1].reshape(len(top), self.rank_total)
-        return list(map(frozenset, rows.tolist()))
+        return range(len(fam) - len(fam.levels[-1][0]) if fam.levels else 0, len(fam))
 
 
 def subset_table_size(n):

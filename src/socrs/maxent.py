@@ -234,7 +234,7 @@ def solve_maxent(env, oracle, p, tol=1e-8):
 
 def barycentric_base_point(base):
     """Average of the base indicators (a relative-interior point)."""
-    return base.family()[2].mean(axis=0)
+    return base.inc.mean(axis=0)
 
 
 def is_boundary_base_point(matroid, q):

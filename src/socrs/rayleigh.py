@@ -10,10 +10,9 @@ giving an implicit law mu* over independent sets with marginals x/(1+b) and
 stationary caps at x.
 
 The witness is built from mu0 alone (its matroid is mu0.matroid).  Every step
-reads mu0's one base family (`BaseMeasure.family`, built once), the top level
-of the matroid's one environment's family (`env.matroid_environment`), and mu*
-is a law on that family's positions; the check tabulates a plain {set: mass}
-dict the same way (`counting.family_of`).
+and the Rayleigh check read mu0's bases by position in the family of the
+matroid's one environment (`BaseMeasure.positions`, `masses`, `inc`, each
+built once), and mu* is a law on that family's positions.
 
 Step (iii) and the Rayleigh check's superset sums P[T subseteq B] are one
 subset transform on a dense 2^n table indexed by bitmask, as step (i)'s rank
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import BaseMeasure, CountingOracle, family_of
+from .counting import BaseMeasure, CountingOracle
 from .dist import ExplicitDistribution
 from .env import element_pairs, matroid_environment, subset_table_size
 from .maxent import DualState, dominating_base_point, kl_diagnostics, solve_kl_projection
@@ -113,7 +112,7 @@ def materialize(witness):
     n = witness.matroid.n
     bits = 1 << np.arange(n)
     probs = witness.oracle._set_probs(witness.w)
-    law = _thin(witness.base.family()[2] @ bits, probs, n, witness.tau, 1.0 - witness.tau)
+    law = _thin(witness.base.inc @ bits, probs, n, witness.tau, 1.0 - witness.tau)
     env = matroid_environment(witness.matroid)
     mass = law[env.family().inc @ bits]
     pos = np.flatnonzero(mass)
@@ -138,8 +137,8 @@ def pi_conditional(witness, e, T):
 
 def rayleigh_check(measure, trials=100, rng=None):
     """Check the Rayleigh inequality P[T+e in B] <= P[T in B] P[e in B] for
-    every e and every T not holding e, under the measure itself and under
-    `trials` random log-uniform tilts w in [e^-5, e^5]^E.
+    every e and every T not holding e, under the base measure itself and
+    under `trials` random log-uniform tilts w in [e^-5, e^5]^E.
 
     Returns (passed, worst_violation, witness_info); the info holds the tilt
     and the (e, T) of the worst violation: the first tilt, then the first e,
@@ -148,19 +147,15 @@ def rayleigh_check(measure, trials=100, rng=None):
     time, each block's superset sums in one subset transform.
     """
     rng = rng or RngStream(0)
-    if isinstance(measure, BaseMeasure):
-        n = measure.matroid.n
-    else:
-        measure = {frozenset(B): v for B, v in measure.items()}
-        n = 1 + max((e for B in measure for e in B), default=-1)
+    n = measure.matroid.n
     subset_table_size(n)
     if n == 0:
         return True, -np.inf, None
 
-    _, masses, inc = family_of(measure, n) if isinstance(measure, dict) else measure.family()
-    masks = inc @ (1 << np.arange(n))
-    inc = inc.astype(float)
-    logm0 = np.log(np.array([float(v) for v in masses]))
+    masks = measure.inc @ (1 << np.arange(n))
+    inc = measure.inc.astype(float)
+    m0 = measure.masses[:1] if measure.kind == "uniform" else measure.masses    # one log if equal
+    logm0 = np.broadcast_to(np.log(np.array([float(v) for v in m0])), len(measure.masses))
     logw = np.vstack([np.zeros(n), rng.uniform((trials, n)) * 10.0 - 5.0])
     ones = np.ones(n)
     worst, info = -np.inf, None

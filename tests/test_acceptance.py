@@ -285,9 +285,8 @@ def test_criterion_08_rayleigh_checker():
     for g in graphs:
         edges = list(g.edges())
         m = Matroid.graphic(g.number_of_nodes(), edges)
-        bases = m.bases()
-        table = {B: Fraction(1, len(bases)) for B in bases}
-        passed, worst, _ = rayleigh_check(table, trials=100, rng=rng.spawn(len(edges)))
+        mu0 = BaseMeasure.uniform_on_bases(m)
+        passed, worst, _ = rayleigh_check(mu0, trials=100, rng=rng.spawn(len(edges)))
         ok &= passed
         worst_all = max(worst_all, worst)
     # determinantal measures (incidence representations + a random matrix)
@@ -298,8 +297,11 @@ def test_criterion_08_rayleigh_checker():
         passed, worst, _ = rayleigh_check(base, trials=100, rng=rng.spawn(99))
         ok &= passed
         worst_all = max(worst_all, worst)
-    # negative control: a positively-correlated measure must fail
-    bad = {frozenset(): 0.5, frozenset({0, 1}): 0.5}
+    # negative control: a positively-correlated measure must fail; U(4,2)
+    # with its mass on the disjoint bases {0,1} and {2,3}
+    bad = BaseMeasure.explicit(Matroid.uniform(4, 2), {
+        frozenset({0, 1}): 0.48, frozenset({2, 3}): 0.48, frozenset({0, 2}): 0.01,
+        frozenset({0, 3}): 0.01, frozenset({1, 2}): 0.01, frozenset({1, 3}): 0.01})
     control_fails, control_worst, _ = rayleigh_check(bad, trials=100, rng=rng)
     _report(8, "Rayleigh inequality holds under random tilts",
             ok and worst_all <= 1e-12 and not control_fails and control_worst > 0.1,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from socrs.counting import (BaseMeasure, CountingOracle,
                             SingularRepresentationError, det_bareiss, det_double)
-from socrs.env import Matroid, k_uniform_environment, matching_environment
+from socrs.env import Matroid, k_uniform_environment, matching_environment, matroid_environment
 
 
 def path3_env():
@@ -98,8 +98,8 @@ def test_matrix_tree_equals_cauchy_binet_equals_enumeration():
 
 def test_closed_form_backends_refuse_other_measures():
     tri = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
-    bases = tri.bases()
-    table = BaseMeasure.explicit(tri, {B: Fraction(i + 1) for i, B in enumerate(bases)})
+    sets = matroid_environment(tri).family().sets
+    table = BaseMeasure.explicit(tri, {sets[p]: Fraction(i + 1) for i, p in enumerate(tri.bases())})
     w = [Fraction(2), Fraction(3), Fraction(5)]
     # masses 1, 2, 3 over 6; matrix-tree would weigh the trees uniformly (31/3)
     Z = CountingOracle("enumeration", base=table, mode="rational").partition(w)
@@ -268,21 +268,55 @@ def test_base_measure_normalization_and_mass():
     table = base.to_table()
     assert sum(table.values()) == 1
     assert all(v > 0 for v in table.values())
-    some_base = next(iter(table))
-    assert base.mass(some_base) == table[some_base]
-    assert base.mass(frozenset({0, 1})) == 0      # 2 edges cannot span 4 vertices
+    assert base.mass(base.positions[:2]) == base.masses[:2] == [Fraction(1, 8)] * 2
+    assert frozenset({0, 1}) not in table       # 2 edges cannot span 4 vertices
 
 
 def test_spanning_tree_mass_enumerates_bases_once(monkeypatch):
     m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     base = BaseMeasure.uniform_on_bases(m)
-    expect = {B: Fraction(1, 8) for B in m.bases()}
+    sets = matroid_environment(m).family().sets
+    expect = {sets[p]: Fraction(1, 8) for p in m.bases()}
     calls = []
     bases = Matroid.bases
     monkeypatch.setattr(Matroid, "bases", lambda self: calls.append(1) or bases(self))
     assert base.to_table() == expect
-    assert base.mass(frozenset({0, 1})) == 0
+    assert base.inc.sum(axis=1).tolist() == [3] * 8
     assert len(calls) == 1
+
+
+def test_uniform_log_masses_take_one_log(monkeypatch):
+    # N equal masses: one Fraction conversion and one log, broadcast, give
+    # the bits of N logs
+    m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    base = BaseMeasure.uniform_on_bases(m)
+    oracle = CountingOracle("enumeration", base=base)
+    base.masses
+    calls = []
+    real = Fraction.__float__
+    monkeypatch.setattr(Fraction, "__float__", lambda self: calls.append(1) or real(self))
+    w = np.linspace(0.5, 2.0, m.n)
+    logmass = oracle._log_masses(w)
+    assert len(calls) == 1
+    expect = base.inc @ np.log(w) + np.array([math.log(real(v)) for v in base.masses])
+    assert logmass.tolist() == expect.tolist()
+
+
+def test_explicit_refuses_a_set_that_is_no_base():
+    # {0} is independent but not spanning, and 5 lies outside the triangle's
+    # 3 edges: neither is a base, so no oracle or Rayleigh check reads them
+    tri = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
+    for table in ({frozenset({0}): 1, frozenset({0, 1}): 1},
+                  {frozenset({0, 1}): 1, frozenset({5}): 1}):
+        with pytest.raises(ValueError, match="not a base"):
+            BaseMeasure.explicit(tri, table)
+
+
+def test_explicit_refuses_a_negative_mass():
+    # its log-mass would be NaN, and the Rayleigh check would pass it
+    tri = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="negative mass"):
+        BaseMeasure.explicit(tri, {frozenset({0, 1}): -1, frozenset({1, 2}): 2})
 
 
 # an r x n representation with every r-subset of columns independent
@@ -367,14 +401,16 @@ def test_second_moments_diagonal_is_marginal(family):
 @pytest.mark.parametrize("family", ["spanning-trees", "determinantal"])
 def test_closed_form_second_moments_read_no_bases(family, monkeypatch):
     kw, (_, backend) = _backends(family)
-    oracle = CountingOracle(backend, mode="double", **kw)
     w = [0.5, 1.5, 0.8, 1.2, 0.7]
     expect = CountingOracle("enumeration", mode="double", **kw).second_moments(w)
+    kw, _ = _backends(family)           # a fresh measure, its bases not yet read
 
-    def family_called(self):
+    def bases_read(*args):
         raise AssertionError("second_moments enumerated the bases")
 
-    monkeypatch.setattr(BaseMeasure, "family", family_called)
+    monkeypatch.setattr(Matroid, "bases", bases_read)
+    monkeypatch.setattr(BaseMeasure, "mass", bases_read)
+    oracle = CountingOracle(backend, mode="double", **kw)
     assert np.abs(oracle.second_moments(w) - expect).max() < 1e-12
 
 

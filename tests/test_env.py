@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from socrs import cli, env as env_mod
+from socrs.counting import BaseMeasure
 from socrs.env import (ORACLE_BLOCK, ActivationVector, EnumerationBudgetError,
                        Environment, EnvironmentError_, Matroid, check_membership,
                        hypergraph_matching_environment, k_uniform_environment,
@@ -264,12 +265,14 @@ def test_linear_matroid_rational_and_float():
 
 def test_bases_and_explicit_matroid():
     m = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
-    bases = m.bases()
+    sets = matroid_environment(m).family().sets
+    bases = [sets[p] for p in m.bases()]
     assert len(bases) == 3 and all(len(B) == 2 for B in bases)
     indep = {frozenset()} | {frozenset({e}) for e in range(3)} | set(bases)
     m2 = Matroid.explicit(3, indep)
     assert m2.rank(frozenset({0, 1, 2})) == 2
-    assert sorted(map(sorted, m2.bases())) == sorted(map(sorted, bases))
+    sets2 = matroid_environment(m2).family().sets
+    assert [sets2[p] for p in m2.bases()] == bases
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,15 +284,40 @@ def test_bases_and_explicit_matroid():
 def test_bases_are_the_full_rank_independent_sets(build):
     sets = _reference_family(build())[0]
     m = build().meta["matroid"]
-    assert m.bases() == [S for S in sets if len(S) == m.rank_total]
-    assert all(type(e) is int for B in m.bases() for e in B)
+    assert list(m.bases()) == [p for p, S in enumerate(sets) if len(S) == m.rank_total]
+    assert type(m.bases()) is range
+
+
+@settings(max_examples=60, deadline=None)
+@given(_environment_builders(kinds=("graphic", "uniform")), st.data())
+@example(lambda: matroid_environment(Matroid.graphic(2, [(0, 0), (1, 1)])), None)   # rank 0
+@example(lambda: matroid_environment(Matroid.uniform(0, 0)), None)
+def test_base_measures_match_brute_force(build, data):
+    # the full-rank subsets in lex order, their incidence and exact masses:
+    # uniform, and explicit from a table whose keys come in a random order
+    m = build().meta["matroid"]
+    r = m.rank_total
+    bases = [frozenset(B) for B in itertools.combinations(range(m.n), r) if m.rank(B) == r]
+    k = len(bases)
+    weights, order = [1] * k, range(k)
+    if data is not None:
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any))
+        order = data.draw(st.permutations(range(k)))
+    explicit = BaseMeasure.explicit(m, {bases[i]: Fraction(weights[i]) for i in order})
+    sets = matroid_environment(m).family().sets
+    for measure, masses in [(BaseMeasure.uniform_on_bases(m), [Fraction(1, k)] * k),
+                            (explicit, [Fraction(v, sum(weights)) for v in weights])]:
+        assert [sets[p] for p in measure.positions] == bases
+        assert measure.inc.tolist() == [[e in B for e in range(m.n)] for B in bases]
+        assert not measure.inc.flags.writeable
+        assert measure.masses == masses
 
 
 def test_a_matroid_keeps_one_environment():
     m = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])
     env = matroid_environment(m)
     assert matroid_environment(m) is env and env.meta["matroid"] is m
-    assert m.bases() == env.enumerate_feasible()[-3:]
+    assert list(m.bases()) == [4, 5, 6]       # the top level, after {} and 3 singletons
     # the matroid and its environment reference each other; the cyclic
     # collector reclaims both
     alive = weakref.ref(env)

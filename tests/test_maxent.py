@@ -12,7 +12,7 @@ from socrs import maxent
 from socrs.counting import BaseMeasure, CountingOracle
 from socrs.dist import ExplicitDistribution, verify_stationary_lp
 from socrs.env import (EnumerationBudgetError, Matroid, k_uniform_environment,
-                       matching_environment)
+                       matching_environment, matroid_environment)
 from socrs.generators import gen_instance
 from socrs.io import parse_instance
 from socrs.maxent import (BoundaryDivergenceError, barycentric_base_point,
@@ -270,8 +270,8 @@ def test_interior_kl_projection_reads_no_bases(monkeypatch):
     q = barycentric_base_point(BaseMeasure.uniform_on_bases(m))
     assert is_boundary_base_point(m, q) is False
     calls = []
-    real = BaseMeasure.family
-    monkeypatch.setattr(BaseMeasure, "family", lambda self: calls.append(1) or real(self))
+    real = Matroid.bases
+    monkeypatch.setattr(Matroid, "bases", lambda self: calls.append(1) or real(self))
     base = BaseMeasure.uniform_on_bases(m)
     w, q_used, _ = solve_kl_projection(CountingOracle("matrix-tree", base=base), q, tol=1e-10)
     assert calls == [] and np.array_equal(q_used, q)
@@ -360,7 +360,8 @@ def test_kl_projection_starts_in_newton(measure, instance):
         base = BaseMeasure.determinantal(_reduced_incidence(m))
     elif measure == "explicit-table":
         rng = np.random.default_rng(m.n)
-        base = BaseMeasure.explicit(m, {B: int(rng.integers(1, 5)) for B in m.bases()})
+        sets = matroid_environment(m).family().sets
+        base = BaseMeasure.explicit(m, {sets[p]: int(rng.integers(1, 5)) for p in m.bases()})
     else:
         base = BaseMeasure.uniform_on_bases(m)
     backend = "enumeration" if measure == "explicit-table" else measure

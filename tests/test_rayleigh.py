@@ -92,22 +92,26 @@ def test_rayleigh_check_determinantal():
     assert ok
 
 
+def _u42_concentrated():
+    # mass on the disjoint pairs {0,1} and {2,3} of U(4,2): 0 and 1 positively correlated
+    table = {frozenset({0, 1}): 0.48, frozenset({2, 3}): 0.48,
+             frozenset({0, 2}): 0.01, frozenset({0, 3}): 0.01,
+             frozenset({1, 2}): 0.01, frozenset({1, 3}): 0.01}
+    return BaseMeasure.explicit(Matroid.uniform(4, 2), table)
+
+
 def test_rayleigh_check_negative_control():
-    # positively-correlated pair violates the inequality badly
-    bad = {frozenset(): 0.5, frozenset({0, 1}): 0.5}
-    ok, worst, info = rayleigh_check(bad, trials=20, rng=RngStream(2))
+    # positively-correlated pairs violate the inequality badly: at tilt 0,
+    # P[0, 1 in B] = 0.48 against P[0 in B] P[1 in B] = 0.25
+    ok, worst, info = rayleigh_check(_u42_concentrated(), trials=20, rng=RngStream(2))
     assert not ok and worst > 0.2
-    assert info["e"] in (0, 1)
+    assert {info["e"], *info["T"]} in ({0, 1}, {2, 3})
 
 
 def _reference_rayleigh_check(measure, trials, rng):
     """rayleigh_check one tilt and one element at a time: the strict `>`
     keeps the first tilt, then the first e, then the first T in mask order."""
-    if isinstance(measure, BaseMeasure):
-        table, n = measure.to_table(), measure.matroid.n
-    else:
-        table = {frozenset(B): v for B, v in measure.items()}
-        n = 1 + max((e for B in table for e in B), default=-1)
+    table, n = measure.to_table(), measure.matroid.n
     bases = sorted(table, key=lambda B: tuple(sorted(B)))
     masks = np.array([sum(1 << e for e in B) for B in bases], dtype=np.int64)
     inc = np.array([[e in B for e in range(n)] for B in bases], dtype=float)
@@ -131,33 +135,36 @@ def _reference_rayleigh_check(measure, trials, rng):
     return worst <= 1e-12, worst, info
 
 
-def _u42_concentrated():
-    # mass on the disjoint pairs {0,1} and {2,3} of U(4,2): 0 and 1 positively correlated
-    table = {frozenset({0, 1}): 0.48, frozenset({2, 3}): 0.48,
-             frozenset({0, 2}): 0.01, frozenset({0, 3}): 0.01,
-             frozenset({1, 2}): 0.01, frozenset({1, 3}): 0.01}
-    return BaseMeasure.explicit(Matroid.uniform(4, 2), table)
-
-
 RAYLEIGH_MEASURES = {
     "triangle": lambda: triangle()[1],
     "determinantal": lambda: BaseMeasure.determinantal([[1, 0, 1, 1], [0, 1, 1, -1]]),
-    "correlated-pair": lambda: {frozenset(): 0.5, frozenset({0, 1}): 0.5},
     "u42-concentrated": _u42_concentrated,
-    "zero-mass-base": lambda: {frozenset({0, 1}): 0.0, frozenset({1, 2}): 0.5,
-                               frozenset({0, 2}): 0.5},
+    "zero-mass-base": lambda: BaseMeasure.explicit(Matroid.uniform(3, 2), {
+        frozenset({0, 1}): 0.0, frozenset({1, 2}): 0.5, frozenset({0, 2}): 0.5}),
     "hat-graph": lambda: BaseMeasure.uniform_on_bases(
         gen_instance("hat-graph", n=2, terminal_edge=True)[0].meta["matroid"]),
-    "empty-ground-set": lambda: {frozenset(): 1.0},
-    "no-mass": lambda: {frozenset({0}): 0.0, frozenset({1}): 0.0},
+    "empty-ground-set": lambda: BaseMeasure.explicit(Matroid.uniform(0, 0), {frozenset(): 1.0}),
+}
+# tables that are no base measure, which `explicit` refuses: {} and {0, 1}
+# are no base family of any matroid on two elements, and all-zero masses
+# normalize to nothing
+NOT_BASE_MEASURES = {
+    "correlated-pair": ({frozenset(): 0.5, frozenset({0, 1}): 0.5}, range(3), "not a base"),
+    "no-mass": ({frozenset({0}): 0.0, frozenset({1}): 0.0}, [1], "positive total"),
 }
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
 @pytest.mark.parametrize("block", [None, 1 << 3, 1 << 5])
 @pytest.mark.parametrize("trials", [0, 1, 23])
-@pytest.mark.parametrize("name", sorted(RAYLEIGH_MEASURES))
+@pytest.mark.parametrize("name", sorted(RAYLEIGH_MEASURES) + sorted(NOT_BASE_MEASURES))
 def test_rayleigh_check_matches_per_tilt_reference(name, trials, block, monkeypatch):
+    if name in NOT_BASE_MEASURES:
+        table, ranks, match = NOT_BASE_MEASURES[name]
+        for k in ranks:
+            with pytest.raises(ValueError, match=match):
+                BaseMeasure.explicit(Matroid.uniform(2, k), table)
+        return
     # small caps split the tilts into blocks of 1 to 8
     if block is not None:
         monkeypatch.setattr(rayleigh, "TILT_BLOCK_DOUBLES", block)
@@ -184,24 +191,23 @@ def test_rayleigh_check_memory_is_blocked():
 
 def test_readers_share_one_base_family(monkeypatch):
     # the Rayleigh check, the KL oracle, the barycentric point and materialize
-    # all read one family: the bases enumerated once, each mass taken once
+    # all read one set of bases: their positions taken once, their masses in
+    # one call
     calls = []
     bases, mass = Matroid.bases, BaseMeasure.mass
-    monkeypatch.setattr(Matroid, "bases", lambda self: calls.append(None) or bases(self))
+    monkeypatch.setattr(Matroid, "bases", lambda self: calls.append("bases") or bases(self))
     monkeypatch.setattr(BaseMeasure, "mass",
-                        lambda self, B: calls.append(frozenset(B)) or mass(self, B))
+                        lambda self, pos: calls.append(len(pos)) or mass(self, pos))
     env, x, _ = gen_instance("hat-graph", n=2, terminal_edge=True)
     m = env.meta["matroid"]
     materialize(build_witness(BaseMeasure.uniform_on_bases(m), np.asarray(x)))
-    assert calls.count(None) == 1
-    assert len(calls) == 1 + len(set(calls) - {None}) == 1 + 8
+    assert calls == ["bases", 8]
     # a determinantal measure: one Bareiss mass per base for both readers
     base = BaseMeasure.determinantal([[1, 0, 1, 1], [0, 1, 1, -1]])
     calls.clear()
     rayleigh_check(base, trials=3)
     CountingOracle("enumeration", base=base).marginals(np.ones(4))
-    assert calls.count(None) == 1
-    assert len(calls) == 1 + len(set(calls) - {None}) == 1 + 6
+    assert calls == ["bases", 6]
 
 
 def test_build_rayleigh_builds_one_environment_and_asks_no_rank(monkeypatch, tmp_path):
@@ -224,13 +230,7 @@ def test_build_rayleigh_builds_one_environment_and_asks_no_rank(monkeypatch, tmp
 
 
 def test_build_witness_rejects_non_rayleigh_base():
-    # concentrate mass on the disjoint pairs {0,1} and {2,3} of U(4,2):
-    # elements 0 and 1 become positively correlated
-    m = Matroid.uniform(4, 2)
-    table = {frozenset({0, 1}): 0.48, frozenset({2, 3}): 0.48,
-             frozenset({0, 2}): 0.01, frozenset({0, 3}): 0.01,
-             frozenset({1, 2}): 0.01, frozenset({1, 3}): 0.01}
-    base = BaseMeasure.explicit(m, table)
+    base = _u42_concentrated()
     ok, worst, _ = rayleigh_check(base, trials=5, rng=RngStream(3))
     assert not ok and worst > 0.1
     with pytest.raises(NotRayleighError):
@@ -240,7 +240,8 @@ def test_build_witness_rejects_non_rayleigh_base():
 def _reference_thinning(witness):
     """mu* by brute force: every subset T of every base B gets
     p(B) prod_{e in T} tau_e prod_{e in B - T} (1 - tau_e)."""
-    bases, _, _ = witness.base.family()
+    sets = matroid_environment(witness.matroid).family().sets
+    bases = [sets[p] for p in witness.base.positions]
     probs = witness.oracle._set_probs(witness.w)
     tau = witness.tau
     support = {}
@@ -259,7 +260,7 @@ def _reference_materialize(witness):
     """mu* as a {set: mass} dict over every nonzero mask of the thinned
     table, in mask order."""
     n = witness.matroid.n
-    masks = witness.base.family()[2] @ (1 << np.arange(n))
+    masks = witness.base.inc @ (1 << np.arange(n))
     law = _thin(masks, witness.oracle._set_probs(witness.w), n, witness.tau, 1.0 - witness.tau)
     return {frozenset(e for e in range(n) if mask >> e & 1): float(law[mask])
             for mask in np.flatnonzero(law).tolist()}

@@ -5,9 +5,10 @@ the unit tests, and not only in a traced benchmark run.  The benchmark's
 tracer and workload table are read from `perfbench/`, unchanged.
 """
 
-import json
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH))
@@ -18,18 +19,17 @@ import workloads    # noqa: E402
 from socrs import cli, generators   # noqa: E402
 
 
-def test_build_rayleigh_records_every_rayleigh_witness_span(tmp_path):
-    # the rayleigh-witness workload's instance; gen_instance runs outside the CLI
-    doc = generators.gen_instance("hat-graph", seed=1, n=2, terminal_edge=True)[2]
-    inst = tmp_path / "hat.json"
-    inst.write_text(json.dumps(doc))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_records_its_spans(name, tmp_path):
+    # one run's instances and calls at seed 1, as the benchmark's child makes
+    # them, all traced: every call exits 0 and every expected span records
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        rc = cli.main(["build-rayleigh", "--seed", "1", "--out", str(tmp_path / "out.json"),
-                       str(inst)])
+        calls = workloads.plan(name, 1, str(tmp_path), generators.gen_instance)
+        rcs = [cli.main(c["argv"] + ["--out", str(tmp_path / f"{c['id']}.out.json"),
+                                     c["instance"]]) for c in calls]
     finally:
         tracer.uninstall()
-    assert rc == 0
-    expected = set(workloads.WORKLOADS["rayleigh-witness"].expected) - {"generators.gen_instance"}
-    assert expected - {sp.name for sp in tracer.spans} == set()
+    assert rcs == [0] * len(calls)
+    assert set(workloads.WORKLOADS[name].expected) - {sp.name for sp in tracer.spans} == set()
