@@ -122,12 +122,15 @@ def cmd_run_policy(args):
 
 def cmd_run_recurring(args):
     env, x, scale = io.parse_instance(args.instance)
-    gibbs = _maxent_witness(args, env, x)
-    rng = RngStream(args.seed)
     if args.replay:
         events = [(e, r, a) for (e, r, a, _) in io.read_trace(args.replay)]
     else:
         events = [(e, r, None) for r in range(args.renewals) for e in range(env.n)]
+    if not events:
+        raise ValueError("no arrivals to run: --renewals must be at least 1, "
+                         "and a --replay trace must hold a row")
+    gibbs = _maxent_witness(args, env, x)
+    rng = RngStream(args.seed)
     log = run_recurring(gibbs, x, events, rng)
     if args.trace_out:
         io.write_trace(args.trace_out, log)

@@ -139,10 +139,15 @@ class BaseMeasure:
     def explicit(matroid, table):
         """The bases of a {base: mass} table at their masses over the total;
         ValueError for a non-base, a negative mass or a total <= 0."""
-        index, masses = matroid_environment(matroid).family().index, {}
+        # the bases by their sorted elements, read off their incidence rows:
+        # no frozenset of the rest of the family is built
+        bases = matroid.bases()
+        cols = np.nonzero(matroid_environment(matroid).family().inc[bases])[1]
+        index = dict(zip(map(tuple, cols.reshape(len(bases), -1).tolist()), bases))
+        masses = {}
         for B, v in table.items():
-            p = index.get(frozenset(B))
-            if p is None or len(B) != matroid.rank_total:
+            p = index.get(tuple(sorted(frozenset(B))))
+            if p is None:
                 raise ValueError(f"{sorted(B)} is not a base of the matroid")
             if not v >= 0:
                 raise ValueError(f"negative mass {v} on base {sorted(B)}")

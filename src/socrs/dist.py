@@ -8,12 +8,16 @@ The stationary LP (over distributions nu on the feasible family) is
 
 with the cap linearized as (1-x_e) nu(T+e) <= x_e nu(T), which is valid for
 every T including nu(T)=0 and removes the positivity side condition.  Its
-caps are the pairs (e, T) with T+e feasible.  Every reader of an explicit
-law takes them, and the one table of conditionals `stationary_conditionals`,
-over `env.family()`.  A Gibbs law nu(S) ~ w^S needs neither: its
-conditional is rho_e = w_e / (1 + w_e) at every such T, so its caps are
-rho_e <= x_e for each element some feasible set holds, and its marginals
-are sums over the family's incidence matrix.
+caps are the pairs (e, T) with T+e feasible.  An explicit law is held on
+the positions of `env.family()`, and every reader takes its caps over that
+family from the one table of conditionals `stationary_conditionals`: the
+verifier, the exact expansion, the replay kernel and the sampled policy's
+steps, the last two drawing their initial sets from `support_cdf`.  A Gibbs
+law nu(S) ~ w^S is verified without it: its conditional is
+rho_e = w_e / (1 + w_e) at every such T, so its caps are rho_e <= x_e for
+each element some feasible set holds, and its marginals are sums over the
+family's incidence matrix.  Its runners read its explicit table, which it
+builds once.
 
 The exact solver eliminates nu(empty) = 1 - sum_{S != empty} nu(S), so over
 z = (nu(S) for S != empty, alpha) >= 0 every row is <= with a nonnegative
@@ -64,51 +68,55 @@ class CapViolationError(RuntimeError):
             f"> x_{e} = {float(xe):.12g}")
 
 
-def check_cap(e, T, q, xe):
-    """Raise CapViolationError unless q_e(T) <= x_e (up to CAP_SLACK)."""
+def check_cap(fam, t, e, q, xe):
+    """Raise CapViolationError unless q_e(T) <= x_e (up to CAP_SLACK), with T
+    the set at position t of the family fam, built only for the error."""
     if float(q) > float(xe) + CAP_SLACK:
-        raise CapViolationError(e, T, q, xe)
+        raise CapViolationError(e, fam.sets[t], q, xe)
 
 
 class ExplicitDistribution:
-    """A probability law over feasible sets, given as an explicit table.
+    """A probability law over feasible sets, held on its environment's
+    family: `positions` are the family positions of its support's sets and
+    `masses` their masses, in one order.  `support`, {set: mass} in that
+    order, is built from the family's sets on its first read; the exact
+    readers (`family_masses` and all that reads it) work on the arrays
+    alone.
 
-    `support` maps each set to its mass.  A law built on the family's
-    positions (`on_family`) keeps those positions and their masses as
-    arrays and builds `support` on its first read; the exact readers
-    (`family_masses` and all that reads it) work on the arrays alone.
+    Given as a {set: mass} dict, its sets are looked up in
+    `env.family().index` once, in the dict's order, so the law needs its
+    environment's family (EnumerationBudgetError beyond its cap), and a set
+    outside the family raises EnvironmentError_.
     """
 
     def __init__(self, env, support, tol=1e-12):
-        support = {frozenset(S): p for S, p in support.items()}
+        index, positions = env.family().index, []
         for S in support:
-            if not env.is_feasible(S):
-                raise EnvironmentError_(f"support set {sorted(S)} is infeasible")
-        self._fill(env, list(support.values()), tol)
-        self._support = dict(zip(support, self.masses.tolist()))
-        # the family positions of the support's sets, in its order; None
-        # when the law was given by its sets
-        self.positions = None
+            p = index.get(frozenset(S))
+            if p is None:
+                raise EnvironmentError_(f"support set {sorted(S)} is not a feasible set")
+            positions.append(p)
+        if len(set(positions)) < len(positions):
+            raise ValueError("a support set is given twice")
+        self._fill(env, positions, list(support.values()), tol)
 
     @classmethod
     def on_family(cls, env, positions, probs, tol=1e-12):
         """The law with mass probs[i] on env.family().sets[positions[i]]: sets
-        of the enumerated family at distinct positions, so their feasibility
-        is not checked again and their positions are kept."""
-        self = cls.__new__(cls)
-        self.positions = np.asarray(positions, dtype=np.intp)
-        self._support = None
-        return self._fill(env, probs, tol)
+        of the enumerated family at distinct positions, taken as they are."""
+        return cls.__new__(cls)._fill(env, positions, probs, tol)
 
-    def _fill(self, env, probs, tol):
-        """Store the masses probs, checked as one array, as `masses`.  A law
-        with a float mass is a float law: a mass below -tol raises, one in
-        [-tol, 0) becomes 0, the total, summed in order, must lie within tol
-        of 1, and `masses` is a float array.  Otherwise the masses are exact
-        numbers, none negative, summing to exactly 1, kept as they are in an
-        object array."""
+    def _fill(self, env, positions, probs, tol):
+        """Store the positions and the masses probs, checked as one array, as
+        `masses`.  A law with a float mass is a float law: a mass below -tol
+        raises, one in [-tol, 0) becomes 0, the total, summed in order, must
+        lie within tol of 1, and `masses` is a float array.  Otherwise the
+        masses are exact numbers, none negative, summing to exactly 1, kept
+        as they are in an object array."""
         p = np.asarray(probs)
         self.env = env
+        self.positions = np.asarray(positions, dtype=np.intp)
+        self._support = None
         self.exact = not p.size or p.dtype.kind != "f" and not any(
             issubclass(t, float) for t in set(map(type, p.tolist())))
         if self.exact:
@@ -131,12 +139,13 @@ class ExplicitDistribution:
                 raise ValueError(f"probabilities sum to {total}, not 1")
         self.masses = p
         self._conditionals = {}     # stationary_conditionals' arrays, by mode
+        self._cdf = None            # support_cdf's arrays
         return self
 
     @property
     def support(self):
-        """{set: mass}; for a law on positions, built from the enumerated
-        family's sets on the first read."""
+        """{set: mass}, built from the enumerated family's sets on the first
+        read."""
         if self._support is None:
             # through enumerate_feasible, so that a traced run counts the
             # sets this builds
@@ -144,13 +153,6 @@ class ExplicitDistribution:
             self._support = dict(zip(map(sets.__getitem__, self.positions.tolist()),
                                      self.masses.tolist()))
         return self._support
-
-    def family_positions(self):
-        """The family positions of the support's sets, in its order."""
-        if self.positions is not None:
-            return self.positions
-        index = self.env.family().index
-        return np.array([index[S] for S in self.support], dtype=np.intp)
 
     def sets(self):
         return sorted(self.support, key=lambda S: (len(S), tuple(sorted(S))))
@@ -177,6 +179,7 @@ class GibbsDistribution:
         self.env = env
         self.w = list(w)
         self.oracle = oracle
+        self._table = None
 
     @property
     def rho(self):
@@ -202,9 +205,12 @@ class GibbsDistribution:
         return [m / Z for m in masses]
 
     def to_explicit(self):
-        """The explicit table over the family's positions."""
-        probs = self._set_probs()
-        return ExplicitDistribution.on_family(self.env, np.arange(len(probs)), probs)
+        """The explicit table over the family's positions, built on the first
+        call, so that its conditionals are built once per law too."""
+        if self._table is None:
+            probs = self._set_probs()
+            self._table = ExplicitDistribution.on_family(self.env, np.arange(len(probs)), probs)
+        return self._table
 
     def _marginals(self):
         """P[e in S] for every e, as a list: each sum runs over the sets in
@@ -247,7 +253,7 @@ def family_masses(table, exact):
     object array; float mode converts them to floats."""
     fam = table.env.family()
     mu = np.zeros(len(fam) + 1, dtype=object if exact else float)
-    mu[table.family_positions()] = table.masses
+    mu[table.positions] = table.masses
     return mu
 
 
@@ -258,25 +264,6 @@ def total_variation(a, b):
         raise ValueError("total variation needs two laws on one environment")
     exact = a.exact and b.exact
     return float(np.abs(family_masses(a, exact) - family_masses(b, exact)).sum() / 2)
-
-
-def conditional_without(dist, e, T):
-    """P[e in S | S_-e = T].
-
-    For a Gibbs law this is rho_e when T+e is feasible and 0 otherwise; for
-    an explicit table it is mu(T+e) / (mu(T) + mu(T+e)).
-    """
-    T = frozenset(T)
-    if e in T:
-        raise ValueError("e must not lie in T")
-    if isinstance(dist, GibbsDistribution):
-        if not dist.env.is_feasible(T | {e}):
-            return 0.0 if isinstance(dist.w[e], float) else R(0)
-        return dist.rho[e]
-    a, b = dist.prob(T), dist.prob(T | {e})
-    if a + b == 0:
-        raise NullConditioningError(f"P[S_-e = {sorted(T)}] = 0")
-    return b / (a + b)
 
 
 def stationary_conditionals(table, exact):
@@ -306,6 +293,25 @@ def stationary_conditionals(table, exact):
         a.flags.writeable = False
     table._conditionals[exact] = mu, q, null
     return mu, q, null
+
+
+def support_cdf(table):
+    """(pos, cdf) of an explicit law: its support's family positions,
+    ascending, and the running sums of their masses in the float table of
+    `stationary_conditionals`, the last raised to 1 + 1e-12.  A uniform u
+    draws the set at pos[searchsorted(cdf, u, "right")], the first whose sum
+    exceeds u, so a set of mass 0 is drawn only when it is the last.
+    `replay.replay` and the policy's `run_one_shot` and `run_recurring` draw
+    their initial sets from it.  Built once per law, so the arrays are
+    read-only.
+    """
+    if table._cdf is None:
+        pos = np.sort(table.positions)
+        cdf = np.cumsum(stationary_conditionals(table, False)[0][pos])
+        cdf[-1] = 1.0 + 1e-12
+        pos.flags.writeable = cdf.flags.writeable = False
+        table._cdf = pos, cdf
+    return table._cdf
 
 
 def verify_stationary_lp(dist, x, alpha, tol=CAP_SLACK):

@@ -156,6 +156,9 @@ def gen_instance(name, seed=0, **params):
                 continue
             seen.add((u, v))
             edges.append((min(u, v), max(u, v)))
+        if len(edges) < n_edges:
+            raise ValueError(f"{name} found {len(edges)} distinct edges on {n_vertices} "
+                             f"vertices, not the {n_edges} asked for")
         env = matching_environment(edges, n_vertices=n_vertices, sides=sides)
         x = _scaled_random_x(rng, env)
         doc = {"kind": env.kind, "edges": [list(e) for e in edges], "x": x, "name": name}
@@ -182,7 +185,8 @@ def gen_instance(name, seed=0, **params):
         edges = []
         for u in range(1, n_vertices):
             edges.append((int(rng.uniform() * u) % u, u))   # spanning-connected
-        extra = params.get("n_edges", n_vertices) - len(edges)
+        n_edges = params.get("n_edges", n_vertices)
+        extra = n_edges - len(edges)
         seen = set(edges)
         guard = 0
         while extra > 0 and guard < 10000:
@@ -194,6 +198,9 @@ def gen_instance(name, seed=0, **params):
             seen.add((min(u, v), max(u, v)))
             edges.append((min(u, v), max(u, v)))
             extra -= 1
+        if len(edges) < n_edges:
+            raise ValueError(f"{name} found {len(edges)} distinct edges on {n_vertices} "
+                             f"vertices, not the {n_edges} asked for")
         m = Matroid.graphic(n_vertices, edges)
         env = matroid_environment(m)
         x = _scaled_random_x(rng, env)

@@ -7,11 +7,17 @@ with probability q_e / x_e where q_e = P[e in S | S_-e = T], and S_hat is
 updated accordingly.  This preserves the law of S_hat at every step, which
 is what makes the output distribution independent of the arrival order.
 
-The witness cap q_e <= x_e is enforced on every path.  The sampled step
-`_replace` checks each cap it meets through `dist.check_cap`; the exact
-expansion `exact_output_law`, like `replay.replay`, checks them all once,
-up front, with `dist.verify_stationary_lp` on the witness's table, raises
-the first violated one, and then reads the conditionals that check built.
+Every runner works on the positions of the witness's family: it reads q,
+the null flags and, through the family's `down` and `up`, the moves to
+T = S - e and T + e from the one table `dist.stationary_conditionals`.
+The sampled runners `run_one_shot` and `run_recurring` hold S_hat as a
+position, draw it from `dist.support_cdf` and read the float table, as the
+replay kernel does, checking each cap they meet through `dist.check_cap`;
+no feasibility oracle is called, and S_hat cannot leave the family.  The
+exact expansion `exact_output_law`, like `replay.replay`, checks every cap
+once, up front, with `dist.verify_stationary_lp` on the witness's table,
+raises the first violated one, and then reads the conditionals that check
+built.
 """
 
 from __future__ import annotations
@@ -21,20 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (CapViolationError, ExplicitDistribution, NullConditioningError,
-                   check_cap, conditional_without, stationary_conditionals,
-                   verify_stationary_lp)
-from .env import EnumerationBudgetError
-from .sampling import sample_explicit
-
-
-@dataclass
-class PolicyState:
-    dist: object
-    x: list
-    S_hat: frozenset
-    accepted: frozenset = frozenset()
-    processed: frozenset = frozenset()
-    rng: object = None
+                   check_cap, stationary_conditionals, support_cdf, verify_stationary_lp)
+from .env import EnumerationBudgetError, EnvironmentError_
 
 
 @dataclass
@@ -72,40 +66,36 @@ class OrderStrategy:
         return self.callback(list(history), frozenset(unprocessed))
 
 
-def _replace(dist, x, S_hat, e, active, rng):
-    """One simulate-then-replace step; returns (S_hat, active, accepted).
+def _sampled_policy(dist, x, rng):
+    """(p, step): S_hat's initial family position, drawn from
+    `dist.support_cdf` with one uniform, and one simulate-then-replace step
+    step(p, e, active) -> (p, active, accepted) over the float conditionals
+    of the witness's table.  `active` None draws the activation with
+    probability x_e from `rng`."""
+    table = dist.to_explicit()
+    fam = table.env.family()
+    _, q, null = stationary_conditionals(table, exact=False)
+    xs = [float(v) for v in x]
 
-    `active` None draws the activation with probability x_e from `rng`.
-    """
-    T = S_hat - {e}
-    q = float(conditional_without(dist, e, T))
-    xe = float(x[e])
-    check_cap(e, T, q, xe)
-    if active is None:
-        active = float(rng.uniform()) < xe
-    accepted = bool(active) and float(rng.uniform()) < min(q / xe, 1.0)
-    S_hat = T | {e} if accepted else T
-    if not dist.env.is_feasible(S_hat):
-        raise RuntimeError(f"policy reached the infeasible set {sorted(S_hat)}")
-    return S_hat, bool(active), accepted
+    def step(p, e, active):
+        t = fam.down[p, e]
+        if null[t, e]:
+            raise NullConditioningError(f"P[S_-e = {sorted(fam.sets[t])}] = 0")
+        qe, xe = float(q[t, e]), xs[e]
+        check_cap(fam, t, e, qe, xe)
+        if active is None:
+            active = float(rng.uniform()) < xe
+        accepted = bool(active) and float(rng.uniform()) < min(qe / xe, 1.0)
+        return fam.up[t, e] if accepted else t, bool(active), accepted
 
-
-def policy_step(state, e, active):
-    """Process one arrival; returns (accepted, state).  Mutates state."""
-    if e in state.processed:
-        raise ValueError(f"element {e} already processed")
-    state.S_hat, _, accepted = _replace(state.dist, state.x, state.S_hat, e,
-                                        active, state.rng)
-    if accepted:
-        state.accepted = state.accepted | {e}
-    state.processed = state.processed | {e}
-    return accepted, state
+    pos, cdf = support_cdf(table)
+    return pos[np.searchsorted(cdf, rng.uniform(), side="right")], step
 
 
 def run_one_shot(dist, x, strategy, rng):
     """Play all n elements once, each active with probability x_e drawn from
     the stream.  Returns (accepted set, trace)."""
-    S_hat = _initial_sample(dist, rng)
+    p, step = _sampled_policy(dist, x, rng)
     unprocessed = set(range(dist.env.n))
     history = []
     while unprocessed:
@@ -113,7 +103,7 @@ def run_one_shot(dist, x, strategy, rng):
         if e not in unprocessed:
             raise ValueError("strategy returned a processed element")
         unprocessed.remove(e)
-        S_hat, active, accepted = _replace(dist, x, S_hat, e, None, rng)
+        p, active, accepted = step(p, e, None)
         history.append((e, active, accepted))
     return (frozenset(e for (e, _, acc) in history if acc),
             [(e, 0, a, acc) for (e, a, acc) in history])
@@ -127,20 +117,19 @@ def run_recurring(dist, x, trace, rng):
     simulated membership is forgotten and redrawn through the acceptance
     coin.  Returns the acceptance log [(element, renewal, active, accepted)].
     """
-    S_hat = _initial_sample(dist, rng)
+    p, step = _sampled_policy(dist, x, rng)
+    n = dist.env.n
     last_renewal = {}
     log = []
     for (e, ridx, active) in trace:
+        if not 0 <= e < n:
+            raise EnvironmentError_(f"element {e} out of range [0,{n})")
         if e in last_renewal and ridx <= last_renewal[e]:
             raise ValueError(f"renewal indices for element {e} must increase")
         last_renewal[e] = ridx
-        S_hat, active, accepted = _replace(dist, x, S_hat, e, active, rng)
+        p, active, accepted = step(p, e, active)
         log.append((e, ridx, active, accepted))
     return log
-
-
-def _initial_sample(dist, rng):
-    return sample_explicit(dist.to_explicit(), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ first violated cap; fixed orders must be permutations of the elements.
 `_replay_py.kernel_tables` then turns the conditionals that check built into
 the kernel's acceptance and move tables over the family's positions, once
 per replay, and `_replay_py.replay_batch` runs the blocks and counts the
-final positions.  Every order is a permutation, so an element is accepted
-exactly when it is in its replication's final set: the accepts are the
-outcome counts times the family's incidence matrix, taken once per replay.
+final positions.  The conditionals and the initial draw's
+`dist.support_cdf` are the ones the sampled policy (`policy.run_one_shot`,
+`run_recurring`) steps through one arrival at a time.  Every order is a
+permutation, so an element is accepted exactly when it is in its
+replication's final set: the accepts are the outcome counts times the
+family's incidence matrix, taken once per replay.
 
 Replications run one block of `_replay_py.BLOCK` = 4096 rows at a time, and
 with random arrival orders each block draws its own orders next to its own
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import _replay_py as _kernel
 from .dist import (CapViolationError, ExplicitDistribution, stationary_conditionals,
-                   verify_stationary_lp)
+                   support_cdf, verify_stationary_lp)
 
 KERNEL = "python"
 
@@ -53,13 +56,9 @@ def replay(dist, x, orders, rng, n_rep=None):
     if report.violated_caps:
         raise CapViolationError(*report.violated_caps[0])
     fam = table.env.family()
-    mu, q, _ = stationary_conditionals(table, exact=False)
+    _, q, _ = stationary_conditionals(table, exact=False)
     moves = np.stack([fam.down, fam.up[fam.down, np.arange(n)]], axis=-1).reshape(-1)
-    # the initial draw walks the support in sets() order, as `sample_explicit`
-    # does, which is family order
-    support_pos = np.sort(table.family_positions())
-    cdf = np.cumsum(mu[support_pos])
-    cdf[-1] = 1.0 + 1e-12
+    support_pos, cdf = support_cdf(table)
 
     if orders is None:
         if n_rep is None:

@@ -1,5 +1,6 @@
-"""Random sampling: RNG streams, explicit-table sampling, sequential
-counting-to-sampling, independent thinning, and empirical TV distance.
+"""Random sampling: RNG streams, sequential counting-to-sampling,
+independent thinning, and empirical TV distance.  An explicit law is
+sampled through `dist.support_cdf`.
 """
 
 from __future__ import annotations
@@ -61,18 +62,6 @@ def _clamp(p):
     if not -CLAMP_SLACK <= p <= 1.0 + CLAMP_SLACK:      # NaN fails it too
         raise ConditionalClampError(f"conditional {p} outside [0,1] beyond slack")
     return min(max(p, 0.0), 1.0)
-
-
-def sample_explicit(dist, rng):
-    """Inverse-CDF draw over the deterministic support order."""
-    u = float(rng.uniform())
-    acc = 0.0
-    sets = dist.sets()
-    for S in sets:
-        acc += float(dist.support[S])
-        if u < acc:
-            return S
-    return sets[-1]
 
 
 def sample_sequential(oracle, w, rng):

@@ -312,6 +312,20 @@ def test_explicit_refuses_a_set_that_is_no_base():
             BaseMeasure.explicit(tri, table)
 
 
+def test_explicit_finds_its_bases_without_the_familys_sets():
+    # the bases are looked up among the top level's incidence rows only,
+    # given in any order and as any iterable of elements
+    m = Matroid.graphic(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    fam = matroid_environment(m).family()
+    rows = [np.flatnonzero(r).tolist() for r in fam.inc[m.bases()]]
+    table = {tuple(reversed(B)): Fraction(i + 1) for i, B in enumerate(rows)}
+    base = BaseMeasure.explicit(m, dict(reversed(table.items())))
+    assert {"sets", "index"}.isdisjoint(vars(fam))
+    assert base.positions.tolist() == list(m.bases())
+    total = sum(table.values())
+    assert base.masses == [Fraction(i + 1, total) for i in range(len(rows))]
+
+
 def test_explicit_refuses_a_negative_mass():
     # its log-mass would be NaN, and the Rayleigh check would pass it
     tri = Matroid.graphic(3, [(0, 1), (1, 2), (0, 2)])

@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from socrs import dist as dist_mod, env as env_mod, simplex
 from socrs.counting import CountingOracle
 from socrs.dist import (ExplicitDistribution, GibbsDistribution,
-                        NonEnumerableError, NullConditioningError, addability_prob,
-                        conditional_without, solve_stationary_lp_exact,
-                        symmetric_uniform_bound, verify_stationary_lp)
-from socrs.env import (Environment, EnumerationBudgetError, Matroid,
+                        NonEnumerableError, addability_prob, solve_stationary_lp_exact,
+                        stationary_conditionals, symmetric_uniform_bound,
+                        verify_stationary_lp)
+from socrs.env import (Environment, EnumerationBudgetError, EnvironmentError_, Matroid,
                        hypergraph_matching_environment, k_uniform_environment,
                        matching_environment, matroid_environment)
 from socrs.maxent import solve_maxent
@@ -65,6 +65,25 @@ def test_laws_on_the_family_refuse_bad_masses(probs, message):
         ExplicitDistribution.on_family(env, range(len(probs)), probs)
     with pytest.raises(ValueError, match=f"^{message}$"):
         ExplicitDistribution(env, dict(zip(env.enumerate_feasible(), probs)))
+
+
+def test_a_law_given_by_its_sets_is_the_law_on_their_positions():
+    # the sets are looked up once, in the dict's order, and the support is
+    # built from the family's sets on its first read
+    env = triangle_env()
+    table = {frozenset({1}): Fraction(1, 2), frozenset(): Fraction(1, 4),
+             frozenset({0}): Fraction(1, 4)}
+    d = ExplicitDistribution(env, table)
+    ref = ExplicitDistribution.on_family(env, [2, 0, 1], list(table.values()))
+    assert d.positions.tolist() == ref.positions.tolist() == [2, 0, 1]
+    assert d.masses.tolist() == ref.masses.tolist() and d._support is None
+    assert list(d.support.items()) == list(ref.support.items()) == list(table.items())
+    with pytest.raises(EnvironmentError_, match=r"support set \[0, 1\] is not a feasible set"):
+        ExplicitDistribution(env, {frozenset({0, 1}): 1.0})
+    with pytest.raises(EnvironmentError_, match=r"\[5\]"):
+        ExplicitDistribution(env, {frozenset({5}): 1.0})
+    with pytest.raises(ValueError, match="given twice"):
+        ExplicitDistribution(env, {(0,): 0.5, frozenset({0}): 0.5})
 
 
 def test_explicit_marginal_and_order():
@@ -128,24 +147,34 @@ def test_float_to_explicit_matches_brute_force_product_law(case, monkeypatch):
     assert max(abs(tab.support[S] - p) for S, p in ref.items()) < 1e-14
 
 
-def test_conditional_without_gibbs_is_rho_or_zero():
+def test_exact_gibbs_conditionals_are_rho_or_zero():
+    # an exact Gibbs law's table: rho_e exactly at every cap, at both of its
+    # ends, and 0 where T+e is infeasible
     env = triangle_env()
-    g = GibbsDistribution(env, [Fraction(1, 3)] * 3)
-    rho = Fraction(1, 3) / (1 + Fraction(1, 3))
-    assert conditional_without(g, 0, frozenset()) == rho
+    g = GibbsDistribution(env, [Fraction(1, 3), Fraction(1, 2), 2])
+    index = env.family().index
+    _, q, null = stationary_conditionals(g.to_explicit(), True)
+    assert not null[:-1].any()     # the sentinel's row holds no mass
+    for S, p in index.items():
+        for e in range(3):
+            want = g.rho[e] if (S | {e}) in index else 0
+            assert q[p, e] == want and type(q[p, e]) is type(want)
     # T = {1} blocks edge 0 (they share vertex 1)
-    assert conditional_without(g, 0, frozenset({1})) == 0
+    assert q[index[frozenset({1})], 0] == 0
 
 
-def test_conditional_without_explicit_matches_ratio():
+def test_explicit_conditionals_are_the_ratio_and_flag_null_events():
     env = triangle_env()
     d = ExplicitDistribution(env, {frozenset(): Fraction(1, 2),
                                    frozenset({0}): Fraction(1, 4),
                                    frozenset({1}): Fraction(1, 4)})
+    index = env.family().index
+    _, q, null = stationary_conditionals(d, True)
     # P[0 in S | S_-0 = {}] = P[{0}] / (P[{}] + P[{0}])
-    assert conditional_without(d, 0, frozenset()) == Fraction(1, 3)
-    with pytest.raises(NullConditioningError):
-        conditional_without(d, 0, frozenset({2}))
+    assert q[index[frozenset()], 0] == q[index[frozenset({0})], 0] == Fraction(1, 3)
+    assert not null[index[frozenset()], 0]
+    # P[S_-0 = {2}] = 0: the event is flagged, its conditional left at 0
+    assert null[index[frozenset({2})], 0] and q[index[frozenset({2})], 0] == 0
 
 
 def test_addability_factorization_identity():
@@ -345,7 +374,7 @@ def test_gibbs_rho_is_exact_for_int_weights():
     g = GibbsDistribution(triangle_env(), [1, 2, Fraction(1, 2)])
     assert g.rho == [Fraction(1, 2), Fraction(2, 3), Fraction(1, 3)]
     assert all(type(r) is Fraction for r in g.rho)
-    assert conditional_without(g, 0, frozenset()) == Fraction(1, 2)
+    assert stationary_conditionals(g.to_explicit(), True)[1][0, 0] == Fraction(1, 2)
 
 
 def test_budget_overruns_are_enumeration_budget_errors(monkeypatch):

@@ -249,6 +249,22 @@ def test_cli_gen_matroid_beyond_rank_table_exits_two():
                      '{"n_vertices": 8, "n_edges": 21}']) == 2
 
 
+@pytest.mark.parametrize("name,n_vertices,n_edges,found", [
+    ("random-graph", 4, 10, 6), ("random-bipartite", 4, 9, 4),
+    ("random-graphic-matroid", 4, 12, 6)])
+def test_gen_more_edges_than_the_graph_holds_exits_two(name, n_vertices, n_edges, found,
+                                                       capsys):
+    params = {"n_vertices": n_vertices, "n_edges": n_edges}
+    with pytest.raises(ValueError, match=f"found {found} distinct edges on {n_vertices} "
+                                         f"vertices, not the {n_edges} asked for"):
+        gen_instance(name, **params)
+    assert cli.main(["gen", name, "--params", json.dumps(params)]) == 2
+    assert capsys.readouterr().out == ""
+    # at the graph's limit the request is met
+    params["n_edges"] = found
+    assert gen_instance(name, **params)[0].n == found
+
+
 @pytest.mark.parametrize("mode", ["mc", "exact"])
 def test_cli_estimate_document_keys(tmp_path, mode):
     inst = tmp_path / "inst.json"
@@ -438,3 +454,17 @@ def test_cli_run_recurring(tmp_path):
     assert rc == 0
     freq = json.loads(out.read_text())["acceptance_frequency"]
     assert all(0.0 <= v <= 1.0 for v in freq.values())
+
+
+@pytest.mark.parametrize("flags", [["--renewals", "0"], ["--renewals", "-3"],
+                                   ["--replay", "header-only.csv"]])
+def test_cli_run_recurring_without_arrivals_exits_two(tmp_path, flags, capsys):
+    inst = tmp_path / "inst.json"
+    cli.main(["gen", "random-graph", "--seed", "2", "--out", str(inst)])
+    io.write_trace(tmp_path / "header-only.csv", [])
+    if flags[0] == "--replay":
+        flags = ["--replay", str(tmp_path / flags[1])]
+    out = tmp_path / "r.json"
+    assert cli.main(["run-recurring", "--alpha", "0.3", *flags,
+                     "--out", str(out), str(inst)]) == 2
+    assert "no arrivals to run" in capsys.readouterr().err and not out.exists()

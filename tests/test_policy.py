@@ -16,11 +16,11 @@ from socrs import dist as dist_mod, policy
 from socrs.dist import (CAP_SLACK, ExplicitDistribution, GibbsDistribution,
                         NullConditioningError, solve_stationary_lp_exact,
                         verify_stationary_lp)
-from socrs.env import (EnumerationBudgetError, Matroid, hypergraph_matching_environment,
+from socrs.env import (EnumerationBudgetError, EnvironmentError_, Matroid,
+                       hypergraph_matching_environment,
                        k_uniform_environment, matching_environment, matroid_environment)
-from socrs.policy import (CapViolationError, OrderStrategy, PolicyState, _merge,
-                          exact_output_law, greedy_blocker_adversary,
-                          policy_step, run_one_shot, run_recurring,
+from socrs.policy import (CapViolationError, OrderStrategy, _merge, exact_output_law,
+                          greedy_blocker_adversary, run_one_shot, run_recurring,
                           target_last_adversary)
 from socrs.replay import random_orders, replay
 from socrs.sampling import RngStream
@@ -38,27 +38,34 @@ def law_tv(a, b):
 
 
 def test_single_element_acceptance_probability():
-    # env {∅,{0}}, mu({0}) = p: accept prob on an active arrival is p / x... / x
+    # env {∅,{0}}, mu({0}) = p: one active arrival, from either initial set,
+    # is accepted with probability q / x = p / x
     env = k_uniform_environment(1, 1)
     p, x = 0.3, 0.5
     d = ExplicitDistribution(env, {frozenset(): 1 - p, frozenset({0}): p})
     rng = RngStream(0)
-    hits = 0
     N = 40_000
-    for _ in range(N):
-        state = PolicyState(d, [x], S_hat=frozenset(), rng=rng)
-        state.S_hat = frozenset({0}) if float(rng.uniform()) < p else frozenset()
-        acc, state = policy_step(state, 0, active=True)
-        hits += acc
+    hits = sum(run_recurring(d, [x], [(0, 0, True)], rng)[0][3] for _ in range(N))
     assert abs(hits / N - p / x) < 0.01
 
 
 def test_policy_step_cap_violation():
     env = k_uniform_environment(1, 1)
     d = ExplicitDistribution(env, {frozenset(): 0.2, frozenset({0}): 0.8})
-    state = PolicyState(d, [0.5], S_hat=frozenset(), rng=RngStream(0))
-    with pytest.raises(CapViolationError):
-        policy_step(state, 0, active=True)     # conditional 0.8 > x = 0.5
+    with pytest.raises(CapViolationError) as info:
+        run_recurring(d, [0.5], [(0, 0, True)], RngStream(0))  # conditional 0.8 > x = 0.5
+    assert (info.value.e, info.value.T, info.value.q) == (0, frozenset(), 0.8)
+
+
+def test_sampled_step_refuses_a_null_conditioning_event():
+    # S_hat = {0, 1}; the inactive 0 leaves {1}, of mass 0, so the next
+    # arrival conditions on S_-1 = {} of probability 0
+    env = k_uniform_environment(2, 2)
+    d = ExplicitDistribution(env, {frozenset({0, 1}): Fraction(1)})
+    with pytest.raises(NullConditioningError, match=re.escape("P[S_-e = []] = 0")):
+        run_recurring(d, [1.0, 1.0], [(0, 0, False), (1, 0, False)], RngStream(0))
+    with pytest.raises(EnvironmentError_, match="out of range"):
+        run_recurring(d, [1.0, 1.0], [(-1, 0, False)], RngStream(0))
 
 
 def test_witness_inside_cap_slack_is_accepted_by_every_path():
@@ -68,9 +75,8 @@ def test_witness_inside_cap_slack_is_accepted_by_every_path():
     x = [0.01]
     q = x[0] + 5e-10
     d = ExplicitDistribution(env, {frozenset(): 1 - q, frozenset({0}): q})
-    state = PolicyState(d, x, S_hat=frozenset({0}), rng=RngStream(0))
-    assert policy_step(state, 0, active=True)[0]
-    assert run_recurring(d, x, [(0, 0, True), (0, 1, True)], RngStream(0))
+    log = run_recurring(d, x, [(0, 0, True), (0, 1, True)], RngStream(0))
+    assert [acc for *_, acc in log] == [True, True]
     _, acc = exact_output_law(d, x, OrderStrategy.fixed([0]))
     assert acc[0] == pytest.approx(q)
     accepts, _, _ = replay(d, x, random_orders(1, 1000, RngStream(1)), RngStream(2))
@@ -369,15 +375,28 @@ def test_exact_expansion_builds_the_conditionals_once(monkeypatch):
 
 
 def test_laws_built_on_the_family_skip_feasibility_calls(monkeypatch):
-    # the witness table and the expanded law hold sets taken from the family
-    env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
-    calls = []
-    real = env.is_feasible
-    monkeypatch.setattr(env, "is_feasible", lambda S: calls.append(S) or real(S))
-    dist = GibbsDistribution(env, [Fraction(1, 4)] * 5)
-    table = dist.to_explicit()
-    law, _ = exact_output_law(dist, [Fraction(1, 2)] * 5, OrderStrategy.fixed(range(5)))
-    assert calls == [] and law.support == table.support
+    # every runner steps on the family's positions of the witness table,
+    # which a Gibbs law builds once across two runs
+    runners = {
+        "exact_output_law": lambda d, x: exact_output_law(d, x, OrderStrategy.fixed(range(5))),
+        "run_one_shot": lambda d, x: run_one_shot(d, x, OrderStrategy.seeded_random(),
+                                                  RngStream(0)),
+        "run_recurring": lambda d, x: run_recurring(d, x, [(e, r, None) for r in range(2)
+                                                           for e in range(5)], RngStream(0)),
+    }
+    for name, runner in runners.items():
+        env = matching_environment([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
+        calls, tables = [], []
+        real = env.is_feasible
+        monkeypatch.setattr(env, "is_feasible", lambda S: calls.append(S) or real(S))
+        dist = GibbsDistribution(env, [Fraction(1, 4)] * 5)
+        real_probs = dist._set_probs
+        monkeypatch.setattr(dist, "_set_probs", lambda: tables.append(1) or real_probs())
+        out = [runner(dist, [Fraction(1, 2)] * 5) for _ in range(2)]
+        assert (name, calls, len(tables)) == (name, [], 1)
+        if name == "exact_output_law":  # the expanded law holds the family's sets too
+            assert out[0][0].support == dist.to_explicit().support
+            assert calls == []
 
 
 def test_run_one_shot_monte_carlo_law():
@@ -437,26 +456,22 @@ def test_feasibility_checks_survive_python_O():
     # python -O strips asserts; each of these broken inputs must still raise
     script = textwrap.dedent("""
         from socrs.dist import ExplicitDistribution
-        from socrs.env import Environment, Matroid
+        from socrs.env import Environment, EnvironmentError_, Matroid
         from socrs.maxent import dominating_base_point
-        from socrs.policy import PolicyState, policy_step, run_recurring
-        from socrs.sampling import RngStream
 
-        # {1} is infeasible although {0, 1} is not: not downward closed
+        # {1} is infeasible although {0, 1} is not: not downward closed, so
+        # the family stops short of {0, 1}
         env = Environment(2, "custom", lambda S: S != frozenset({1}))
-        dist = ExplicitDistribution(env, {frozenset({0, 1}): 1.0})
         bogus = Matroid(2, "explicit", lambda T: 2 if len(T) == 2 else 0)
         cases = [
-            lambda: policy_step(PolicyState(dist, [1.0, 1.0], frozenset({0, 1}),
-                                            rng=RngStream(0)), 0, False),
-            lambda: run_recurring(dist, [1.0, 1.0], [(0, 0, False)], RngStream(0)),
-            lambda: dominating_base_point(bogus, [0.0, 0.0]),
+            (lambda: ExplicitDistribution(env, {frozenset({0, 1}): 1.0}), EnvironmentError_),
+            (lambda: dominating_base_point(bogus, [0.0, 0.0]), RuntimeError),
         ]
-        for i, case in enumerate(cases):
+        for i, (case, error) in enumerate(cases):
             try:
                 case()
-            except RuntimeError as exc:
-                if type(exc) is RuntimeError:     # not a CapViolationError
+            except error as exc:
+                if type(exc) is error:     # not a subclass: no CapViolationError
                     continue
             raise SystemExit(f"case {i} did not raise the feasibility error")
         """)

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from socrs.counting import CountingOracle
-from socrs.dist import ExplicitDistribution, GibbsDistribution
+from socrs.dist import ExplicitDistribution, GibbsDistribution, support_cdf
 from socrs.env import k_uniform_environment, matching_environment
-from socrs.sampling import (ConditionalClampError, RngStream, _clamp,
-                            empirical_tv, sample_explicit, sample_sequential,
-                            thin, tv_multinomial_sigma)
+from socrs.sampling import (ConditionalClampError, RngStream, _clamp, empirical_tv,
+                            sample_sequential, thin, tv_multinomial_sigma)
 
 
 def test_rng_stream_reproducible():
@@ -75,18 +74,18 @@ def test_clamp_slack():
         _clamp(math.nan)
 
 
-def test_sample_explicit_frequencies():
+def test_support_cdf_draws_each_set_at_its_mass():
+    # the initial draw of the replay kernel and the sampled policy, on a law
+    # given out of family order
     env = k_uniform_environment(2, 2)
-    d = ExplicitDistribution(env, {frozenset(): 0.25, frozenset({0}): 0.25,
-                                   frozenset({1}): 0.25, frozenset({0, 1}): 0.25})
-    rng = RngStream(2)
-    counts = {}
+    d = ExplicitDistribution(env, {frozenset({0, 1}): 0.4, frozenset(): 0.1,
+                                   frozenset({1}): 0.3, frozenset({0}): 0.2})
+    pos, cdf = support_cdf(d)
+    assert pos.tolist() == [0, 1, 2, 3] and support_cdf(d)[1] is cdf
     N = 100_000
-    for _ in range(N):
-        S = sample_explicit(d, rng)
-        counts[S] = counts.get(S, 0) + 1
-    for S in d.sets():
-        assert abs(counts[S] / N - 0.25) < 0.01
+    drawn = pos[np.searchsorted(cdf, RngStream(2).uniform(N), side="right")]
+    freq = np.bincount(drawn, minlength=4) / N
+    assert np.abs(freq - [0.1, 0.2, 0.3, 0.4]).max() < 0.01
 
 
 def test_sequential_sampler_matches_gibbs_law():
